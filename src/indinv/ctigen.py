@@ -13,8 +13,17 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .evaluator import Transition, apply_action, evaluate, holds, successors
-from .instance import Instance, State, fingerprint, format_state, random_state
+from .evaluator import (
+    Binding,
+    Compiled,
+    Transition,
+    apply_action,
+    compile_expr,
+    enabled,
+    evaluate,
+    holds,
+)
+from .instance import Instance, State, fingerprint, format_state, random_state, state_schema
 from .syntax import Expr, Protocol, to_str
 
 
@@ -50,7 +59,7 @@ def _derive_seed(base: int, worker: int) -> int:
 def _sample_walks(
     protocol: Protocol,
     instance: Instance,
-    ind: Expr,
+    ind: Compiled,
     budget: int,
     depth: int,
     cap: int,
@@ -64,29 +73,33 @@ def _sample_walks(
             break
         attempts += 1
         s0 = random_state(protocol, instance, rng)
-        if not holds(ind, s0, instance):
+        if ind(s0, {}) is not True:
             continue
         path = [s0]
-        walk: list[Transition] = []
+        steps: list[tuple[str, Binding]] = []
         for _step in range(depth):
-            succs = successors(path[-1], protocol, instance)
-            if not succs:
+            choices = enabled(path[-1], protocol, instance)
+            if not choices:
                 break
-            t = succs[rng.randrange(len(succs))]
-            walk.append(t)
-            if not holds(ind, t.post, instance):
+            action, binding, env = choices[rng.randrange(len(choices))]
+            path.append(action.apply(path[-1], env))
+            steps.append((action.name, binding))
+            if ind(path[-1], {}) is not True:
                 # states path[0..k-1] all satisfy ind; each becomes a CTI
-                k = len(walk)
+                k = len(steps)
+                fps = [fingerprint(s) for s in path[:k]]
+                walk = tuple(
+                    Transition(name, binding, fps[i], path[i + 1])
+                    for i, (name, binding) in enumerate(steps)
+                )
                 for j in range(k):
-                    fp = fingerprint(path[j])
-                    if fp in seen:
+                    if fps[j] in seen:
                         continue
-                    seen.add(fp)
-                    ctis.append(CTI(path[j], fp, tuple(walk[j:]), k - j))
+                    seen.add(fps[j])
+                    ctis.append(CTI(path[j], fps[j], walk[j:], k - j))
                     if len(ctis) >= cap:
                         break
                 break
-            path.append(t.post)
     return ctis, attempts
 
 
@@ -111,8 +124,9 @@ def generate_ctis(
     if cap < 1:
         raise ValueError("CTI cap must be at least 1")
     ind_text = to_str(ind)
+    ind_f = compile_expr(ind, instance, state_schema(protocol))
     if workers <= 1:
-        ctis, attempts = _sample_walks(protocol, instance, ind, n_ctis, depth, cap, rng)
+        ctis, attempts = _sample_walks(protocol, instance, ind_f, n_ctis, depth, cap, rng)
         return CtiBatch(ctis, attempts, ind_text)
 
     base = rng.getrandbits(64)
@@ -124,7 +138,7 @@ def generate_ctis(
 
     def run(idx: int):
         wrng = random.Random(_derive_seed(base, idx))
-        return _sample_walks(protocol, instance, ind, budgets[idx], depth, cap, wrng)
+        return _sample_walks(protocol, instance, ind_f, budgets[idx], depth, cap, wrng)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for ctis, n in pool.map(run, range(workers)):

@@ -1,5 +1,24 @@
 """Expression evaluation and successor computation on finite instances.
 
+Evaluation compiles a type-checked expression once, for one instance and
+one state schema, into a tree of Python closures: ``compile_expr`` looks up
+each AST node's type in ``_COMPILERS``, whose entry compiles the children and
+returns a closure ``f(state, env)`` that calls theirs. Everything the node
+needs that does not depend on the state (domains, majority thresholds,
+variable positions, literal values) is resolved at compile time, so a call
+does no dispatch on node types. A map lookup ``v[k]`` on a state variable
+reads the entry at the key's position in the index domain, since map entries
+stay in domain order. Hot loops compile once and call the closure per state;
+``evaluate`` and ``holds`` compile and call for one-shot use, and ``holds``
+keeps its last compilation for repeated calls on the same expression.
+
+An action's guard and updates are compiled once per (protocol, instance)
+pair, behind an identity check. ``enabled`` lists the firings whose guard
+holds in a state without building any post-state, so a random walk can pick
+one and apply only that; ``successors`` applies all of them. Each cache
+here keeps one entry, read and replaced as a whole, so threads racing on
+one at worst compile the same closures twice.
+
 All functions here are pure over immutable inputs. Updates within an action
 are applied simultaneously: every right-hand side is evaluated in the
 pre-state, so update order never matters.
@@ -14,6 +33,7 @@ from .instance import (
     Instance,
     MapV,
     State,
+    StateSchema,
     Value,
     fingerprint,
     state_schema,
@@ -44,150 +64,303 @@ from .syntax import (
 )
 
 Env = dict[str, str]
+Binding = tuple[tuple[str, str], ...]  # (parameter, element)
+Compiled = Callable[[State, Env], Value]
 
 
 @dataclass(frozen=True)
 class Transition:
     action: str
-    binding: tuple[tuple[str, str], ...]  # (parameter, element)
+    binding: Binding
     pre_fingerprint: int
     post: State
 
 
-def _ev_bool(e, state, env, inst):
-    return e.value
+# ---------------------------------------------------------------------------
+# Expression compiler
 
 
-def _ev_bound(e, state, env, inst):
-    return env[e.name]
+# Plain classes, not dataclasses, keep this module's import cheap: a
+# dataclass costs about a millisecond to create, and start-up is measured.
 
 
-def _ev_state(e, state, env, inst):
-    return state.value(e.name)
+class _Ctx:
+    """What compiled closures may depend on besides their own node."""
+
+    __slots__ = ("instance", "schema")
+
+    def __init__(self, instance: Instance, schema: StateSchema | None) -> None:
+        self.instance = instance
+        self.schema = schema
 
 
-def _ev_enum(e, state, env, inst):
-    return e.label
+def _const(value):
+    return lambda s, env: value
 
 
-def _ev_index(e, state, env, inst):
-    return evaluate(e.mapping, state, env, inst).get(evaluate(e.key, state, env, inst))
+def _c_bool(e: BoolLit, ctx: _Ctx) -> Compiled:
+    return _const(e.value)
 
 
-def _ev_setlit(e, state, env, inst):
-    return frozenset(evaluate(m, state, env, inst) for m in e.members)
+def _c_bound(e: BoundRef, ctx: _Ctx) -> Compiled:
+    name = e.name
+    return lambda s, env: env[name]
 
 
-def _ev_setop(e, state, env, inst):
-    lhs = evaluate(e.lhs, state, env, inst)
-    rhs = evaluate(e.rhs, state, env, inst)
+def _c_state(e: StateRef, ctx: _Ctx) -> Compiled:
+    i = ctx.schema.index(e.name)
+    return lambda s, env: s.values[i]
+
+
+def _c_enum(e: EnumLit, ctx: _Ctx) -> Compiled:
+    return _const(e.label)
+
+
+def _c_index(e: MapIndex, ctx: _Ctx) -> Compiled:
+    if isinstance(e.mapping, StateRef):
+        i = ctx.schema.index(e.mapping.name)
+        mtype = ctx.schema.types[i]
+        pos = {k: p for p, k in enumerate(ctx.instance.domain(mtype.index_sort))}
+        if isinstance(e.key, BoundRef):
+            name = e.key.name
+            return lambda s, env: s.values[i].entries[pos[env[name]]][1]
+        key = _compile(e.key, ctx)
+        return lambda s, env: s.values[i].entries[pos[key(s, env)]][1]
+    mapping = _compile(e.mapping, ctx)
+    key = _compile(e.key, ctx)
+    return lambda s, env: mapping(s, env).get(key(s, env))
+
+
+def _c_setlit(e: SetLit, ctx: _Ctx) -> Compiled:
+    if not e.members:
+        return _const(frozenset())
+    members = [_compile(m, ctx) for m in e.members]
+    return lambda s, env: frozenset([m(s, env) for m in members])
+
+
+def _c_setop(e: SetOp, ctx: _Ctx) -> Compiled:
+    lhs = _compile(e.lhs, ctx)
+    rhs = _compile(e.rhs, ctx)
     if e.op == "+":
-        return lhs | rhs
+        return lambda s, env: lhs(s, env) | rhs(s, env)
     if e.op == "-":
-        return lhs - rhs
-    return lhs & rhs
+        return lambda s, env: lhs(s, env) - rhs(s, env)
+    return lambda s, env: lhs(s, env) & rhs(s, env)
 
 
-def _ev_in(e, state, env, inst):
-    return evaluate(e.elem, state, env, inst) in evaluate(e.container, state, env, inst)
+def _c_in(e: InSet, ctx: _Ctx) -> Compiled:
+    container = _compile(e.container, ctx)
+    if isinstance(e.elem, BoundRef):
+        name = e.elem.name
+        return lambda s, env: env[name] in container(s, env)
+    elem = _compile(e.elem, ctx)
+    return lambda s, env: elem(s, env) in container(s, env)
 
 
-def _ev_eq(e, state, env, inst):
-    return evaluate(e.lhs, state, env, inst) == evaluate(e.rhs, state, env, inst)
+# Comparisons inline their commonest operands, a bound variable on both
+# sides (``x = y``) or a literal on the right (``v[x] = {}``), to save a
+# closure call per evaluation.
+
+_NOT_LITERAL = object()
 
 
-def _ev_ne(e, state, env, inst):
-    return evaluate(e.lhs, state, env, inst) != evaluate(e.rhs, state, env, inst)
+def _literal(e: Expr):
+    if isinstance(e, BoolLit):
+        return e.value
+    if isinstance(e, EnumLit):
+        return e.label
+    if isinstance(e, SetLit) and not e.members:
+        return frozenset()
+    return _NOT_LITERAL
 
 
-def _ev_card(e, state, env, inst):
-    return len(evaluate(e.arg, state, env, inst))
+def _c_eq(e: Eq, ctx: _Ctx) -> Compiled:
+    if isinstance(e.lhs, BoundRef) and isinstance(e.rhs, BoundRef):
+        a, b = e.lhs.name, e.rhs.name
+        return lambda s, env: env[a] == env[b]
+    lhs = _compile(e.lhs, ctx)
+    value = _literal(e.rhs)
+    if value is not _NOT_LITERAL:
+        return lambda s, env: lhs(s, env) == value
+    rhs = _compile(e.rhs, ctx)
+    return lambda s, env: lhs(s, env) == rhs(s, env)
 
 
-def _ev_maj(e, state, env, inst):
-    return 2 * len(evaluate(e.arg, state, env, inst)) > len(inst.domain(e.sort))
+def _c_ne(e: Ne, ctx: _Ctx) -> Compiled:
+    if isinstance(e.lhs, BoundRef) and isinstance(e.rhs, BoundRef):
+        a, b = e.lhs.name, e.rhs.name
+        return lambda s, env: env[a] != env[b]
+    lhs = _compile(e.lhs, ctx)
+    value = _literal(e.rhs)
+    if value is not _NOT_LITERAL:
+        return lambda s, env: lhs(s, env) != value
+    rhs = _compile(e.rhs, ctx)
+    return lambda s, env: lhs(s, env) != rhs(s, env)
 
 
-def _ev_not(e, state, env, inst):
-    return not evaluate(e.arg, state, env, inst)
+def _c_card(e: Card, ctx: _Ctx) -> Compiled:
+    arg = _compile(e.arg, ctx)
+    return lambda s, env: len(arg(s, env))
 
 
-def _ev_and(e, state, env, inst):
-    return all(evaluate(a, state, env, inst) for a in e.args)
+def _c_maj(e: Maj, ctx: _Ctx) -> Compiled:
+    arg = _compile(e.arg, ctx)
+    size = len(ctx.instance.domain(e.sort))
+    return lambda s, env: 2 * len(arg(s, env)) > size
 
 
-def _ev_or(e, state, env, inst):
-    return any(evaluate(a, state, env, inst) for a in e.args)
+def _c_not(e: Not, ctx: _Ctx) -> Compiled:
+    arg = _compile(e.arg, ctx)
+    return lambda s, env: not arg(s, env)
 
 
-def _ev_implies(e, state, env, inst):
-    return not evaluate(e.lhs, state, env, inst) or evaluate(e.rhs, state, env, inst)
+# Operands are bools after type checking, so ``and``/``or`` chains return
+# exactly the bool that all()/any() would.
 
 
-def _ev_quant(e, state, env, inst):
-    dom = inst.domain(e.sort)
-    body = e.body
+def _c_and(e: And, ctx: _Ctx) -> Compiled:
+    args = [_compile(a, ctx) for a in e.args]
+    if len(args) == 2:
+        a, b = args
+        return lambda s, env: a(s, env) and b(s, env)
+    if len(args) == 3:
+        a, b, c = args
+        return lambda s, env: a(s, env) and b(s, env) and c(s, env)
+    return lambda s, env: all(a(s, env) for a in args)
+
+
+def _c_or(e: Or, ctx: _Ctx) -> Compiled:
+    args = [_compile(a, ctx) for a in e.args]
+    if len(args) == 2:
+        a, b = args
+        return lambda s, env: a(s, env) or b(s, env)
+    if len(args) == 3:
+        a, b, c = args
+        return lambda s, env: a(s, env) or b(s, env) or c(s, env)
+    return lambda s, env: any(a(s, env) for a in args)
+
+
+def _c_implies(e: Implies, ctx: _Ctx) -> Compiled:
+    lhs = _compile(e.lhs, ctx)
+    rhs = _compile(e.rhs, ctx)
+    return lambda s, env: not lhs(s, env) or rhs(s, env)
+
+
+def _c_quant(e: Quant, ctx: _Ctx) -> Compiled:
+    dom = ctx.instance.domain(e.sort)
+    var = e.var
+    body = _compile(e.body, ctx)
     if e.kind == "forall":
-        for elem in dom:
-            env[e.var] = elem
-            if not evaluate(body, state, env, inst):
-                del env[e.var]
-                return False
-        env.pop(e.var, None)
-        return True
-    for elem in dom:
-        env[e.var] = elem
-        if evaluate(body, state, env, inst):
-            del env[e.var]
+        def forall(s, env):
+            for elem in dom:
+                env[var] = elem
+                if not body(s, env):
+                    del env[var]
+                    return False
+            env.pop(var, None)
             return True
-    env.pop(e.var, None)
-    return False
+        return forall
+
+    def exists(s, env):
+        for elem in dom:
+            env[var] = elem
+            if body(s, env):
+                del env[var]
+                return True
+        env.pop(var, None)
+        return False
+    return exists
 
 
-def _ev_maplit(e, state, env, inst):
-    entries = []
-    for elem in inst.domain(e.sort):
-        env[e.var] = elem
-        entries.append((elem, evaluate(e.body, state, env, inst)))
-    env.pop(e.var, None)
-    return MapV(tuple(entries))
+def _c_maplit(e: MapLit, ctx: _Ctx) -> Compiled:
+    dom = ctx.instance.domain(e.sort)
+    var = e.var
+    body = _compile(e.body, ctx)
+
+    def maplit(s, env):
+        entries = []
+        for elem in dom:
+            env[var] = elem
+            entries.append((elem, body(s, env)))
+        env.pop(var, None)
+        return MapV(tuple(entries))
+    return maplit
 
 
-def _ev_ident(e, state, env, inst):
-    raise AssertionError(f"unresolved identifier {e.name!r} reached evaluation")
+def _c_ident(e: Ident, ctx: _Ctx) -> Compiled:
+    def unresolved(s, env):
+        raise AssertionError(f"unresolved identifier {e.name!r} reached evaluation")
+    return unresolved
 
 
-_HANDLERS: dict[type, Callable] = {
-    BoolLit: _ev_bool,
-    BoundRef: _ev_bound,
-    StateRef: _ev_state,
-    EnumLit: _ev_enum,
-    MapIndex: _ev_index,
-    SetLit: _ev_setlit,
-    SetOp: _ev_setop,
-    InSet: _ev_in,
-    Eq: _ev_eq,
-    Ne: _ev_ne,
-    Card: _ev_card,
-    Maj: _ev_maj,
-    Not: _ev_not,
-    And: _ev_and,
-    Or: _ev_or,
-    Implies: _ev_implies,
-    Quant: _ev_quant,
-    MapLit: _ev_maplit,
-    Ident: _ev_ident,
+_COMPILERS: dict[type, Callable[[Expr, _Ctx], Compiled]] = {
+    BoolLit: _c_bool,
+    BoundRef: _c_bound,
+    StateRef: _c_state,
+    EnumLit: _c_enum,
+    MapIndex: _c_index,
+    SetLit: _c_setlit,
+    SetOp: _c_setop,
+    InSet: _c_in,
+    Eq: _c_eq,
+    Ne: _c_ne,
+    Card: _c_card,
+    Maj: _c_maj,
+    Not: _c_not,
+    And: _c_and,
+    Or: _c_or,
+    Implies: _c_implies,
+    Quant: _c_quant,
+    MapLit: _c_maplit,
+    Ident: _c_ident,
 }
+
+
+def _compile(e: Expr, ctx: _Ctx) -> Compiled:
+    return _COMPILERS[type(e)](e, ctx)
+
+
+def compile_expr(
+    expr: Expr, instance: Instance, schema: StateSchema | None = None
+) -> Compiled:
+    """Closure f(state, env) computing a type-checked expression's value.
+
+    The closure is specific to the instance's domains and, when a schema is
+    given, to states of that schema; it may be called from several threads
+    as long as each call gets its own env.
+    """
+    return _compile(expr, _Ctx(instance, schema))
+
+
+def _binds(e: Expr) -> bool:
+    """Whether evaluating e writes quantifier or map-constructor variables."""
+    if isinstance(e, (Quant, MapLit)):
+        return True
+    for field in vars(e).values():
+        children = field if isinstance(field, tuple) else (field,)
+        if any(isinstance(c, Expr) and _binds(c) for c in children):
+            return True
+    return False
 
 
 def evaluate(expr: Expr, state: State | None, env: Env, instance: Instance) -> Value:
     """Value of a type-checked expression; quantifiers expand over domains."""
-    return _HANDLERS[type(expr)](expr, state, env, instance)
+    schema = state.schema if state is not None else None
+    return compile_expr(expr, instance, schema)(state, env)
+
+
+_last_holds: tuple = (None, None, None, None)
 
 
 def holds(expr: Expr, state: State, instance: Instance) -> bool:
     """Whether a closed boolean expression is satisfied in a state."""
-    return evaluate(expr, state, {}, instance) is True
+    global _last_holds
+    schema = state.schema if state is not None else None
+    last_expr, last_instance, last_schema, f = _last_holds
+    if not (last_expr is expr and last_instance is instance and last_schema is schema):
+        f = compile_expr(expr, instance, schema)
+        _last_holds = (expr, instance, schema, f)
+    return f(state, {}) is True
 
 
 def initial_state(protocol: Protocol, instance: Instance) -> State:
@@ -198,6 +371,99 @@ def initial_state(protocol: Protocol, instance: Instance) -> State:
     return State(schema, values)
 
 
+# ---------------------------------------------------------------------------
+# Actions
+
+
+class CompiledAction:
+    """An action's guard and its update closures, compiled for one instance."""
+
+    __slots__ = ("name", "guard", "apply")
+
+    def __init__(self, name: str, guard: Compiled, apply: Callable[[State, Env], State]):
+        self.name = name
+        self.guard = guard
+        self.apply = apply  # post-state of firing under an env
+
+
+Firing = tuple[CompiledAction, Binding, Env]
+
+
+def _private_env(f: Compiled) -> Compiled:
+    # Firings share their env dicts across calls and threads, so an
+    # expression that writes variables into its env gets a copy.
+    return lambda s, env: f(s, dict(env))
+
+
+def _compile_part(e: Expr, instance: Instance, schema: StateSchema) -> Compiled:
+    f = compile_expr(e, instance, schema)
+    return _private_env(f) if _binds(e) else f
+
+
+def _compile_apply(
+    action: ActionDecl, instance: Instance, schema: StateSchema
+) -> Callable[[State, Env], State]:
+    updates = []
+    for u in action.updates:
+        i = schema.index(u.target)
+        rhs = _compile_part(u.rhs, instance, schema)
+        if u.index is None:
+            updates.append((i, rhs, None, None))
+        else:
+            key = _compile_part(u.index, instance, schema)
+            index_sort = schema.types[i].index_sort
+            pos = {k: p for p, k in enumerate(instance.domain(index_sort))}
+            updates.append((i, rhs, key, pos))
+
+    def apply(state: State, env: Env) -> State:
+        pre = state.values
+        post = list(pre)
+        for i, rhs, key, pos in updates:
+            value = rhs(state, env)
+            if key is None:
+                post[i] = value
+            else:
+                entries = pre[i].entries
+                p = pos[key(state, env)]
+                post[i] = MapV(entries[:p] + ((entries[p][0], value),) + entries[p + 1 :])
+        return State(state.schema, tuple(post))
+    return apply
+
+
+_last_firings: tuple = (None, None, ())
+
+
+def _firings(protocol: Protocol, instance: Instance) -> tuple[tuple[Compiled, Env, Firing], ...]:
+    """(guard, env, firing) per action and binding, in declaration then
+    binding order; compiled once and reused while protocol and instance stay."""
+    global _last_firings
+    last_protocol, last_instance, firings = _last_firings
+    if last_protocol is protocol and last_instance is instance:
+        return firings
+    schema = state_schema(protocol)
+    out = []
+    for decl in protocol.actions:
+        action = CompiledAction(
+            decl.name,
+            _compile_part(decl.guard, instance, schema),
+            _compile_apply(decl, instance, schema),
+        )
+        names = [name for name, _ in decl.params]
+        domains = [instance.domain(sort) for _, sort in decl.params]
+        for combo in itertools.product(*domains):
+            env = dict(zip(names, combo))
+            out.append((action.guard, env, (action, tuple(zip(names, combo)), env)))
+    firings = tuple(out)
+    _last_firings = (protocol, instance, firings)
+    return firings
+
+
+def enabled(state: State, protocol: Protocol, instance: Instance) -> list[Firing]:
+    """(action, binding, env) of each firing whose guard holds, in action
+    declaration then binding order; builds no post-state."""
+    return [f for guard, env, f in _firings(protocol, instance) if guard(state, env) is True]
+
+
 def apply_action(
     state: State,
     action: ActionDecl,
@@ -206,27 +472,13 @@ def apply_action(
     instance: Instance,
 ) -> State:
     """Post-state of one action firing; every rhs reads the pre-state."""
-    updates: dict[str, Value] = {}
-    for u in action.updates:
-        rhs = evaluate(u.rhs, state, env, instance)
-        if u.index is None:
-            updates[u.target] = rhs
-        else:
-            key = evaluate(u.index, state, env, instance)
-            updates[u.target] = state.value(u.target).with_entry(key, rhs)
-    return state.replaced(updates)
+    return _compile_apply(action, instance, state.schema)(state, env)
 
 
 def successors(state: State, protocol: Protocol, instance: Instance) -> list[Transition]:
     """All enabled transitions, in action declaration then binding order."""
     pre_fp = fingerprint(state)
-    out: list[Transition] = []
-    for action in protocol.actions:
-        domains = [instance.domain(sort) for _, sort in action.params]
-        names = [name for name, _ in action.params]
-        for combo in itertools.product(*domains):
-            env = dict(zip(names, combo))
-            if evaluate(action.guard, state, env, instance) is True:
-                post = apply_action(state, action, env, protocol, instance)
-                out.append(Transition(action.name, tuple(zip(names, combo)), pre_fp, post))
-    return out
+    return [
+        Transition(action.name, binding, pre_fp, action.apply(state, env))
+        for action, binding, env in enabled(state, protocol, instance)
+    ]

@@ -19,13 +19,15 @@ from dataclasses import dataclass
 
 from .ctigen import CTI, CtiBatch, generate_ctis
 from .errors import ConfigError, EnumerationLimitError, UnsafeProtocolError
-from .evaluator import Transition, holds, initial_state, successors
+from .evaluator import Transition, compile_expr, enabled, holds, initial_state
 from .instance import (
     Instance,
     State,
     enumerate_states,
+    fingerprint,
     format_state,
     random_state,
+    state_schema,
     state_space_size,
 )
 from .invgen import (
@@ -173,8 +175,9 @@ def infer_inductive_invariant(
         t0 = time.perf_counter()
         if reach is None:
             reach = compute_reach(protocol, instance, config.reach_limit)
+            safe = compile_expr(safety, instance, state_schema(protocol))
             for s in reach.states:
-                if not holds(safety, s, instance):
+                if safe(s, {}) is not True:
                     raise UnsafeProtocolError(
                         f"safety predicate fails at reachable state: {format_state(s)}"
                     )
@@ -299,6 +302,16 @@ def check_induction(
 
     # Scan the whole space: each condition gets a complete verdict with the
     # first witness found, not just whichever failure happens to come first.
+    schema = state_schema(protocol)
+    compiled = [compile_expr(c, instance, schema) for c in conjuncts]
+    safe = compile_expr(protocol.safety, instance, schema)
+
+    def violated(s: State) -> int | None:
+        for i, c in enumerate(compiled):
+            if c(s, {}) is not True:
+                return i
+        return None
+
     consecution_ok = True
     consecution_witness: tuple[State, Transition, int] | None = None
     strengthening_ok = True
@@ -306,21 +319,19 @@ def check_induction(
     checked = 0
     for s in states:
         checked += 1
-        if not all(holds(c, s, instance) for c in conjuncts):
+        if violated(s) is not None:
             continue
-        if not structural and strengthening_ok and not holds(protocol.safety, s, instance):
+        if not structural and strengthening_ok and safe(s, {}) is not True:
             strengthening_ok = False
             strengthening_witness = s
         if consecution_ok:
-            for t in successors(s, protocol, instance):
-                violated = None
-                for i, c in enumerate(conjuncts):
-                    if not holds(c, t.post, instance):
-                        violated = i
-                        break
-                if violated is not None:
+            for action, binding, env in enabled(s, protocol, instance):
+                post = action.apply(s, env)
+                i = violated(post)
+                if i is not None:
                     consecution_ok = False
-                    consecution_witness = (s, t, violated)
+                    t = Transition(action.name, binding, fingerprint(s), post)
+                    consecution_witness = (s, t, i)
                     break
 
     return InductionReport(

@@ -13,7 +13,7 @@ import hashlib
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from .errors import EnumerationLimitError, InstanceError
 from .syntax import (
@@ -86,9 +86,6 @@ class MapV:
             if k == key:
                 return v
         raise KeyError(key)
-
-    def with_entry(self, key: str, value: "Value") -> "MapV":
-        return MapV(tuple((k, value if k == key else v) for k, v in self.entries))
 
 
 Value = Union[bool, str, frozenset, MapV]
@@ -207,28 +204,58 @@ def enumerate_states(
     return gen()
 
 
-def random_value(t: ValueType, instance: Instance, rng: random.Random) -> Value:
+def _sampler(t: ValueType, instance: Instance) -> Callable[[random.Random], Value]:
+    """Closure drawing a uniform value of type t from an rng.
+
+    Draws are part of the seeded stream every result depends on: one
+    getrandbits(1) per bool, one randrange per element or enum label, one
+    getrandbits(|domain|) bit mask per set, and map entries in domain order.
+    """
     if isinstance(t, BoolType):
-        return bool(rng.getrandbits(1))
+        return lambda rng: bool(rng.getrandbits(1))
     if isinstance(t, ElemType):
         dom = instance.domain(t.sort)
-        return dom[rng.randrange(len(dom))]
+        return lambda rng: dom[rng.randrange(len(dom))]
     if isinstance(t, EnumType):
-        return t.labels[rng.randrange(len(t.labels))]
+        labels = t.labels
+        return lambda rng: labels[rng.randrange(len(labels))]
     if isinstance(t, SetType):
         dom = instance.domain(t.sort)
-        mask = rng.getrandbits(len(dom))
-        return frozenset(dom[i] for i in range(len(dom)) if mask >> i & 1)
+        n = len(dom)
+        if n <= _SUBSET_TABLE_BITS:
+            subsets = [_subset(dom, mask) for mask in range(2**n)]
+            return lambda rng: subsets[rng.getrandbits(n)]
+        return lambda rng: _subset(dom, rng.getrandbits(n))
     if isinstance(t, MapType):
         dom = instance.domain(t.index_sort)
-        return MapV(tuple((k, random_value(t.elem, instance, rng)) for k in dom))
+        elem = _sampler(t.elem, instance)
+        return lambda rng: MapV(tuple([(k, elem(rng)) for k in dom]))
     raise AssertionError(f"no domain for type {t!r}")
+
+
+_SUBSET_TABLE_BITS = 8  # sets over larger domains are built per draw
+
+
+def _subset(dom: tuple[str, ...], mask: int) -> frozenset:
+    return frozenset(dom[i] for i in range(len(dom)) if mask >> i & 1)
+
+
+# Compiled samplers of the last (protocol, instance) drawn from.
+_last_sampler: tuple = (None, None, None)
 
 
 def random_state(protocol: Protocol, instance: Instance, rng: random.Random) -> State:
     """Independently uniform value per variable; deterministic given the rng."""
-    schema = state_schema(protocol)
-    return State(schema, tuple(random_value(t, instance, rng) for t in schema.types))
+    global _last_sampler
+    last_protocol, last_instance, sample = _last_sampler
+    if not (last_protocol is protocol and last_instance is instance):
+        schema = state_schema(protocol)
+        samplers = [_sampler(t, instance) for t in schema.types]
+
+        def sample(rng: random.Random) -> State:
+            return State(schema, tuple([f(rng) for f in samplers]))
+        _last_sampler = (protocol, instance, sample)
+    return sample(rng)
 
 
 # ---------------------------------------------------------------------------

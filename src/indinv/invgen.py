@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .errors import EngineError
-from .evaluator import holds
+from .evaluator import compile_expr
 from .instance import State
 from .reachability import ReachSet
 from .syntax import (
@@ -69,19 +69,35 @@ def _is_tautological(grammar: GrammarConfig, literals) -> bool:
     return bool(texts & negated_texts)
 
 
+# Candidates by sorted literal set, for the last grammar drawn from; None
+# marks a tautology. A grammar has few literal sets, but a round draws
+# thousands of candidates.
+_drawn: tuple[GrammarConfig | None, dict] = (None, {})
+
+
 def sample_candidate(
     grammar: GrammarConfig, nterms: int, rng: random.Random
 ) -> CandidateInvariant:
     """Uniform draw of nterms distinct seeds, each negated with probability 1/2."""
+    global _drawn
     nseeds = len(grammar.seeds)
     if not 1 <= nterms <= nseeds:
         raise ValueError(f"nterms {nterms} out of range 1..{nseeds}")
+    drawn_grammar, memo = _drawn
+    if drawn_grammar is not grammar:
+        memo = {}
+        _drawn = (grammar, memo)
     for _ in range(100):
         idxs = rng.sample(range(nseeds), nterms)
         literals = tuple((i, rng.random() < 0.5) for i in idxs)
-        if _is_tautological(grammar, literals):
-            continue
-        return build_candidate(grammar, literals)
+        key = tuple(sorted(literals))
+        if key not in memo:
+            memo[key] = (
+                None if _is_tautological(grammar, key) else build_candidate(grammar, key)
+            )
+        cand = memo[key]
+        if cand is not None:
+            return cand
     raise EngineError("grammar admits only tautological candidates at this size")
 
 
@@ -176,12 +192,14 @@ def generate_lemma_invariants(
 
     instance = reach.instance
     states = reach.states
+    schema = states[0].schema
 
     def falsifier(cand: CandidateInvariant) -> tuple[State | None, int]:
+        f = compile_expr(cand.closed, instance, schema)
         evals = 0
         for s in states:
             evals += 1
-            if not holds(cand.closed, s, instance):
+            if f(s, {}) is not True:
                 return s, evals
         return None, evals
 

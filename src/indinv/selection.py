@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .ctigen import CTI
-from .evaluator import holds
+from .evaluator import compile_expr, holds
 from .instance import Instance
 from .invgen import CandidateInvariant, LemmaRepository
 
@@ -21,7 +21,8 @@ def eliminates(lemma: CandidateInvariant, cti: CTI, instance: Instance) -> bool:
 
 
 def _eliminated(lemma: CandidateInvariant, ctis: Sequence[CTI], instance: Instance) -> list[CTI]:
-    return [c for c in ctis if not holds(lemma.closed, c.state, instance)]
+    f = compile_expr(lemma.closed, instance, ctis[0].state.schema)
+    return [c for c in ctis if f(c.state, {}) is not True]
 
 
 def choose_greedy(

@@ -1,0 +1,46 @@
+"""The benchmark's traced run still finds every engine function it wraps.
+
+bench/child.py wraps engine functions by the names their callers look them
+up by; a renamed or removed one is reported as absent, and bench/run.py then
+drops the per-layer metrics that depend on it. This runs one small traced
+inference the way the benchmark does and checks that nothing went missing.
+"""
+from __future__ import annotations
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+
+
+def _span_names() -> list[str]:
+    tree = ast.parse((BENCH / "run.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "FROM_SPAN" for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    raise AssertionError("FROM_SPAN not found in bench/run.py")
+
+
+def test_traced_run_records_every_span(tmp_path):
+    trace_file = tmp_path / "trace.json"
+    argv = [
+        sys.executable, str(BENCH / "child.py"), "trace", str(trace_file), "--",
+        "infer", "lockserver", "--grammar", "lockserver", "--seed", "1",
+        "--n-lemmas", "300", "--n-ctis", "2000", "--out", str(tmp_path / "result.txt"),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    trace = json.loads(trace_file.read_text(encoding="utf-8"))
+    assert trace["absent"] == []
+    recorded = {span[0] for span in trace["spans"]}
+    names = _span_names()
+    assert len(names) == 10
+    assert [n for n in names if n not in recorded] == []

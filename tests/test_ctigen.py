@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import replace
 
@@ -159,3 +160,37 @@ def test_invalid_depth_and_cap_rejected(lockserver):
         generate_ctis(protocol, instance, protocol.safety, 10, 0, 10, random.Random(0))
     with pytest.raises(ValueError):
         generate_ctis(protocol, instance, protocol.safety, 10, 1, 0, random.Random(0))
+
+
+def _stream_digest(batch, rng) -> str:
+    """Digest of a batch in order, plus the next draw of the rng it consumed."""
+    h = hashlib.sha256()
+    for c in batch.ctis:
+        steps = " ".join(
+            "%s(%s)" % (t.action, ",".join(f"{p}={el}" for p, el in t.binding))
+            for t in c.witness
+        )
+        h.update(f"{c.fingerprint:016x} {c.depth_to_violation} {steps}\n".encode())
+    h.update(f"samples={batch.samples_attempted} next={rng.getrandbits(64)}".encode())
+    return h.hexdigest()[:16]
+
+
+# Computed with the tree-walking interpreter that preceded the closure
+# compiler, which built every successor of a walk state. A change here means
+# CTI generation consumes the random stream differently, and every result
+# file changes with it.
+PINNED_STREAMS = {
+    ("lockserver", 1): "3f2c680b37576330",
+    ("lockserver", 4): "c03daa235077c037",
+    ("election", 1): "7248c6f1ed21b25e",
+    ("election", 4): "200705b49fd19318",
+}
+
+
+@pytest.mark.parametrize("name,workers", sorted(PINNED_STREAMS))
+def test_cti_stream_is_pinned(all_benchmarks, name, workers):
+    protocol, _, instance = all_benchmarks[name]
+    rng = random.Random(2024)
+    batch = generate_ctis(protocol, instance, protocol.safety, 3000, 3, 10000, rng, workers)
+    assert len(batch) > 0
+    assert _stream_digest(batch, rng) == PINNED_STREAMS[(name, workers)]

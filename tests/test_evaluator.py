@@ -11,7 +11,7 @@ from indinv.reachability import compute_reach
 from indinv.syntax import Not, Quant
 
 from . import oracles
-from .strategies import BOUND_POOL, bool_bodies
+from .strategies import BOUND_POOL, bool_bodies, closed_bool_exprs
 
 A1_TEXT = "forall s: Server. forall c: Client. locked[s] -> ~(s in held[c])"
 
@@ -188,3 +188,110 @@ def _close_template(body, template):
     for kind, var, sort in reversed(template):
         closed = Quant(kind, var, sort, closed)
     return closed
+
+
+@given(closed_bool_exprs)
+@settings(max_examples=150, deadline=None)
+def test_holds_agrees_with_oracle_on_random_expressions(expr):
+    from indinv import benchmarks
+    from indinv.instance import parse_instance
+
+    protocol = parse_protocol(benchmarks.protocol_path("lockserver").read_text())
+    instance = parse_instance("Server=s1,s2 Client=c1,c2", protocol)
+    rng = random.Random(17)
+    for _ in range(8):
+        s = random_state(protocol, instance, rng)
+        assign = oracles.assign_from_state(s)
+        assert holds(expr, s, instance) == oracles.o_holds(expr, assign, instance)
+
+
+# Exercises the nodes the bundled protocols use little or not at all in
+# guards and updates: cardinality, majority, every set operator, multi-member
+# set literals, enums, and quantifiers inside guards and right-hand sides.
+NODES_PROTO = """
+sort Node
+sort Item
+
+var members : map<Node> -> set<Item>
+var pool : set<Item>
+var phase : map<Node> -> enum {idle, busy, done}
+var flag : bool
+
+init members = [forall n: Node. {}]
+init pool = {}
+init phase = [forall n: Node. idle]
+init flag = false
+
+action Take(n: Node, i: Item, j: Item) {
+    require ~(i in pool) /\\ phase[n] != done /\\ i != j;
+    members[n] := members[n] + {i, j};
+    pool := pool + {i};
+    phase[n] := busy;
+}
+
+action Drop(n: Node, i: Item) {
+    require i in members[n] /\\ maj(members[n], Item);
+    members[n] := members[n] - {i};
+    pool := pool - ({i} & members[n]);
+}
+
+action Finish(n: Node) {
+    require exists i: Item. i in members[n];
+    require forall m: Node. |members[m]| = |members[n]| \\/ phase[m] = idle;
+    phase[n] := done;
+    flag := ~flag \\/ |pool| = |members[n]| \\/ (forall m: Node. phase[m] = done);
+}
+
+safety S: forall n: Node. forall i: Item. i in members[n] -> i in pool \\/ ~flag
+"""
+
+
+def _engine_vs_oracle_successors(protocol, instance, state):
+    engine = sorted(
+        (t.action, tuple(el for _, el in t.binding), oracles.freeze_state(t.post))
+        for t in successors(state, protocol, instance)
+    )
+    oracle = sorted(
+        (name, combo, oracles.o_freeze(post))
+        for name, combo, post in oracles.o_successors(
+            protocol, instance, oracles.assign_from_state(state)
+        )
+    )
+    return engine, oracle
+
+
+def test_successors_agree_with_oracle_on_all_benchmarks(all_benchmarks):
+    rng = random.Random(23)
+    for name, (protocol, _, instance) in all_benchmarks.items():
+        init = initial_state(protocol, instance)
+        assert oracles.freeze_state(init) == oracles.o_freeze(
+            oracles.o_initial(protocol, instance)
+        ), name
+        enabled_seen = 0
+        for _ in range(150):
+            s = random_state(protocol, instance, rng)
+            engine, oracle = _engine_vs_oracle_successors(protocol, instance, s)
+            assert engine == oracle, name
+            enabled_seen += len(engine)
+        assert enabled_seen > 0, name
+
+
+def test_successors_agree_with_oracle_on_every_node_kind():
+    from indinv.instance import parse_instance
+
+    protocol = parse_protocol(NODES_PROTO)
+    # an even Item domain tells maj's strict majority from half
+    instance = parse_instance("Node=n1,n2 Item=i1,i2,i3,i4", protocol)
+    init = initial_state(protocol, instance)
+    assert oracles.freeze_state(init) == oracles.o_freeze(oracles.o_initial(protocol, instance))
+    rng = random.Random(29)
+    fired = set()
+    for _ in range(400):
+        s = random_state(protocol, instance, rng)
+        engine, oracle = _engine_vs_oracle_successors(protocol, instance, s)
+        assert engine == oracle
+        fired.update(action for action, _, _ in engine)
+        assert holds(protocol.safety, s, instance) == oracles.o_holds(
+            protocol.safety, oracles.assign_from_state(s), instance
+        )
+    assert fired == {"Take", "Drop", "Finish"}
