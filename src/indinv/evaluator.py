@@ -117,18 +117,16 @@ def _c_enum(e: EnumLit, ctx: _Ctx) -> Compiled:
 
 
 def _c_index(e: MapIndex, ctx: _Ctx) -> Compiled:
-    if isinstance(e.mapping, StateRef):
-        i = ctx.schema.index(e.mapping.name)
-        mtype = ctx.schema.types[i]
-        pos = {k: p for p, k in enumerate(ctx.instance.domain(mtype.index_sort))}
-        if isinstance(e.key, BoundRef):
-            name = e.key.name
-            return lambda s, env: s.values[i].entries[pos[env[name]]][1]
-        key = _compile(e.key, ctx)
-        return lambda s, env: s.values[i].entries[pos[key(s, env)]][1]
-    mapping = _compile(e.mapping, ctx)
+    # After type checking only state variables are maps (map values are
+    # scalars or sets, and map constructors appear only in inits).
+    i = ctx.schema.index(e.mapping.name)
+    index_sort = ctx.schema.types[i].index_sort
+    pos = {k: p for p, k in enumerate(ctx.instance.domain(index_sort))}
+    if isinstance(e.key, BoundRef):
+        name = e.key.name
+        return lambda s, env: s.values[i].entries[pos[env[name]]][1]
     key = _compile(e.key, ctx)
-    return lambda s, env: mapping(s, env).get(key(s, env))
+    return lambda s, env: s.values[i].entries[pos[key(s, env)]][1]
 
 
 def _c_setlit(e: SetLit, ctx: _Ctx) -> Compiled:

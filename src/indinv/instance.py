@@ -81,12 +81,6 @@ class MapV:
 
     entries: tuple[tuple[str, "Value"], ...]
 
-    def get(self, key: str) -> "Value":
-        for k, v in self.entries:
-            if k == key:
-                return v
-        raise KeyError(key)
-
 
 Value = Union[bool, str, frozenset, MapV]
 
