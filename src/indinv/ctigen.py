@@ -81,16 +81,16 @@ def _sample_walks(
             choices = enabled(path[-1], protocol, instance)
             if not choices:
                 break
-            action, binding, env = choices[rng.randrange(len(choices))]
-            path.append(action.apply(path[-1], env))
-            steps.append((action.name, binding))
+            name, apply, binding, env = choices[rng.randrange(len(choices))]
+            path.append(apply(path[-1], env))
+            steps.append((name, binding))
             if ind(path[-1], {}) is not True:
                 # states path[0..k-1] all satisfy ind; each becomes a CTI
                 k = len(steps)
                 fps = [fingerprint(s) for s in path[:k]]
                 walk = tuple(
-                    Transition(name, binding, fps[i], path[i + 1])
-                    for i, (name, binding) in enumerate(steps)
+                    Transition(action, bound, fps[i], path[i + 1])
+                    for i, (action, bound) in enumerate(steps)
                 )
                 for j in range(k):
                     if fps[j] in seen:

@@ -80,7 +80,7 @@ class Transition:
 # Expression compiler
 
 
-# Plain classes, not dataclasses, keep this module's import cheap: a
+# A plain class, not a dataclass, keeps this module's import cheap: a
 # dataclass costs about a millisecond to create, and start-up is measured.
 
 
@@ -373,18 +373,8 @@ def initial_state(protocol: Protocol, instance: Instance) -> State:
 # Actions
 
 
-class CompiledAction:
-    """An action's guard and its update closures, compiled for one instance."""
-
-    __slots__ = ("name", "guard", "apply")
-
-    def __init__(self, name: str, guard: Compiled, apply: Callable[[State, Env], State]):
-        self.name = name
-        self.guard = guard
-        self.apply = apply  # post-state of firing under an env
-
-
-Firing = tuple[CompiledAction, Binding, Env]
+Apply = Callable[[State, Env], State]  # post-state of an action under an env
+Firing = tuple[str, Apply, Binding, Env]  # (action name, apply, binding, env)
 
 
 def _private_env(f: Compiled) -> Compiled:
@@ -398,9 +388,7 @@ def _compile_part(e: Expr, instance: Instance, schema: StateSchema) -> Compiled:
     return _private_env(f) if _binds(e) else f
 
 
-def _compile_apply(
-    action: ActionDecl, instance: Instance, schema: StateSchema
-) -> Callable[[State, Env], State]:
+def _compile_apply(action: ActionDecl, instance: Instance, schema: StateSchema) -> Apply:
     updates = []
     for u in action.updates:
         i = schema.index(u.target)
@@ -441,24 +429,21 @@ def _firings(protocol: Protocol, instance: Instance) -> tuple[tuple[Compiled, En
     schema = state_schema(protocol)
     out = []
     for decl in protocol.actions:
-        action = CompiledAction(
-            decl.name,
-            _compile_part(decl.guard, instance, schema),
-            _compile_apply(decl, instance, schema),
-        )
+        guard = _compile_part(decl.guard, instance, schema)
+        apply = _compile_apply(decl, instance, schema)
         names = [name for name, _ in decl.params]
         domains = [instance.domain(sort) for _, sort in decl.params]
         for combo in itertools.product(*domains):
             env = dict(zip(names, combo))
-            out.append((action.guard, env, (action, tuple(zip(names, combo)), env)))
+            out.append((guard, env, (decl.name, apply, tuple(zip(names, combo)), env)))
     firings = tuple(out)
     _last_firings = (protocol, instance, firings)
     return firings
 
 
 def enabled(state: State, protocol: Protocol, instance: Instance) -> list[Firing]:
-    """(action, binding, env) of each firing whose guard holds, in action
-    declaration then binding order; builds no post-state."""
+    """Each firing whose guard holds, in action declaration then binding
+    order; builds no post-state."""
     return [f for guard, env, f in _firings(protocol, instance) if guard(state, env) is True]
 
 
@@ -477,6 +462,6 @@ def successors(state: State, protocol: Protocol, instance: Instance) -> list[Tra
     """All enabled transitions, in action declaration then binding order."""
     pre_fp = fingerprint(state)
     return [
-        Transition(action.name, binding, pre_fp, action.apply(state, env))
-        for action, binding, env in enabled(state, protocol, instance)
+        Transition(name, binding, pre_fp, apply(state, env))
+        for name, apply, binding, env in enabled(state, protocol, instance)
     ]

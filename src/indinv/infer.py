@@ -325,12 +325,12 @@ def check_induction(
             strengthening_ok = False
             strengthening_witness = s
         if consecution_ok:
-            for action, binding, env in enabled(s, protocol, instance):
-                post = action.apply(s, env)
+            for name, apply, binding, env in enabled(s, protocol, instance):
+                post = apply(s, env)
                 i = violated(post)
                 if i is not None:
                     consecution_ok = False
-                    t = Transition(action.name, binding, fingerprint(s), post)
+                    t = Transition(name, binding, fingerprint(s), post)
                     consecution_witness = (s, t, i)
                     break
 

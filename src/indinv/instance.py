@@ -154,6 +154,10 @@ def describe_size(n: int) -> str:
     return "exceeds 2^63" if n >= SIZE_SENTINEL else str(n)
 
 
+def _subset(dom: tuple[str, ...], mask: int) -> frozenset:
+    return frozenset(dom[i] for i in range(len(dom)) if mask >> i & 1)
+
+
 def enumerate_values(t: ValueType, instance: Instance) -> Iterator[Value]:
     if isinstance(t, BoolType):
         yield False
@@ -168,7 +172,7 @@ def enumerate_values(t: ValueType, instance: Instance) -> Iterator[Value]:
     if isinstance(t, SetType):
         dom = instance.domain(t.sort)
         for mask in range(2 ** len(dom)):
-            yield frozenset(dom[i] for i in range(len(dom)) if mask >> i & 1)
+            yield _subset(dom, mask)
         return
     if isinstance(t, MapType):
         dom = instance.domain(t.index_sort)
@@ -198,6 +202,9 @@ def enumerate_states(
     return gen()
 
 
+_SUBSET_TABLE_BITS = 8  # sets over larger domains are built per draw
+
+
 def _sampler(t: ValueType, instance: Instance) -> Callable[[random.Random], Value]:
     """Closure drawing a uniform value of type t from an rng.
 
@@ -225,13 +232,6 @@ def _sampler(t: ValueType, instance: Instance) -> Callable[[random.Random], Valu
         elem = _sampler(t.elem, instance)
         return lambda rng: MapV(tuple([(k, elem(rng)) for k in dom]))
     raise AssertionError(f"no domain for type {t!r}")
-
-
-_SUBSET_TABLE_BITS = 8  # sets over larger domains are built per draw
-
-
-def _subset(dom: tuple[str, ...], mask: int) -> frozenset:
-    return frozenset(dom[i] for i in range(len(dom)) if mask >> i & 1)
 
 
 # Compiled samplers of the last (protocol, instance) drawn from.

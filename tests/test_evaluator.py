@@ -73,18 +73,23 @@ def test_transition_count_matches_oracle(lockserver_protocol, lockserver_instanc
     assert engine_total == oracles.o_transition_count(lockserver_protocol, lockserver_instance)
 
 
+def _engine_vs_oracle_successors(protocol, instance, state):
+    engine = sorted(
+        (t.action, tuple(el for _, el in t.binding), oracles.freeze_state(t.post))
+        for t in successors(state, protocol, instance)
+    )
+    oracle = sorted(
+        (name, combo, oracles.o_freeze(post))
+        for name, combo, post in oracles.o_successors(
+            protocol, instance, oracles.assign_from_state(state)
+        )
+    )
+    return engine, oracle
+
+
 def test_successor_states_match_oracle(lockserver_protocol, lockserver_instance):
     for s in enumerate_states(lockserver_protocol, lockserver_instance):
-        engine = sorted(
-            (t.action, tuple(el for _, el in t.binding), oracles.freeze_state(t.post))
-            for t in successors(s, lockserver_protocol, lockserver_instance)
-        )
-        oracle = sorted(
-            (name, combo, oracles.o_freeze(post))
-            for name, combo, post in oracles.o_successors(
-                lockserver_protocol, lockserver_instance, oracles.assign_from_state(s)
-            )
-        )
+        engine, oracle = _engine_vs_oracle_successors(lockserver_protocol, lockserver_instance, s)
         assert engine == oracle
 
 
@@ -244,20 +249,6 @@ action Finish(n: Node) {
 
 safety S: forall n: Node. forall i: Item. i in members[n] -> i in pool \\/ ~flag
 """
-
-
-def _engine_vs_oracle_successors(protocol, instance, state):
-    engine = sorted(
-        (t.action, tuple(el for _, el in t.binding), oracles.freeze_state(t.post))
-        for t in successors(state, protocol, instance)
-    )
-    oracle = sorted(
-        (name, combo, oracles.o_freeze(post))
-        for name, combo, post in oracles.o_successors(
-            protocol, instance, oracles.assign_from_state(state)
-        )
-    )
-    return engine, oracle
 
 
 def test_successors_agree_with_oracle_on_all_benchmarks(all_benchmarks):
