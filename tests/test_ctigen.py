@@ -175,8 +175,8 @@ def _stream_digest(batch, rng) -> str:
     return h.hexdigest()[:16]
 
 
-# Computed with the tree-walking interpreter that preceded the closure
-# compiler, which built every successor of a walk state. A change here means
+# Computed at commit 3859043, with the tree-walking interpreter that preceded
+# the closure compiler and built every successor of a walk state. A change here means
 # CTI generation consumes the random stream differently, and every result
 # file changes with it.
 PINNED_STREAMS = {
