@@ -21,7 +21,6 @@ from .evaluator import (
     compile_expr,
     enabled,
     evaluate,
-    holds,
 )
 from .instance import Instance, State, fingerprint, format_state, random_state, state_schema
 from .syntax import Expr, Protocol, to_str
@@ -156,7 +155,8 @@ def replay_witness_diagnosis(
     """None when the witness re-executes exactly; else names the failing step."""
     if fingerprint(cti.state) != cti.fingerprint:
         return "step 0: stored fingerprint does not match the start state"
-    if not holds(ind, cti.state, instance):
+    ind_f = compile_expr(ind, instance, cti.state.schema)
+    if ind_f(cti.state, {}) is not True:
         return "step 0: start state does not satisfy the predicate"
     if len(cti.witness) != cti.depth_to_violation:
         return "step 0: depth does not match the witness length"
@@ -178,10 +178,10 @@ def replay_witness_diagnosis(
         if post != t.post:
             return f"step {i}: post-state mismatch"
         if i == last:
-            if holds(ind, post, instance):
+            if ind_f(post, {}) is True:
                 return f"step {i}: final state still satisfies the predicate"
         else:
-            if not holds(ind, post, instance):
+            if ind_f(post, {}) is not True:
                 return f"step {i}: intermediate state violates the predicate"
         cur = post
     return None

@@ -9,8 +9,7 @@ variable positions, literal values) is resolved at compile time, so a call
 does no dispatch on node types. A map lookup ``v[k]`` on a state variable
 reads the entry at the key's position in the index domain, since map entries
 stay in domain order. Hot loops compile once and call the closure per state;
-``evaluate`` and ``holds`` compile and call for one-shot use, and ``holds``
-keeps its last compilation for repeated calls on the same expression.
+``evaluate`` and ``holds`` compile and call for one-shot use.
 
 An action's guard and updates are compiled once per (protocol, instance)
 pair, behind an identity check. ``enabled`` lists the firings whose guard
@@ -26,6 +25,7 @@ pre-state, so update order never matters.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -122,9 +122,6 @@ def _c_index(e: MapIndex, ctx: _Ctx) -> Compiled:
     i = ctx.schema.index(e.mapping.name)
     index_sort = ctx.schema.types[i].index_sort
     pos = {k: p for p, k in enumerate(ctx.instance.domain(index_sort))}
-    if isinstance(e.key, BoundRef):
-        name = e.key.name
-        return lambda s, env: s.values[i].entries[pos[env[name]]][1]
     key = _compile(e.key, ctx)
     return lambda s, env: s.values[i].entries[pos[key(s, env)]][1]
 
@@ -136,64 +133,29 @@ def _c_setlit(e: SetLit, ctx: _Ctx) -> Compiled:
     return lambda s, env: frozenset([m(s, env) for m in members])
 
 
+def _binary(op: Callable, lhs_e: Expr, rhs_e: Expr, ctx: _Ctx) -> Compiled:
+    lhs = _compile(lhs_e, ctx)
+    rhs = _compile(rhs_e, ctx)
+    return lambda s, env: op(lhs(s, env), rhs(s, env))
+
+
+_SET_OPS = {"+": operator.or_, "-": operator.sub, "&": operator.and_}
+
+
 def _c_setop(e: SetOp, ctx: _Ctx) -> Compiled:
-    lhs = _compile(e.lhs, ctx)
-    rhs = _compile(e.rhs, ctx)
-    if e.op == "+":
-        return lambda s, env: lhs(s, env) | rhs(s, env)
-    if e.op == "-":
-        return lambda s, env: lhs(s, env) - rhs(s, env)
-    return lambda s, env: lhs(s, env) & rhs(s, env)
+    return _binary(_SET_OPS[e.op], e.lhs, e.rhs, ctx)
 
 
 def _c_in(e: InSet, ctx: _Ctx) -> Compiled:
-    container = _compile(e.container, ctx)
-    if isinstance(e.elem, BoundRef):
-        name = e.elem.name
-        return lambda s, env: env[name] in container(s, env)
-    elem = _compile(e.elem, ctx)
-    return lambda s, env: elem(s, env) in container(s, env)
-
-
-# Comparisons inline their commonest operands, a bound variable on both
-# sides (``x = y``) or a literal on the right (``v[x] = {}``), to save a
-# closure call per evaluation.
-
-_NOT_LITERAL = object()
-
-
-def _literal(e: Expr):
-    if isinstance(e, BoolLit):
-        return e.value
-    if isinstance(e, EnumLit):
-        return e.label
-    if isinstance(e, SetLit) and not e.members:
-        return frozenset()
-    return _NOT_LITERAL
+    return _binary(operator.contains, e.container, e.elem, ctx)
 
 
 def _c_eq(e: Eq, ctx: _Ctx) -> Compiled:
-    if isinstance(e.lhs, BoundRef) and isinstance(e.rhs, BoundRef):
-        a, b = e.lhs.name, e.rhs.name
-        return lambda s, env: env[a] == env[b]
-    lhs = _compile(e.lhs, ctx)
-    value = _literal(e.rhs)
-    if value is not _NOT_LITERAL:
-        return lambda s, env: lhs(s, env) == value
-    rhs = _compile(e.rhs, ctx)
-    return lambda s, env: lhs(s, env) == rhs(s, env)
+    return _binary(operator.eq, e.lhs, e.rhs, ctx)
 
 
 def _c_ne(e: Ne, ctx: _Ctx) -> Compiled:
-    if isinstance(e.lhs, BoundRef) and isinstance(e.rhs, BoundRef):
-        a, b = e.lhs.name, e.rhs.name
-        return lambda s, env: env[a] != env[b]
-    lhs = _compile(e.lhs, ctx)
-    value = _literal(e.rhs)
-    if value is not _NOT_LITERAL:
-        return lambda s, env: lhs(s, env) != value
-    rhs = _compile(e.rhs, ctx)
-    return lambda s, env: lhs(s, env) != rhs(s, env)
+    return _binary(operator.ne, e.lhs, e.rhs, ctx)
 
 
 def _c_card(e: Card, ctx: _Ctx) -> Compiled:
@@ -212,30 +174,31 @@ def _c_not(e: Not, ctx: _Ctx) -> Compiled:
     return lambda s, env: not arg(s, env)
 
 
-# Operands are bools after type checking, so ``and``/``or`` chains return
-# exactly the bool that all()/any() would.
+# Operands are bools after type checking. A loop, not all()/any() over a
+# generator, since And and Or are evaluated millions of times per run and a
+# generator costs an allocation each time.
 
 
 def _c_and(e: And, ctx: _Ctx) -> Compiled:
     args = [_compile(a, ctx) for a in e.args]
-    if len(args) == 2:
-        a, b = args
-        return lambda s, env: a(s, env) and b(s, env)
-    if len(args) == 3:
-        a, b, c = args
-        return lambda s, env: a(s, env) and b(s, env) and c(s, env)
-    return lambda s, env: all(a(s, env) for a in args)
+
+    def conj(s, env):
+        for a in args:
+            if not a(s, env):
+                return False
+        return True
+    return conj
 
 
 def _c_or(e: Or, ctx: _Ctx) -> Compiled:
     args = [_compile(a, ctx) for a in e.args]
-    if len(args) == 2:
-        a, b = args
-        return lambda s, env: a(s, env) or b(s, env)
-    if len(args) == 3:
-        a, b, c = args
-        return lambda s, env: a(s, env) or b(s, env) or c(s, env)
-    return lambda s, env: any(a(s, env) for a in args)
+
+    def disj(s, env):
+        for a in args:
+            if a(s, env):
+                return True
+        return False
+    return disj
 
 
 def _c_implies(e: Implies, ctx: _Ctx) -> Compiled:
@@ -347,18 +310,9 @@ def evaluate(expr: Expr, state: State | None, env: Env, instance: Instance) -> V
     return compile_expr(expr, instance, schema)(state, env)
 
 
-_last_holds: tuple = (None, None, None, None)
-
-
 def holds(expr: Expr, state: State, instance: Instance) -> bool:
     """Whether a closed boolean expression is satisfied in a state."""
-    global _last_holds
-    schema = state.schema if state is not None else None
-    last_expr, last_instance, last_schema, f = _last_holds
-    if not (last_expr is expr and last_instance is instance and last_schema is schema):
-        f = compile_expr(expr, instance, schema)
-        _last_holds = (expr, instance, schema, f)
-    return f(state, {}) is True
+    return evaluate(expr, state, {}, instance) is True
 
 
 def initial_state(protocol: Protocol, instance: Instance) -> State:

@@ -202,9 +202,6 @@ def enumerate_states(
     return gen()
 
 
-_SUBSET_TABLE_BITS = 8  # sets over larger domains are built per draw
-
-
 def _sampler(t: ValueType, instance: Instance) -> Callable[[random.Random], Value]:
     """Closure drawing a uniform value of type t from an rng.
 
@@ -223,9 +220,6 @@ def _sampler(t: ValueType, instance: Instance) -> Callable[[random.Random], Valu
     if isinstance(t, SetType):
         dom = instance.domain(t.sort)
         n = len(dom)
-        if n <= _SUBSET_TABLE_BITS:
-            subsets = [_subset(dom, mask) for mask in range(2**n)]
-            return lambda rng: subsets[rng.getrandbits(n)]
         return lambda rng: _subset(dom, rng.getrandbits(n))
     if isinstance(t, MapType):
         dom = instance.domain(t.index_sort)
