@@ -13,8 +13,8 @@ from .infer import (
 from .instance import Instance, State, enumerate_states, fingerprint, parse_instance, random_state, state_space_size
 from .invgen import CandidateInvariant, LemmaRepository, generate_lemma_invariants, sample_candidate
 from .parser import parse_expression, parse_grammar, parse_protocol
-from .reachability import ReachSet, compute_reach, load_reach, save_reach
-from .selection import choose_greedy, cover_report, eliminates
+from .reachability import ReachSet, compute_reach
+from .selection import choose_greedy, eliminates
 from .syntax import GrammarConfig, Protocol, canonicalize, to_str
 
 __version__ = "0.1.0"
@@ -37,7 +37,6 @@ __all__ = [
     "check_induction",
     "choose_greedy",
     "compute_reach",
-    "cover_report",
     "eliminates",
     "enumerate_states",
     "evaluate",
@@ -47,7 +46,6 @@ __all__ = [
     "holds",
     "infer_inductive_invariant",
     "initial_state",
-    "load_reach",
     "parse_expression",
     "parse_grammar",
     "parse_instance",
@@ -55,7 +53,6 @@ __all__ = [
     "random_state",
     "replay_witness",
     "sample_candidate",
-    "save_reach",
     "state_space_size",
     "successors",
     "to_str",

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success (inference succeeded and validated, or check passed),
-2 fail (inference or induction check failed), 1 any error (bad files, parse
-or type errors, limits).
+2 fail (inference or induction check failed), 1 any error (usage, bad files,
+parse or type errors, limits).
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from .infer import (
 )
 from .instance import format_state, parse_instance, state_space_size
 from .parser import parse_conjuncts, parse_grammar, parse_protocol
-from .reachability import compute_reach, save_reach
+from .reachability import compute_reach
 from .syntax import to_str
 
 
@@ -54,11 +54,18 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--instance", help="sort domains, e.g. 'Server=s1,s2 Client=c1,c2'")
     p.add_argument("--reach-limit", type=int, default=1_000_000,
                    help="bound on enumerated or reachable states")
-    p.add_argument("--out", help="output file path")
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit 1 like every other error; 2 means a check failed."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="indinv",
         description="Infer inductive invariants for parameterized protocols "
                     "on finite instances.",
@@ -76,9 +83,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_infer.add_argument("--depth", type=int, default=3, help="CTI walk depth")
     p_infer.add_argument("--max-regen", type=int, default=3,
                          help="lemma regeneration rounds before giving up")
-    p_infer.add_argument("--workers-check", type=int, default=8)
-    p_infer.add_argument("--workers-cti", type=int, default=4)
-    p_infer.add_argument("--workers-elim", type=int, default=4)
+    p_infer.add_argument("--out", help="result file (default: standard output)")
 
     p_reach = sub.add_parser("reach", help="count reachable states")
     _add_common(p_reach)
@@ -103,9 +108,6 @@ def cmd_infer(args) -> int:
         seed=args.seed,
         reach_limit=args.reach_limit,
         enum_limit=args.reach_limit,
-        workers_check=args.workers_check,
-        workers_cti=args.workers_cti,
-        workers_elim=args.workers_elim,
     )
     result = infer_inductive_invariant(protocol, instance, grammar, config)
 
@@ -141,8 +143,6 @@ def cmd_reach(args) -> int:
     protocol, instance, _ = _load_protocol(args)
     reach = compute_reach(protocol, instance, args.reach_limit)
     print(len(reach))
-    if args.out:
-        save_reach(reach, args.out)
     return 0
 
 

@@ -8,9 +8,7 @@ recorded with its witness suffix.
 """
 from __future__ import annotations
 
-import hashlib
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .evaluator import (
@@ -22,8 +20,8 @@ from .evaluator import (
     enabled,
     evaluate,
 )
-from .instance import Instance, State, fingerprint, format_state, random_state, state_schema
-from .syntax import Expr, Protocol, to_str
+from .instance import Instance, State, fingerprint, random_state, state_schema
+from .syntax import Expr, Protocol
 
 
 @dataclass(frozen=True)
@@ -41,18 +39,12 @@ class CTI:
 class CtiBatch:
     ctis: list[CTI]
     samples_attempted: int
-    ind_text: str
 
     def __len__(self) -> int:
         return len(self.ctis)
 
     def fingerprints(self) -> set[int]:
         return {c.fingerprint for c in self.ctis}
-
-
-def _derive_seed(base: int, worker: int) -> int:
-    h = hashlib.blake2b(f"{base}:{worker}".encode("ascii"), digest_size=8)
-    return int.from_bytes(h.digest(), "big")
 
 
 def _sample_walks(
@@ -110,43 +102,19 @@ def generate_ctis(
     depth: int,
     cap: int,
     rng: random.Random,
-    workers: int = 1,
 ) -> CtiBatch:
     """Sample up to n_ctis start states and collect at most cap distinct CTIs.
 
-    Deterministic given the rng at worker count 1; with more workers each one
-    runs on a seed derived from (base draw, worker index), so the merged batch
-    is deterministic for a fixed (seed, worker count) pair.
+    Deterministic given the rng: the batch and the rng's next draw depend only
+    on its state on entry.
     """
     if depth < 1:
         raise ValueError("walk depth must be at least 1")
     if cap < 1:
         raise ValueError("CTI cap must be at least 1")
-    ind_text = to_str(ind)
     ind_f = compile_expr(ind, instance, state_schema(protocol))
-    if workers <= 1:
-        ctis, attempts = _sample_walks(protocol, instance, ind_f, n_ctis, depth, cap, rng)
-        return CtiBatch(ctis, attempts, ind_text)
-
-    base = rng.getrandbits(64)
-    budgets = [n_ctis // workers] * workers
-    budgets[0] += n_ctis % workers
-    merged: list[CTI] = []
-    seen: set[int] = set()
-    attempts = 0
-
-    def run(idx: int):
-        wrng = random.Random(_derive_seed(base, idx))
-        return _sample_walks(protocol, instance, ind_f, budgets[idx], depth, cap, wrng)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for ctis, n in pool.map(run, range(workers)):
-            attempts += n
-            for c in ctis:
-                if c.fingerprint not in seen and len(merged) < cap:
-                    seen.add(c.fingerprint)
-                    merged.append(c)
-    return CtiBatch(merged, attempts, ind_text)
+    ctis, attempts = _sample_walks(protocol, instance, ind_f, n_ctis, depth, cap, rng)
+    return CtiBatch(ctis, attempts)
 
 
 def replay_witness_diagnosis(
@@ -190,19 +158,3 @@ def replay_witness_diagnosis(
 def replay_witness(cti: CTI, protocol: Protocol, instance: Instance, ind: Expr) -> bool:
     """True iff the recorded witness replays exactly and ends in violation."""
     return replay_witness_diagnosis(cti, protocol, instance, ind) is None
-
-
-def dump_ctis(batch: CtiBatch) -> str:
-    """Text dump of a batch for offline inspection, one record per CTI."""
-    lines = [
-        f"# CTIs of: {batch.ind_text}",
-        f"# count: {len(batch.ctis)}  samples_attempted: {batch.samples_attempted}",
-    ]
-    for c in batch.ctis:
-        actions = " -> ".join(
-            "%s(%s)" % (t.action, ", ".join(el for _, el in t.binding))
-            for t in c.witness
-        )
-        lines.append(f"state: {format_state(c.state)}")
-        lines.append(f"  depth: {c.depth_to_violation}  witness: {actions}")
-    return "\n".join(lines) + "\n"

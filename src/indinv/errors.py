@@ -41,18 +41,6 @@ class ReachLimitError(EngineError):
         self.count = count
 
 
-class CacheError(EngineError):
-    """Problem with a reachable-state cache file."""
-
-
-class StaleCacheError(CacheError):
-    """Cache was produced for a different protocol or instance."""
-
-
-class CorruptCacheError(CacheError):
-    """Cache file is truncated or not a cache file at all."""
-
-
 class UnsafeProtocolError(EngineError):
     """A reachable state violates the safety predicate; inference is moot."""
 

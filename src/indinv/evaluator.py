@@ -15,8 +15,7 @@ An action's guard and updates are compiled once per (protocol, instance)
 pair, behind an identity check. ``enabled`` lists the firings whose guard
 holds in a state without building any post-state, so a random walk can pick
 one and apply only that; ``successors`` applies all of them. Each cache
-here keeps one entry, read and replaced as a whole, so threads racing on
-one at worst compile the same closures twice.
+here keeps one entry, read and replaced as a whole.
 
 All functions here are pure over immutable inputs. Updates within an action
 are applied simultaneously: every right-hand side is evaluated in the
@@ -287,8 +286,8 @@ def compile_expr(
     """Closure f(state, env) computing a type-checked expression's value.
 
     The closure is specific to the instance's domains and, when a schema is
-    given, to states of that schema; it may be called from several threads
-    as long as each call gets its own env.
+    given, to states of that schema. Quantifiers bind their variables in the
+    env the call is given.
     """
     return _compile(expr, _Ctx(instance, schema))
 
@@ -332,8 +331,8 @@ Firing = tuple[str, Apply, Binding, Env]  # (action name, apply, binding, env)
 
 
 def _private_env(f: Compiled) -> Compiled:
-    # Firings share their env dicts across calls and threads, so an
-    # expression that writes variables into its env gets a copy.
+    # Firings share their env dicts across calls, so an expression that
+    # writes variables into its env gets a copy.
     return lambda s, env: f(s, dict(env))
 
 

@@ -52,9 +52,6 @@ class InferenceConfig:
     term_schedule: tuple[int, ...] | None = None  # None: use the grammar's
     reach_limit: int = 1_000_000
     enum_limit: int = 1_000_000
-    workers_check: int = 1
-    workers_cti: int = 1
-    workers_elim: int = 1
 
     def validate(self) -> None:
         positive = {
@@ -64,9 +61,6 @@ class InferenceConfig:
             "walk_depth": self.walk_depth,
             "reach_limit": self.reach_limit,
             "enum_limit": self.enum_limit,
-            "workers_check": self.workers_check,
-            "workers_cti": self.workers_cti,
-            "workers_elim": self.workers_elim,
         }
         for name, value in positive.items():
             if value < 1:
@@ -89,8 +83,7 @@ class InferenceConfig:
         return (
             f"n_lemmas={self.n_lemmas} n_ctis={self.n_ctis} cti_cap={self.cti_cap} "
             f"walk_depth={self.walk_depth} max_regen_rounds={self.max_regen_rounds} "
-            f"term_schedule={schedule} "
-            f"workers={self.workers_check}/{self.workers_cti}/{self.workers_elim}"
+            f"term_schedule={schedule}"
         )
 
 
@@ -142,7 +135,7 @@ def infer_inductive_invariant(
     grammar: GrammarConfig,
     config: InferenceConfig,
 ) -> InferenceResult:
-    """Run the inference loop; deterministic at worker count 1 for a seed."""
+    """Run the inference loop; one config always gives one result, timings aside."""
     config.validate()
     rng = random.Random(config.seed)
     times = PhaseTimes()
@@ -157,7 +150,7 @@ def infer_inductive_invariant(
         t0 = time.perf_counter()
         batch = generate_ctis(
             protocol, instance, current, config.n_ctis, config.walk_depth,
-            config.cti_cap, rng, workers=config.workers_cti,
+            config.cti_cap, rng,
         )
         times.ctigen += time.perf_counter() - t0
         return batch
@@ -184,8 +177,7 @@ def infer_inductive_invariant(
         rounds += 1
         nterms = _schedule_at(grammar, config, rounds)
         generate_lemma_invariants(
-            reach, grammar, repo, config.n_lemmas, nterms, rng,
-            round_no=rounds, workers=config.workers_check, stats=gen_stats,
+            reach, grammar, repo, config.n_lemmas, nterms, rng, stats=gen_stats,
         )
         times.check += time.perf_counter() - t0
 
@@ -195,10 +187,7 @@ def infer_inductive_invariant(
     remaining: list[CTI] = list(batch.ctis)
     while remaining:
         t0 = time.perf_counter()
-        choice = choose_greedy(
-            repo, remaining, instance,
-            exclude=frozenset(chosen_ids), workers=config.workers_elim,
-        )
+        choice = choose_greedy(repo, remaining, instance, exclude=frozenset(chosen_ids))
         times.elim += time.perf_counter() - t0
         if choice is None:
             if regens >= config.max_regen_rounds:

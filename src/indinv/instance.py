@@ -287,49 +287,6 @@ def state_to_bytes(state: State) -> bytes:
     return bytes(out)
 
 
-def _value_from_bytes(t: ValueType, buf: bytes, pos: int) -> tuple[Value, int]:
-    if isinstance(t, BoolType):
-        return buf[pos] == 1, pos + 1
-    if isinstance(t, (ElemType, EnumType)):
-        n = int.from_bytes(buf[pos : pos + 2], "big")
-        pos += 2
-        return buf[pos : pos + n].decode("utf-8"), pos + n
-    if isinstance(t, SetType):
-        count = int.from_bytes(buf[pos : pos + 4], "big")
-        pos += 4
-        members = []
-        for _ in range(count):
-            n = int.from_bytes(buf[pos : pos + 2], "big")
-            pos += 2
-            members.append(buf[pos : pos + n].decode("utf-8"))
-            pos += n
-        return frozenset(members), pos
-    if isinstance(t, MapType):
-        count = int.from_bytes(buf[pos : pos + 4], "big")
-        pos += 4
-        entries = []
-        for _ in range(count):
-            n = int.from_bytes(buf[pos : pos + 2], "big")
-            pos += 2
-            key = buf[pos : pos + n].decode("utf-8")
-            pos += n
-            val, pos = _value_from_bytes(t.elem, buf, pos)
-            entries.append((key, val))
-        return MapV(tuple(entries)), pos
-    raise AssertionError(f"cannot deserialize type {t!r}")
-
-
-def state_from_bytes(schema: StateSchema, buf: bytes) -> State:
-    values = []
-    pos = 0
-    for t in schema.types:
-        v, pos = _value_from_bytes(t, buf, pos)
-        values.append(v)
-    if pos != len(buf):
-        raise ValueError("trailing bytes in state serialization")
-    return State(schema, tuple(values))
-
-
 def fingerprint(state: State) -> Fingerprint:
     """64-bit digest of the canonical serialization; stable across runs."""
     h = hashlib.blake2b(state_to_bytes(state), digest_size=8)

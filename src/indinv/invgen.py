@@ -7,9 +7,7 @@ candidate stops at the first falsifying state.
 """
 from __future__ import annotations
 
-import hashlib
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -101,45 +99,26 @@ def sample_candidate(
     raise EngineError("grammar admits only tautological candidates at this size")
 
 
-@dataclass(frozen=True)
-class LemmaMeta:
-    round_added: int
-    sample_no: int
-
-
 class LemmaRepository:
     """Ordered, id-deduplicated store of lemma invariants."""
 
     def __init__(self) -> None:
-        self._lemmas: list[CandidateInvariant] = []
-        self._meta: dict[str, LemmaMeta] = {}
+        self._lemmas: dict[str, CandidateInvariant] = {}  # by id, in insertion order
 
-    def add(self, cand: CandidateInvariant, round_added: int = 0, sample_no: int = 0) -> bool:
-        if cand.id in self._meta:
+    def add(self, cand: CandidateInvariant) -> bool:
+        if cand.id in self._lemmas:
             return False
-        self._lemmas.append(cand)
-        self._meta[cand.id] = LemmaMeta(round_added, sample_no)
+        self._lemmas[cand.id] = cand
         return True
 
-    def meta(self, lemma_id: str) -> LemmaMeta:
-        return self._meta[lemma_id]
-
     def __contains__(self, lemma_id: str) -> bool:
-        return lemma_id in self._meta
+        return lemma_id in self._lemmas
 
     def __len__(self) -> int:
         return len(self._lemmas)
 
     def __iter__(self) -> Iterator[CandidateInvariant]:
-        return iter(self._lemmas)
-
-    def dump(self) -> str:
-        lines = [f"# lemma repository: {len(self._lemmas)} invariants"]
-        for lemma in self._lemmas:
-            m = self._meta[lemma.id]
-            lines.append(f"# round={m.round_added} sample={m.sample_no}")
-            lines.append(lemma.id)
-        return "\n".join(lines) + "\n"
+        return iter(self._lemmas.values())
 
 
 @dataclass
@@ -151,11 +130,6 @@ class GenStats:
     evals: int = 0
 
 
-def _partition(lemma_id: str, workers: int) -> int:
-    h = hashlib.blake2b(lemma_id.encode("utf-8"), digest_size=4).digest()
-    return int.from_bytes(h, "big") % workers
-
-
 def generate_lemma_invariants(
     reach: ReachSet,
     grammar: GrammarConfig,
@@ -164,69 +138,37 @@ def generate_lemma_invariants(
     nterms: int,
     rng: random.Random,
     *,
-    round_no: int = 1,
-    workers: int = 1,
     on_reject: Callable[[CandidateInvariant, State], None] | None = None,
     stats: GenStats | None = None,
 ) -> LemmaRepository:
     """Draw n_lemmas candidates and keep those true on every reachable state.
 
-    Duplicate draws are discarded, not re-drawn; n_lemmas counts draws. The
-    surviving set is a pure function of the rng stream regardless of the
-    worker count, because work is partitioned by candidate id.
+    Duplicate draws are discarded, not re-drawn; n_lemmas counts draws. Each
+    fresh candidate is checked as it is drawn, so the repository's contents
+    and order are a pure function of the rng stream.
     """
     if not reach.states:
         raise ValueError("reachable set is empty")
     stats = stats if stats is not None else GenStats()
 
-    fresh: list[tuple[int, CandidateInvariant]] = []
+    schema = reach.states[0].schema
     batch_ids: set[str] = set()
-    for sample_no in range(n_lemmas):
+    for _ in range(n_lemmas):
         cand = sample_candidate(grammar, nterms, rng)
         stats.sampled += 1
         if cand.id in repo or cand.id in batch_ids:
             stats.duplicates += 1
             continue
         batch_ids.add(cand.id)
-        fresh.append((sample_no, cand))
-
-    instance = reach.instance
-    states = reach.states
-    schema = states[0].schema
-
-    def falsifier(cand: CandidateInvariant) -> tuple[State | None, int]:
-        f = compile_expr(cand.closed, instance, schema)
-        evals = 0
-        for s in states:
-            evals += 1
+        f = compile_expr(cand.closed, reach.instance, schema)
+        bad: State | None = None
+        for s in reach.states:
+            stats.evals += 1
             if f(s, {}) is not True:
-                return s, evals
-        return None, evals
-
-    verdicts: dict[str, State | None] = {}
-    if workers <= 1 or len(fresh) <= 1:
-        for _, cand in fresh:
-            bad, evals = falsifier(cand)
-            stats.evals += evals
-            verdicts[cand.id] = bad
-    else:
-        shards: list[list[CandidateInvariant]] = [[] for _ in range(workers)]
-        for _, cand in fresh:
-            shards[_partition(cand.id, workers)].append(cand)
-
-        def run_shard(shard: list[CandidateInvariant]):
-            return [(c.id, *falsifier(c)) for c in shard]
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for result in pool.map(run_shard, shards):
-                for cid, bad, evals in result:
-                    stats.evals += evals
-                    verdicts[cid] = bad
-
-    for sample_no, cand in fresh:
-        bad = verdicts[cand.id]
+                bad = s
+                break
         if bad is None:
-            repo.add(cand, round_added=round_no, sample_no=sample_no)
+            repo.add(cand)
             stats.kept += 1
         else:
             stats.rejected += 1

@@ -1,28 +1,15 @@
-"""Breadth-first reachable-state computation and its on-disk cache.
+"""Breadth-first reachable-state computation.
 
 BFS keeps discovery order deterministic and surfaces shallow states first.
-The cache file is keyed by (protocol digest, instance string) so a stale
-cache is rejected instead of silently reused.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
-from .errors import CorruptCacheError, ReachLimitError, StaleCacheError
+from .errors import ReachLimitError
 from .evaluator import initial_state, successors
-from .instance import (
-    Instance,
-    State,
-    fingerprint,
-    state_from_bytes,
-    state_schema,
-    state_to_bytes,
-)
-from .syntax import Protocol, protocol_digest
-
-_MAGIC = b"IINVRS01"
-_VERSION = 1
+from .instance import Instance, State, fingerprint
+from .syntax import Protocol
 
 
 @dataclass
@@ -32,8 +19,6 @@ class ReachSet:
     states: list[State]
     index: set[int]
     instance: Instance
-    instance_text: str
-    protocol_digest: str
 
     def __len__(self) -> int:
         return len(self.states)
@@ -71,70 +56,4 @@ def compute_reach(protocol: Protocol, instance: Instance, limit: int = 1_000_000
                     states.append(t.post)
                     nxt.append(t.post)
         frontier = nxt
-    return ReachSet(states, index, instance, instance.text(), protocol_digest(protocol))
-
-
-def save_reach(reach: ReachSet, path: str) -> None:
-    digest = reach.protocol_digest.encode("ascii")
-    inst = reach.instance_text.encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack(">I", _VERSION))
-        f.write(struct.pack(">H", len(digest)))
-        f.write(digest)
-        f.write(struct.pack(">H", len(inst)))
-        f.write(inst)
-        f.write(struct.pack(">Q", len(reach.states)))
-        for s in reach.states:
-            blob = state_to_bytes(s)
-            f.write(struct.pack(">I", len(blob)))
-            f.write(blob)
-
-
-def load_reach(path: str, protocol: Protocol, instance: Instance) -> ReachSet:
-    """Load a cache written by save_reach; validates digest and instance."""
-    with open(path, "rb") as f:
-        data = f.read()
-    pos = 0
-
-    def take(n: int) -> bytes:
-        nonlocal pos
-        if pos + n > len(data):
-            raise CorruptCacheError(f"truncated cache file {path}")
-        chunk = data[pos : pos + n]
-        pos += n
-        return chunk
-
-    if take(len(_MAGIC)) != _MAGIC:
-        raise CorruptCacheError(f"{path} is not a reachable-state cache")
-    (version,) = struct.unpack(">I", take(4))
-    if version != _VERSION:
-        raise CorruptCacheError(f"unsupported cache format version {version}")
-    (dlen,) = struct.unpack(">H", take(2))
-    digest = take(dlen).decode("ascii")
-    (ilen,) = struct.unpack(">H", take(2))
-    inst_text = take(ilen).decode("utf-8")
-    if digest != protocol_digest(protocol):
-        raise StaleCacheError(
-            f"stale cache: protocol digest {digest} does not match the current protocol"
-        )
-    if inst_text != instance.text():
-        raise StaleCacheError(
-            f"stale cache: instance {inst_text!r} does not match {instance.text()!r}"
-        )
-    (count,) = struct.unpack(">Q", take(8))
-    schema = state_schema(protocol)
-    states: list[State] = []
-    index: set[int] = set()
-    for _ in range(count):
-        (blen,) = struct.unpack(">I", take(4))
-        blob = take(blen)
-        try:
-            s = state_from_bytes(schema, blob)
-        except (ValueError, IndexError, UnicodeDecodeError) as err:
-            raise CorruptCacheError(f"corrupt state record in {path}: {err}") from None
-        states.append(s)
-        index.add(fingerprint(s))
-    if pos != len(data):
-        raise CorruptCacheError(f"trailing bytes in cache file {path}")
-    return ReachSet(states, index, instance, inst_text, digest)
+    return ReachSet(states, index, instance)

@@ -2,11 +2,10 @@
 
 Expression nodes are immutable dataclasses. The canonical printed form
 (``to_str`` after ``canonicalize``) is the structural identity used for
-deduplication, repository keys, and protocol digests.
+deduplication and repository keys.
 """
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 
@@ -383,7 +382,7 @@ class GrammarConfig:
 
 
 # ---------------------------------------------------------------------------
-# Protocol printing and digest
+# Protocol printing
 
 
 def print_protocol(p: Protocol) -> str:
@@ -411,9 +410,3 @@ def print_protocol(p: Protocol) -> str:
         lines.append("")
     lines.append(f"safety {p.safety_name}: {to_str(p.safety)}")
     return "\n".join(lines) + "\n"
-
-
-def protocol_digest(p: Protocol) -> str:
-    """Hex digest of the canonical print; keys reach caches to the protocol."""
-    h = hashlib.blake2b(print_protocol(p).encode("utf-8"), digest_size=8)
-    return h.hexdigest()

@@ -295,7 +295,6 @@ def test_criterion_7_byte_identical_result_files(tmp_path):
         args = [
             "infer", name, "--grammar", name, "--seed", "11",
             "--n-lemmas", "300", "--n-ctis", "800",
-            "--workers-check", "1", "--workers-cti", "1", "--workers-elim", "1",
         ]
         main(args + ["--out", str(out1)])
         main(args + ["--out", str(out2)])

@@ -1,9 +1,11 @@
-"""The benchmark's traced run still finds every engine function it wraps.
+"""The benchmark's child modes still run against the engine.
 
 bench/child.py wraps engine functions by the names their callers look them
 up by; a renamed or removed one is reported as absent, and bench/run.py then
 drops the per-layer metrics that depend on it. This runs one small traced
 inference the way the benchmark does and checks that nothing went missing.
+The setup and micro modes import engine names directly, so a rename there
+makes bench/run.py fail outright; each is run once here as well.
 """
 from __future__ import annotations
 
@@ -28,15 +30,39 @@ def _span_names() -> list[str]:
     raise AssertionError("FROM_SPAN not found in bench/run.py")
 
 
+LOCKSERVER_2X2 = "Server=s1,s2 Client=c1,c2"
+
+
+def _child(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(BENCH / "child.py"), *args],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_setup_mode_prints_ready():
+    proc = _child("setup", "lockserver", "lockserver", LOCKSERVER_2X2)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "ready"
+
+
+def test_micro_mode_writes_both_rates(tmp_path):
+    out = tmp_path / "micro.json"
+    proc = _child("micro", str(out), "lockserver", LOCKSERVER_2X2)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    rates = json.loads(out.read_text(encoding="utf-8"))
+    for key in ("evaluator.holds_per_s", "evaluator.successors_per_s"):
+        assert rates[key] > 0
+
+
 def test_traced_run_records_every_span(tmp_path):
     trace_file = tmp_path / "trace.json"
-    argv = [
-        sys.executable, str(BENCH / "child.py"), "trace", str(trace_file), "--",
+    proc = _child(
+        "trace", str(trace_file), "--",
         "infer", "lockserver", "--grammar", "lockserver", "--seed", "1",
         "--n-lemmas", "300", "--n-ctis", "2000", "--out", str(tmp_path / "result.txt"),
-    ]
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    )
     assert proc.returncode == 0, proc.stderr[-2000:]
     trace = json.loads(trace_file.read_text(encoding="utf-8"))
     assert trace["absent"] == []

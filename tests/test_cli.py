@@ -1,17 +1,17 @@
 from __future__ import annotations
 
+import pytest
+
 from indinv import benchmarks
-from indinv.cli import main
+from indinv.cli import build_arg_parser, main
+from indinv.infer import InferenceConfig
 
 from . import oracles
 
 A1_TEXT = "forall s: Server. forall c: Client. locked[s] -> ~(s in held[c])"
 SAFE_TEXT = "forall ci: Client. forall cj: Client. held[ci] & held[cj] != {} -> ci = cj"
 
-FAST = [
-    "--n-lemmas", "1500", "--n-ctis", "4000",
-    "--workers-check", "1", "--workers-cti", "1", "--workers-elim", "1",
-]
+FAST = ["--n-lemmas", "1500", "--n-ctis", "4000"]
 
 
 def _infer_args(out, seed=0):
@@ -96,16 +96,6 @@ def test_reach_limit_exit_one(capsys):
     assert "limit" in capsys.readouterr().err
 
 
-def test_reach_writes_cache(tmp_path, lockserver):
-    cache = tmp_path / "lockserver.reach"
-    assert main(["reach", "lockserver", "--out", str(cache)]) == 0
-    from indinv.reachability import load_reach
-
-    protocol, _, instance = lockserver
-    loaded = load_reach(str(cache), protocol, instance)
-    assert len(loaded) == 9
-
-
 def test_check_known_invariant_exit_zero(tmp_path, capsys):
     inv = tmp_path / "ind.txt"
     inv.write_text(f"{SAFE_TEXT}\n{A1_TEXT}\n")
@@ -158,3 +148,48 @@ def test_exit_codes_are_only_0_1_2(tmp_path):
     inv.write_text(SAFE_TEXT + "\n")
     outcomes.add(main(["check", "lockserver", str(inv)]))
     assert outcomes <= {0, 1, 2}
+
+
+def _usage_error(argv, capsys) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "usage: indinv" in err
+    return err
+
+
+def test_missing_grammar_flag_is_usage_error_exit_one(capsys):
+    assert "--grammar" in _usage_error(["infer", "lockserver"], capsys)
+
+
+def test_removed_workers_flag_is_usage_error_exit_one(capsys):
+    err = _usage_error(["infer", "lockserver", "--grammar", "lockserver", "--workers-cti", "4"], capsys)
+    assert "--workers-cti" in err
+
+
+def test_out_is_usage_error_on_check_and_reach(tmp_path, capsys):
+    inv = tmp_path / "safe.txt"
+    inv.write_text(SAFE_TEXT + "\n")
+    out = str(tmp_path / "out.txt")
+    assert "--out" in _usage_error(["check", "lockserver", str(inv), "--out", out], capsys)
+    assert "--out" in _usage_error(["reach", "lockserver", "--out", out], capsys)
+
+
+def test_cli_defaults_are_the_library_defaults():
+    args = build_arg_parser().parse_args(["infer", "lockserver", "--grammar", "lockserver"])
+    config = InferenceConfig()
+    assert (
+        args.seed, args.n_lemmas, args.n_ctis, args.cti_cap, args.depth,
+        args.max_regen, args.reach_limit, args.reach_limit,
+    ) == (
+        config.seed, config.n_lemmas, config.n_ctis, config.cti_cap, config.walk_depth,
+        config.max_regen_rounds, config.reach_limit, config.enum_limit,
+    )
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["infer", "--help"])
+    assert exc.value.code == 0
+    assert "--out" in capsys.readouterr().out

@@ -14,10 +14,8 @@ from indinv.instance import (
     parse_instance,
     random_state,
     state_conforms,
-    state_from_bytes,
     state_schema,
     state_space_size,
-    state_to_bytes,
     State,
 )
 from indinv.parser import parse_protocol
@@ -124,9 +122,3 @@ def test_no_fingerprint_collisions_across_lockserver_space(lockserver_protocol, 
     for (i, fa), (j, fb) in itertools.combinations(enumerate(fps), 2):
         if fa == fb:
             pytest.fail(f"states {i} and {j} collide")
-
-
-def test_state_serialization_round_trips(lockserver_protocol, lockserver_instance):
-    schema = state_schema(lockserver_protocol)
-    for s in enumerate_states(lockserver_protocol, lockserver_instance):
-        assert state_from_bytes(schema, state_to_bytes(s)) == s

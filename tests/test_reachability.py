@@ -2,12 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from indinv.errors import CorruptCacheError, ReachLimitError, StaleCacheError
+from indinv.errors import ReachLimitError
 from indinv.evaluator import holds, successors
 from indinv.instance import fingerprint, parse_instance
-from indinv.parser import parse_protocol
-from indinv.reachability import compute_reach, load_reach, save_reach
-from indinv import benchmarks
+from indinv.reachability import compute_reach
 
 from . import oracles
 
@@ -55,49 +53,3 @@ def test_bfs_discovery_order_is_deterministic(lockserver_protocol, lockserver_in
     a = compute_reach(lockserver_protocol, lockserver_instance)
     b = compute_reach(lockserver_protocol, lockserver_instance)
     assert [fingerprint(s) for s in a.states] == [fingerprint(s) for s in b.states]
-
-
-def test_save_load_round_trip(tmp_path, lockserver_protocol, lockserver_instance):
-    reach = compute_reach(lockserver_protocol, lockserver_instance)
-    path = tmp_path / "lockserver.reach"
-    save_reach(reach, str(path))
-    loaded = load_reach(str(path), lockserver_protocol, lockserver_instance)
-    assert loaded.states == reach.states
-    assert loaded.index == reach.index
-    assert loaded.protocol_digest == reach.protocol_digest
-
-
-def test_load_with_edited_protocol_is_stale(tmp_path, lockserver_protocol, lockserver_instance):
-    reach = compute_reach(lockserver_protocol, lockserver_instance)
-    path = tmp_path / "lockserver.reach"
-    save_reach(reach, str(path))
-    text = benchmarks.protocol_path("lockserver").read_text()
-    edited = parse_protocol(text.replace("require locked[s];", "require ~locked[s];"))
-    with pytest.raises(StaleCacheError, match="stale"):
-        load_reach(str(path), edited, lockserver_instance)
-
-
-def test_load_with_other_instance_is_stale(tmp_path, lockserver_protocol, lockserver_instance):
-    reach = compute_reach(lockserver_protocol, lockserver_instance)
-    path = tmp_path / "lockserver.reach"
-    save_reach(reach, str(path))
-    other = parse_instance("Server=s1 Client=c1", lockserver_protocol)
-    with pytest.raises(StaleCacheError):
-        load_reach(str(path), lockserver_protocol, other)
-
-
-def test_truncated_file_is_corrupt(tmp_path, lockserver_protocol, lockserver_instance):
-    reach = compute_reach(lockserver_protocol, lockserver_instance)
-    path = tmp_path / "lockserver.reach"
-    save_reach(reach, str(path))
-    data = path.read_bytes()
-    path.write_bytes(data[: len(data) - 7])
-    with pytest.raises(CorruptCacheError, match="truncated"):
-        load_reach(str(path), lockserver_protocol, lockserver_instance)
-
-
-def test_garbage_file_is_corrupt(tmp_path, lockserver_protocol, lockserver_instance):
-    path = tmp_path / "bogus.reach"
-    path.write_bytes(b"this is not a cache file at all")
-    with pytest.raises(CorruptCacheError):
-        load_reach(str(path), lockserver_protocol, lockserver_instance)

@@ -8,7 +8,7 @@ from indinv.evaluator import Transition
 from indinv.instance import enumerate_states, fingerprint, parse_instance
 from indinv.invgen import LemmaRepository, build_candidate
 from indinv.parser import parse_expression
-from indinv.selection import build_matrix, choose_greedy, cover_report, eliminates
+from indinv.selection import choose_greedy, eliminates
 from indinv.syntax import GrammarConfig, canonicalize
 
 
@@ -134,6 +134,7 @@ def test_eliminates_the_locked_and_held_state(lockserver):
 
 
 def test_cover_report_count_matches_per_cti_recount(lockserver):
+    # the compiled elimination count against a per-CTI recount with holds
     protocol, grammar, instance = lockserver
     batch = generate_ctis(
         protocol, instance, protocol.safety, 5000, 3, 10000, random.Random(1)
@@ -141,58 +142,13 @@ def test_cover_report_count_matches_per_cti_recount(lockserver):
     a1 = build_candidate(grammar, ((0, True), (1, True)))
     repo = LemmaRepository()
     repo.add(a1)
-    report = cover_report(repo, batch.ctis, instance)
     from indinv.evaluator import holds
 
-    recount = sum(1 for c in batch.ctis if not holds(a1.closed, c.state, instance))
-    assert report.counts[a1.id] == recount
-    assert recount > 0
-
-
-def test_cover_report_counts(enum_protocol):
-    instance, grammar, states = _enum_setup(enum_protocol)
-    ctis = [_mk_cti(states[f"e{i}"]) for i in range(1, 4)]
-    l1 = build_candidate(grammar, ((0, False),))  # x = e1: false on e2,e3
-    l2 = build_candidate(grammar, ((3, False),))  # x = e4: false on e1,e2,e3
-    repo = LemmaRepository()
-    repo.add(l1)
-    repo.add(l2)
-    report = cover_report(repo, ctis, instance)
-    assert report.counts == {l1.id: 2, l2.id: 3}
-    assert report.uncoverable == 0
-    assert report.matrix.cell_count == len(repo) * len(ctis)
-
-
-def test_cover_report_empty_cti_set(enum_protocol):
-    instance, grammar, _ = _enum_setup(enum_protocol)
-    repo = LemmaRepository()
-    repo.add(build_candidate(grammar, ((0, False),)))
-    report = cover_report(repo, [], instance)
-    assert all(count == 0 for count in report.counts.values())
-    assert report.uncoverable == 0
-    assert report.matrix.cell_count == 0
-
-
-def test_cover_report_flags_uncoverable(enum_protocol):
-    instance, grammar, states = _enum_setup(enum_protocol)
-    ctis = [_mk_cti(states["e1"]), _mk_cti(states["e2"])]
-    l1 = build_candidate(grammar, ((1, True),))  # ~(x = e2): false only on e2
-    repo = LemmaRepository()
-    repo.add(l1)
-    report = cover_report(repo, ctis, instance)
-    assert report.uncoverable == 1
-
-
-def test_matrix_cells_match_eliminates(enum_protocol):
-    instance, grammar, states = _enum_setup(enum_protocol)
-    ctis = [_mk_cti(states[f"e{i}"]) for i in range(1, 6)]
-    repo = LemmaRepository()
-    for idxs in itertools.combinations(range(5), 2):
-        repo.add(build_candidate(grammar, tuple((i, False) for i in idxs)))
-    matrix = build_matrix(repo, ctis, instance)
-    for row, lemma in enumerate(repo):
-        for col, cti in enumerate(ctis):
-            assert matrix.cells[row][col] == eliminates(lemma, cti, instance)
+    recount = [c for c in batch.ctis if not holds(a1.closed, c.state, instance)]
+    assert recount
+    lemma, eliminated = choose_greedy(repo, batch.ctis, instance)
+    assert lemma.id == a1.id
+    assert [c.fingerprint for c in eliminated] == [c.fingerprint for c in recount]
 
 
 def test_greedy_maximality_on_random_fixtures(lockserver):
@@ -270,14 +226,3 @@ def test_choice_is_deterministic(enum_protocol):
         again = choose_greedy(repo, ctis, instance)
         assert again[0].id == first[0].id
         assert [c.fingerprint for c in again[1]] == [c.fingerprint for c in first[1]]
-
-
-def test_worker_count_does_not_change_choice(enum_protocol):
-    instance, grammar, states = _enum_setup(enum_protocol)
-    ctis = [_mk_cti(states[f"e{i}"]) for i in range(1, 6)]
-    repo = LemmaRepository()
-    for i in range(5):
-        repo.add(build_candidate(grammar, ((i, False),)))
-    a = choose_greedy(repo, ctis, instance, workers=1)
-    b = choose_greedy(repo, ctis, instance, workers=4)
-    assert a[0].id == b[0].id

@@ -8,7 +8,6 @@ from indinv.syntax import (
     BoolLit,
     Or,
     canonicalize,
-    protocol_digest,
     to_str,
 )
 
@@ -67,12 +66,3 @@ def test_canonical_text_round_trips_through_print(body):
     # printing a canonical expression and re-canonicalizing changes nothing
     once = canonicalize(body)
     assert to_str(canonicalize(once)) == to_str(once)
-
-
-def test_protocol_digest_changes_with_content(lockserver_protocol):
-    from indinv.parser import parse_protocol
-    from indinv import benchmarks
-
-    text = benchmarks.protocol_path("lockserver").read_text()
-    other = parse_protocol(text.replace("require locked[s];", "require ~locked[s];"))
-    assert protocol_digest(other) != protocol_digest(lockserver_protocol)
