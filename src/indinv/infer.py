@@ -8,17 +8,16 @@ number of times before giving up; a failed run still returns the partial
 conjunction since its lemmas are invariants in their own right.
 
 Success means no CTI was found by sampling, which is evidence, not proof;
-``check_induction`` then validates the result exhaustively on the instance
-(or by sampling when the space is too large to enumerate).
+``check_induction`` then validates the result on the instance, exhaustively
+when the state space fits its limit and by sampling otherwise.
 """
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 
-from .ctigen import CTI, CtiBatch, generate_ctis
-from .errors import ConfigError, EnumerationLimitError, UnsafeProtocolError
+from .ctigen import CTI, generate_ctis
+from .errors import ConfigError, UnsafeProtocolError
 from .evaluator import Transition, compile_expr, enabled, holds, initial_state
 from .instance import (
     Instance,
@@ -49,9 +48,7 @@ class InferenceConfig:
     walk_depth: int = 3
     max_regen_rounds: int = 3
     seed: int = 0
-    term_schedule: tuple[int, ...] | None = None  # None: use the grammar's
     reach_limit: int = 1_000_000
-    enum_limit: int = 1_000_000
 
     def validate(self) -> None:
         positive = {
@@ -60,39 +57,18 @@ class InferenceConfig:
             "cti_cap": self.cti_cap,
             "walk_depth": self.walk_depth,
             "reach_limit": self.reach_limit,
-            "enum_limit": self.enum_limit,
         }
         for name, value in positive.items():
             if value < 1:
                 raise ConfigError(f"{name} must be positive, got {value}")
         if self.max_regen_rounds < 0:
             raise ConfigError("max_regen_rounds must be non-negative")
-        if self.term_schedule is not None:
-            last = 0
-            for n in self.term_schedule:
-                if n <= last:
-                    raise ConfigError("term_schedule must be strictly increasing and positive")
-                last = n
 
     def describe(self) -> str:
-        schedule = (
-            ",".join(str(n) for n in self.term_schedule)
-            if self.term_schedule is not None
-            else "grammar"
-        )
         return (
             f"n_lemmas={self.n_lemmas} n_ctis={self.n_ctis} cti_cap={self.cti_cap} "
-            f"walk_depth={self.walk_depth} max_regen_rounds={self.max_regen_rounds} "
-            f"term_schedule={schedule}"
+            f"walk_depth={self.walk_depth} max_regen_rounds={self.max_regen_rounds}"
         )
-
-
-@dataclass
-class PhaseTimes:
-    total: float = 0.0
-    check: float = 0.0
-    elim: float = 0.0
-    ctigen: float = 0.0
 
 
 @dataclass
@@ -103,7 +79,6 @@ class InferenceResult:
     rounds: int  # lemma sampling rounds executed
     lemmas_sampled: int
     lemmas_kept: int
-    times: PhaseTimes
     seed: int
     config: InferenceConfig
     instance_text: str
@@ -120,52 +95,31 @@ def conjunction(conjuncts: list[Expr]) -> Expr:
     return conjuncts[0] if len(conjuncts) == 1 else And(tuple(conjuncts))
 
 
-def _schedule_at(grammar: GrammarConfig, config: InferenceConfig, round_no: int) -> int:
-    if config.term_schedule is not None:
-        idx = min(round_no, len(config.term_schedule)) - 1
-        nterms = config.term_schedule[idx]
-    else:
-        nterms = term_size_schedule(grammar, round_no)
-    return min(nterms, len(grammar.seeds))
-
-
 def infer_inductive_invariant(
     protocol: Protocol,
     instance: Instance,
     grammar: GrammarConfig,
     config: InferenceConfig,
 ) -> InferenceResult:
-    """Run the inference loop; one config always gives one result, timings aside."""
+    """Run the inference loop; one config always gives one result."""
     config.validate()
     rng = random.Random(config.seed)
-    times = PhaseTimes()
-    t_start = time.perf_counter()
-
     safety = protocol.safety
     conjuncts: list[Expr] = [safety]
     chosen_ids = {canonical_text(safety)}
-    ind = conjunction(conjuncts)
-
-    def ctis_for(current: Expr) -> CtiBatch:
-        t0 = time.perf_counter()
-        batch = generate_ctis(
-            protocol, instance, current, config.n_ctis, config.walk_depth,
-            config.cti_cap, rng,
-        )
-        times.ctigen += time.perf_counter() - t0
-        return batch
-
-    batch = ctis_for(ind)
-    eliminated_total = 0
     repo = LemmaRepository()
     gen_stats = GenStats()
     reach: ReachSet | None = None
-    rounds = 0
-    regens = 0
+    rounds = regens = eliminated_total = 0
+
+    def ctis_for(current: Expr) -> list[CTI]:
+        return generate_ctis(
+            protocol, instance, current, config.n_ctis, config.walk_depth,
+            config.cti_cap, rng,
+        ).ctis
 
     def sample_round() -> None:
         nonlocal reach, rounds
-        t0 = time.perf_counter()
         if reach is None:
             reach = compute_reach(protocol, instance, config.reach_limit)
             safe = compile_expr(safety, instance, state_schema(protocol))
@@ -175,28 +129,21 @@ def infer_inductive_invariant(
                         f"safety predicate fails at reachable state: {format_state(s)}"
                     )
         rounds += 1
-        nterms = _schedule_at(grammar, config, rounds)
+        nterms = min(term_size_schedule(grammar, rounds), len(grammar.seeds))
         generate_lemma_invariants(
             reach, grammar, repo, config.n_lemmas, nterms, rng, stats=gen_stats,
         )
-        times.check += time.perf_counter() - t0
 
-    if batch.ctis:
+    remaining = ctis_for(safety)
+    if remaining:
         sample_round()
-
-    remaining: list[CTI] = list(batch.ctis)
+    status = "success"
     while remaining:
-        t0 = time.perf_counter()
         choice = choose_greedy(repo, remaining, instance, exclude=frozenset(chosen_ids))
-        times.elim += time.perf_counter() - t0
         if choice is None:
             if regens >= config.max_regen_rounds:
-                times.total = time.perf_counter() - t_start
-                return InferenceResult(
-                    "fail", conjuncts, eliminated_total, rounds,
-                    gen_stats.sampled, len(repo), times, config.seed, config,
-                    instance.text(),
-                )
+                status = "fail"
+                break
             regens += 1
             sample_round()
             continue
@@ -204,18 +151,11 @@ def infer_inductive_invariant(
         conjuncts.append(lemma.closed)
         chosen_ids.add(lemma.id)
         eliminated_total += len(eliminated)
-        # drop the eliminated CTIs, then regenerate against the strengthened
-        # candidate; the regenerated batch replaces whatever survived
-        gone = {c.fingerprint for c in eliminated}
-        remaining = [c for c in remaining if c.fingerprint not in gone]
-        ind = conjunction(conjuncts)
-        batch = ctis_for(ind)
-        remaining = list(batch.ctis)
+        remaining = ctis_for(conjunction(conjuncts))
 
-    times.total = time.perf_counter() - t_start
     return InferenceResult(
-        "success", conjuncts, eliminated_total, rounds,
-        gen_stats.sampled, len(repo), times, config.seed, config, instance.text(),
+        status, conjuncts, eliminated_total, rounds,
+        gen_stats.sampled, len(repo), config.seed, config, instance.text(),
     )
 
 
@@ -248,22 +188,21 @@ def check_induction(
     protocol: Protocol,
     instance: Instance,
     conjuncts: list[Expr],
-    mode: str = "exhaustive",
     *,
     limit: int = 1_000_000,
-    n_samples: int = 10000,
+    n_samples: int = 20000,
     seed: int = 0,
 ) -> InductionReport:
     """Initiation, consecution, and strengthening on one finite instance.
 
-    Exhaustive mode enumerates every type-correct state (consecution over
-    unreachable states included, as induction requires); sampled mode draws
-    n_samples random states instead. Strengthening passes structurally when
-    the first conjunct is the safety predicate, else it is checked state by
+    When the state space has at most ``limit`` states the check enumerates
+    every type-correct state (consecution over unreachable states included,
+    as induction requires) and is exhaustive; otherwise it draws
+    ``n_samples`` random states, and a pass is evidence, not proof. The
+    report's ``mode`` says which. Strengthening passes structurally when the
+    first conjunct is the safety predicate, else it is checked state by
     state.
     """
-    if mode not in ("exhaustive", "sampled"):
-        raise ConfigError(f"unknown induction check mode {mode!r}")
     if not conjuncts:
         raise ConfigError("induction check needs at least one conjunct")
 
@@ -278,18 +217,15 @@ def check_induction(
 
     structural = canonical_text(conjuncts[0]) == canonical_text(protocol.safety)
 
-    if mode == "exhaustive":
-        size = state_space_size(protocol, instance)
-        if size > limit:
-            raise EnumerationLimitError(
-                f"state space has {size} states, exceeds exhaustive limit {limit}"
-            )
+    if state_space_size(protocol, instance) <= limit:
+        mode = "exhaustive"
         states = enumerate_states(protocol, instance)
     else:
+        mode = "sampled"
         rng = random.Random(seed)
         states = (random_state(protocol, instance, rng) for _ in range(n_samples))
 
-    # Scan the whole space: each condition gets a complete verdict with the
+    # Scan every state: each condition gets a complete verdict with the
     # first witness found, not just whichever failure happens to come first.
     schema = state_schema(protocol)
     compiled = [compile_expr(c, instance, schema) for c in conjuncts]
@@ -333,25 +269,6 @@ def check_induction(
 
 # ---------------------------------------------------------------------------
 # Reporting
-
-
-def run_round_stats(result: InferenceResult) -> tuple[dict, str]:
-    """Per-run stats as a machine-readable row and an aligned text table."""
-    row = {
-        "status": result.status,
-        "time_s": round(result.times.total, 1),
-        "ctis": result.ctis_eliminated,
-        "check_s": round(result.times.check, 1),
-        "elim_s": round(result.times.elim, 1),
-        "ctigen_s": round(result.times.ctigen, 1),
-        "conjuncts": len(result.conjuncts),
-    }
-    header = f"{'Time':>8} {'CTIs':>8} {'Check':>8} {'Elim':>8} {'CTIGen':>8}"
-    values = (
-        f"{row['time_s']:>8} {row['ctis']:>8} {row['check_s']:>8} "
-        f"{row['elim_s']:>8} {row['ctigen_s']:>8}"
-    )
-    return row, header + "\n" + values
 
 
 def render_result(

@@ -107,15 +107,6 @@ class State:
     def value(self, name: str) -> Value:
         return self.values[self.schema.index(name)]
 
-    def replaced(self, updates: dict[str, Value]) -> "State":
-        vals = list(self.values)
-        for name, v in updates.items():
-            vals[self.schema.index(name)] = v
-        return State(self.schema, tuple(vals))
-
-    def assignment(self) -> dict[str, Value]:
-        return dict(zip(self.schema.names, self.values))
-
 
 def state_schema(protocol: Protocol) -> StateSchema:
     return StateSchema(

@@ -23,9 +23,6 @@ class ReachSet:
     def __len__(self) -> int:
         return len(self.states)
 
-    def __contains__(self, fp: int) -> bool:
-        return fp in self.index
-
 
 def compute_reach(protocol: Protocol, instance: Instance, limit: int = 1_000_000) -> ReachSet:
     """BFS closure from the initial state; errors out past ``limit`` states."""

@@ -380,30 +380,37 @@ def check_protocol(raw: Protocol) -> Protocol:
 # Grammar checking
 
 
-def check_grammar(raw: GrammarConfig, protocol: Protocol) -> GrammarConfig:
-    sorts = frozenset(protocol.sort_names())
-    var_types = {v.name: v.type for v in protocol.vars}
+def _protocol_scope(
+    protocol: Protocol, bound: dict[str, str], context: str = "expression"
+) -> _Scope:
+    """Scope over a checked protocol's sorts, variables and enum labels."""
     labels: dict[str, EnumType] = {}
     for v in protocol.vars:
         enum = v.type.elem if isinstance(v.type, MapType) else v.type
         if isinstance(enum, EnumType):
             for label in enum.labels:
                 labels[label] = enum
+    var_types = {v.name: v.type for v in protocol.vars}
+    return _Scope(frozenset(protocol.sort_names()), var_types, labels, dict(bound),
+                  context=context)
 
+
+def check_grammar(raw: GrammarConfig, protocol: Protocol) -> GrammarConfig:
+    names = _protocol_scope(protocol, {})
     bound: dict[str, str] = {}
     for kind, var, sort in raw.template:
         if kind not in ("forall", "exists"):
             raise TypeCheckError(f"template: invalid quantifier {kind}")
-        if sort not in sorts:
+        if sort not in names.sorts:
             raise TypeCheckError(f"template: quantifier over undeclared sort {sort}")
-        if var in bound or var in var_types or var in labels or var in sorts:
+        if var in bound or var in names.var_types or var in names.labels or var in names.sorts:
             raise TypeCheckError(f"template: variable {var} shadows another name")
         bound[var] = sort
 
     seeds: list[Expr] = []
     seen: set[str] = set()
     for i, seed in enumerate(raw.seeds):
-        scope = _Scope(sorts, var_types, labels, dict(bound), context=f"seed {i + 1}")
+        scope = _protocol_scope(protocol, bound, f"seed {i + 1}")
         checked = canonicalize(_check_closed_bool(seed, scope))
         key = to_str(checked)
         if key in seen:
@@ -429,14 +436,5 @@ def check_grammar(raw: GrammarConfig, protocol: Protocol) -> GrammarConfig:
 
 def check_bool_expr(e: Expr, protocol: Protocol, bound: dict[str, str]) -> Expr:
     """Type-check a standalone boolean expression against a protocol."""
-    sorts = frozenset(protocol.sort_names())
-    var_types = {v.name: v.type for v in protocol.vars}
-    labels: dict[str, EnumType] = {}
-    for v in protocol.vars:
-        enum = v.type.elem if isinstance(v.type, MapType) else v.type
-        if isinstance(enum, EnumType):
-            for label in enum.labels:
-                labels[label] = enum
-    scope = _Scope(sorts, var_types, labels, dict(bound))
-    return _check_closed_bool(e, scope)
+    return _check_closed_bool(e, _protocol_scope(protocol, bound))
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from indinv import benchmarks
@@ -10,6 +12,8 @@ from . import oracles
 
 A1_TEXT = "forall s: Server. forall c: Client. locked[s] -> ~(s in held[c])"
 SAFE_TEXT = "forall ci: Client. forall cj: Client. held[ci] & held[cj] != {} -> ci = cj"
+LOCKSERVER_4X4 = "Server=s1,s2,s3,s4 Client=c1,c2,c3,c4"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 FAST = ["--n-lemmas", "1500", "--n-ctis", "4000"]
 
@@ -103,7 +107,25 @@ def test_check_known_invariant_exit_zero(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "initiation: pass" in out
     assert "consecution: pass" in out
-    assert "states checked: 64" in out
+    assert "states checked: 64 mode=exhaustive" in out
+
+
+def test_check_past_the_limit_samples_like_infer(tmp_path, capsys):
+    inv = tmp_path / "ind.txt"
+    inv.write_text(f"{SAFE_TEXT}\n{A1_TEXT}\n")
+    assert main(["check", "lockserver", str(inv), "--instance", LOCKSERVER_4X4]) == 0
+    assert "states checked: 20000 mode=sampled" in capsys.readouterr().out
+
+
+def test_sampled_check_of_safety_alone_exit_two_with_witness(tmp_path, capsys):
+    inv = tmp_path / "ind.txt"
+    inv.write_text(SAFE_TEXT + "\n")
+    assert main(["check", "lockserver", str(inv), "--reach-limit", "10"]) == 2
+    out = capsys.readouterr().out
+    assert "consecution: fail" in out
+    assert "transition:" in out
+    assert "post-state:" in out
+    assert "mode=sampled" in out
 
 
 def test_check_safety_alone_exit_two_with_witness(tmp_path, capsys):
@@ -181,11 +203,16 @@ def test_cli_defaults_are_the_library_defaults():
     config = InferenceConfig()
     assert (
         args.seed, args.n_lemmas, args.n_ctis, args.cti_cap, args.depth,
-        args.max_regen, args.reach_limit, args.reach_limit,
+        args.max_regen, args.reach_limit,
     ) == (
         config.seed, config.n_lemmas, config.n_ctis, config.cti_cap, config.walk_depth,
-        config.max_regen_rounds, config.reach_limit, config.enum_limit,
+        config.max_regen_rounds, config.reach_limit,
     )
+
+
+def test_readme_config_line_is_the_default_config():
+    lines = [line for line in README.read_text().splitlines() if line.startswith("config: ")]
+    assert lines == ["config: " + InferenceConfig().describe()]
 
 
 def test_help_exits_zero(capsys):
