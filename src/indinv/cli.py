@@ -51,10 +51,20 @@ def _load_protocol(args):
     return protocol, instance, name
 
 
+def _at_least(minimum: int):
+    """Argparse type of an integer no smaller than minimum."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return integer
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("protocol", help="protocol file, or a bundled benchmark name")
     p.add_argument("--instance", help="sort domains, e.g. 'Server=s1,s2 Client=c1,c2'")
-    p.add_argument("--reach-limit", type=int, default=1_000_000,
+    p.add_argument("--reach-limit", type=_at_least(1), default=1_000_000,
                    help="bound on enumerated or reachable states")
 
 
@@ -79,11 +89,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_infer.add_argument("--grammar", required=True,
                          help="grammar file, or a bundled benchmark name")
     p_infer.add_argument("--seed", type=int, default=0)
-    p_infer.add_argument("--n-lemmas", type=int, default=15000)
-    p_infer.add_argument("--n-ctis", type=int, default=50000)
-    p_infer.add_argument("--cti-cap", type=int, default=10000)
-    p_infer.add_argument("--depth", type=int, default=3, help="CTI walk depth")
-    p_infer.add_argument("--max-regen", type=int, default=3,
+    p_infer.add_argument("--n-lemmas", type=_at_least(1), default=15000)
+    p_infer.add_argument("--n-ctis", type=_at_least(1), default=50000)
+    p_infer.add_argument("--cti-cap", type=_at_least(1), default=10000)
+    p_infer.add_argument("--depth", type=_at_least(1), default=3, help="CTI walk depth")
+    p_infer.add_argument("--max-regen", type=_at_least(0), default=3,
                          help="lemma regeneration rounds before giving up")
     p_infer.add_argument("--out", help="result file (default: standard output)")
 

@@ -12,10 +12,11 @@ stay in domain order. Hot loops compile once and call the closure per state;
 ``evaluate`` and ``holds`` compile and call for one-shot use.
 
 An action's guard and updates are compiled once per (protocol, instance)
-pair, behind an identity check. ``enabled`` lists the firings whose guard
-holds in a state without building any post-state, so a random walk can pick
-one and apply only that; ``successors`` applies all of them. Each cache
-here keeps one entry, read and replaced as a whole.
+pair, behind an identity check, into ``firings``: one per action and
+binding. ``enabled`` lists the firings whose guard holds in a state without
+building any post-state, so a random walk can pick one and apply only that;
+``successors`` applies all of them. Each cache here keeps one entry, read
+and replaced as a whole.
 
 All functions here are pure over immutable inputs. Updates within an action
 are applied simultaneously: every right-hand side is evaluated in the
@@ -372,13 +373,13 @@ def _compile_apply(action: ActionDecl, instance: Instance, schema: StateSchema) 
 _last_firings: tuple = (None, None, ())
 
 
-def _firings(protocol: Protocol, instance: Instance) -> tuple[tuple[Compiled, Env, Firing], ...]:
+def firings(protocol: Protocol, instance: Instance) -> tuple[tuple[Compiled, Env, Firing], ...]:
     """(guard, env, firing) per action and binding, in declaration then
     binding order; compiled once and reused while protocol and instance stay."""
     global _last_firings
-    last_protocol, last_instance, firings = _last_firings
+    last_protocol, last_instance, compiled = _last_firings
     if last_protocol is protocol and last_instance is instance:
-        return firings
+        return compiled
     schema = state_schema(protocol)
     out = []
     for decl in protocol.actions:
@@ -389,15 +390,15 @@ def _firings(protocol: Protocol, instance: Instance) -> tuple[tuple[Compiled, En
         for combo in itertools.product(*domains):
             env = dict(zip(names, combo))
             out.append((guard, env, (decl.name, apply, tuple(zip(names, combo)), env)))
-    firings = tuple(out)
-    _last_firings = (protocol, instance, firings)
-    return firings
+    compiled = tuple(out)
+    _last_firings = (protocol, instance, compiled)
+    return compiled
 
 
 def enabled(state: State, protocol: Protocol, instance: Instance) -> list[Firing]:
     """Each firing whose guard holds, in action declaration then binding
     order; builds no post-state."""
-    return [f for guard, env, f in _firings(protocol, instance) if guard(state, env) is True]
+    return [f for guard, env, f in firings(protocol, instance) if guard(state, env) is True]
 
 
 def apply_action(

@@ -1,11 +1,14 @@
-"""Finite sort domains, concrete values, states, and fingerprints.
+"""Finite sort domains, concrete values, states, state codes, and fingerprints.
 
 Runtime values are plain Python data: bool for booleans, str for sort
 elements and enum labels, frozenset[str] for sets, and MapV for maps. The
 declared ValueType schema carries the tags, so values stay small and fast to
 compare. Enumeration order is fixed: variables in declaration order, domains
 in declared element order, sets by bitmask ascending, map entries with the
-last key varying fastest.
+last key varying fastest. A state's code is its index in that order, an
+integer below ``state_space_size``; ``state_codec`` builds, on first use, the
+codec that draws, encodes and decodes codes, which CTI walks use when the
+space has no more states than the walks.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ import hashlib
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator, Union
+from typing import Iterator, Union
 
 from .errors import EnumerationLimitError, InstanceError
 from .syntax import (
@@ -193,48 +196,110 @@ def enumerate_states(
     return gen()
 
 
-def _sampler(t: ValueType, instance: Instance) -> Callable[[random.Random], Value]:
-    """Closure drawing a uniform value of type t from an rng.
+def _leaf(t: ValueType, instance: Instance) -> tuple:
+    """(radix, bits, digit -> value, value -> digit) of a scalar or set type.
 
-    Draws are part of the seeded stream every result depends on: one
-    getrandbits(1) per bool, one randrange per element or enum label, one
-    getrandbits(|domain|) bit mask per set, and map entries in domain order.
+    ``bits`` is the width of a getrandbits draw (1 for a bool, the domain
+    size for a set's bit mask), or 0 for one randrange(radix) draw of an
+    element or enum position. Draws are part of the seeded stream every
+    result depends on, and each draw is the leaf's digit.
     """
     if isinstance(t, BoolType):
-        return lambda rng: bool(rng.getrandbits(1))
-    if isinstance(t, ElemType):
-        dom = instance.domain(t.sort)
-        return lambda rng: dom[rng.randrange(len(dom))]
-    if isinstance(t, EnumType):
-        labels = t.labels
-        return lambda rng: labels[rng.randrange(len(labels))]
+        return 2, 1, (False, True).__getitem__, int
     if isinstance(t, SetType):
         dom = instance.domain(t.sort)
-        n = len(dom)
-        return lambda rng: _subset(dom, rng.getrandbits(n))
-    if isinstance(t, MapType):
-        dom = instance.domain(t.index_sort)
-        elem = _sampler(t.elem, instance)
-        return lambda rng: MapV(tuple([(k, elem(rng)) for k in dom]))
+        bits = {e: 1 << i for i, e in enumerate(dom)}
+        pairs = tuple(bits.items())
+        return (2 ** len(dom), len(dom), lambda m: frozenset([e for e, b in pairs if m & b]),
+                lambda v: sum([bits[e] for e in v]))
+    if isinstance(t, (ElemType, EnumType)):
+        labels = instance.domain(t.sort) if isinstance(t, ElemType) else t.labels
+        pos = {x: i for i, x in enumerate(labels)}
+        return len(labels), 0, labels.__getitem__, pos.__getitem__
     raise AssertionError(f"no domain for type {t!r}")
 
 
-# Compiled samplers of the last (protocol, instance) drawn from.
-_last_sampler: tuple = (None, None, None)
+class StateCodec:
+    """States as integer codes: a state's code is its index in
+    ``enumerate_states`` order.
+
+    A leaf is a scalar variable or one map entry. A code is the mixed-radix
+    number of the leaves' digits in declaration order, the last leaf least
+    significant. ``random_code`` makes exactly the rng calls ``random_state``
+    makes; ``decode`` interns each variable's value by its digits, so
+    decoded states share them.
+    """
+
+    def __init__(self, protocol: Protocol, instance: Instance) -> None:
+        self.schema = state_schema(protocol)
+        self.vars = []  # (map keys, or None for a scalar, then its leaf)
+        for t in self.schema.types:
+            keys = instance.domain(t.index_sort) if isinstance(t, MapType) else None
+            self.vars.append((keys, *_leaf(t.elem if keys else t, instance)))
+        self.leaves = [(r, bits) for keys, r, bits, *_ in self.vars for _ in keys or "."]
+        self.radices = [r ** len(keys) if keys else r for keys, r, *_ in self.vars]
+        self.interned: list[dict[int, Value]] = [{} for _ in self.vars]
+
+    def random_state(self, rng: random.Random) -> State:
+        getrandbits, randrange = rng.getrandbits, rng.randrange
+        values = []
+        for keys, radix, bits, value, _ in self.vars:
+            ds = [getrandbits(bits) if bits else randrange(radix) for _ in keys or "."]
+            values.append(MapV(tuple(zip(keys, map(value, ds)))) if keys else value(ds[0]))
+        return State(self.schema, tuple(values))
+
+    def random_code(self, rng: random.Random) -> int:
+        getrandbits, randrange = rng.getrandbits, rng.randrange
+        code = 0
+        for radix, bits in self.leaves:
+            code = code * radix + (getrandbits(bits) if bits else randrange(radix))
+        return code
+
+    def encode(self, state: State) -> int:
+        code = 0
+        for (keys, radix, _, _, digit), v in zip(self.vars, state.values):
+            for ev in [e for _, e in v.entries] if keys else (v,):
+                code = code * radix + digit(ev)
+        return code
+
+    def decode(self, code: int) -> State:
+        values = []
+        for i in range(len(self.vars) - 1, -1, -1):
+            code, d = divmod(code, self.radices[i])
+            v = self.interned[i].get(d)
+            if v is None:
+                v = self.interned[i][d] = self._value(i, d)
+            values.append(v)
+        return State(self.schema, tuple(values[::-1]))
+
+    def _value(self, i: int, d: int) -> Value:
+        keys, radix, _, value, _ = self.vars[i]
+        if keys is None:
+            return value(d)
+        entries = []
+        for k in reversed(keys):
+            d, leaf = divmod(d, radix)
+            entries.append((k, value(leaf)))
+        return MapV(tuple(entries[::-1]))
+
+
+# The codec of the last (protocol, instance) asked for.
+_last_codec: tuple = (None, None, None)
+
+
+def state_codec(protocol: Protocol, instance: Instance) -> StateCodec:
+    """The codec of a protocol on an instance, built on first use."""
+    global _last_codec
+    last_protocol, last_instance, codec = _last_codec
+    if not (last_protocol is protocol and last_instance is instance):
+        codec = StateCodec(protocol, instance)
+        _last_codec = (protocol, instance, codec)
+    return codec
 
 
 def random_state(protocol: Protocol, instance: Instance, rng: random.Random) -> State:
     """Independently uniform value per variable; deterministic given the rng."""
-    global _last_sampler
-    last_protocol, last_instance, sample = _last_sampler
-    if not (last_protocol is protocol and last_instance is instance):
-        schema = state_schema(protocol)
-        samplers = [_sampler(t, instance) for t in schema.types]
-
-        def sample(rng: random.Random) -> State:
-            return State(schema, tuple([f(rng) for f in samplers]))
-        _last_sampler = (protocol, instance, sample)
-    return sample(rng)
+    return state_codec(protocol, instance).random_state(rng)
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,6 @@ def compute_reach(protocol: Protocol, instance: Instance, limit: int = 1_000_000
     index = {fingerprint(init)}
     frontier = [init]
     depth = 0
-    if len(states) > limit:
-        raise ReachLimitError("reach limit 0 exceeded at the initial state", 0, 1)
     while frontier:
         depth += 1
         nxt: list[State] = []

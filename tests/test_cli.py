@@ -220,3 +220,27 @@ def test_help_exits_zero(capsys):
         main(["infer", "--help"])
     assert exc.value.code == 0
     assert "--out" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--reach-limit", "0"), ("--n-lemmas", "0"), ("--n-ctis", "-1"), ("--cti-cap", "0"),
+    ("--depth", "0"), ("--max-regen", "-1"), ("--depth", "three"),
+])
+def test_out_of_range_count_is_usage_error_on_infer(flag, value, capsys):
+    err = _usage_error(["infer", "lockserver", "--grammar", "lockserver", flag, value], capsys)
+    assert flag in err
+
+
+def test_zero_reach_limit_is_usage_error_on_reach_and_check(tmp_path, capsys):
+    inv = tmp_path / "safe.txt"
+    inv.write_text(SAFE_TEXT + "\n")
+    assert "--reach-limit" in _usage_error(["reach", "lockserver", "--reach-limit", "0"], capsys)
+    err = _usage_error(["check", "lockserver", str(inv), "--reach-limit", "0"], capsys)
+    assert "must be at least 1, got 0" in err
+
+
+def test_zero_max_regen_is_accepted(capsys):
+    args = build_arg_parser().parse_args(
+        ["infer", "lockserver", "--grammar", "lockserver", "--max-regen", "0"]
+    )
+    assert args.max_regen == 0

@@ -6,10 +6,11 @@ from dataclasses import replace
 
 import pytest
 
+from indinv import ctigen
 from indinv.ctigen import generate_ctis, replay_witness, replay_witness_diagnosis
-from indinv.evaluator import holds
-from indinv.instance import MapV, State, state_schema
-from indinv.parser import parse_expression
+from indinv.evaluator import compile_expr, holds
+from indinv.instance import MapV, State, parse_instance, state_schema
+from indinv.parser import parse_expression, parse_protocol
 from indinv.syntax import And
 
 from . import oracles
@@ -162,20 +163,87 @@ def _stream_digest(batch, rng) -> str:
     return h.hexdigest()[:16]
 
 
-# Computed at commit 3859043, with the tree-walking interpreter that preceded
-# the closure compiler and built every successor of a walk state. A change here means
-# CTI generation consumes the random stream differently, and every result
-# file changes with it.
+# A change here means CTI generation consumes the random stream differently,
+# and every result file changes with it. The lockserver and election digests
+# were computed at commit 3859043, with the tree-walking interpreter that
+# preceded the closure compiler and built every successor of a walk state; the
+# other four at commit ecc8221, before walks ran over state codes. At a budget
+# of 3000 walks, consensus (8 states), twophase (64) and lockserver (64) take
+# the state-code walker, and declock (8192), election (32768) and lockserver
+# 4x4 (1,048,576) the State walker. Consensus and twophase find no CTI, so
+# their digests pin the number of walks and the rng's next draw.
 PINNED_STREAMS = {
-    "lockserver": "3f2c680b37576330",
-    "election": "7248c6f1ed21b25e",
+    "lockserver": (None, "3f2c680b37576330"),
+    "election": (None, "7248c6f1ed21b25e"),
+    "consensus": (None, "34a60a51c16a5452"),
+    "twophase": (None, "fcbe53ca23a3cd39"),
+    "declock": (None, "70c24f6d811f00a9"),
+    "lockserver-4x4": ("Server=s1,s2,s3,s4 Client=c1,c2,c3,c4", "e6fe1b34f9c623a9"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_STREAMS))
 def test_cti_stream_is_pinned(all_benchmarks, name):
-    protocol, _, instance = all_benchmarks[name]
+    inst_text, digest = PINNED_STREAMS[name]
+    protocol, _, instance = all_benchmarks[name.split("-")[0]]
+    if inst_text is not None:
+        instance = parse_instance(inst_text, protocol)
     rng = random.Random(2024)
     batch = generate_ctis(protocol, instance, protocol.safety, 3000, 3, 10000, rng)
-    assert len(batch) > 0
-    assert _stream_digest(batch, rng) == PINNED_STREAMS[name]
+    assert len(batch) > 0 or name in ("consensus", "twophase")
+    assert _stream_digest(batch, rng) == digest
+
+
+def _both_walkers(protocol, instance, ind, budget, depth, cap, seed):
+    """(ctis, attempts, rng's next draw) of each walker on the same inputs."""
+    ind_f = compile_expr(ind, instance, state_schema(protocol))
+    out = []
+    for walker in (ctigen._state_walker, ctigen._code_walker):
+        rng = random.Random(seed)
+        ctis, attempts = ctigen._sample_walks(
+            protocol, instance, ind_f, budget, depth, cap, rng, walker
+        )
+        out.append((ctis, attempts, rng.getrandbits(64)))
+    return out
+
+
+@pytest.mark.parametrize("cap", [5, 10000])
+def test_code_walker_matches_state_walker(small_benchmarks, cap):
+    found = 0
+    for name, (protocol, _, instance) in small_benchmarks.items():
+        for seed in (0, 1, 2):
+            by_state, by_code = _both_walkers(
+                protocol, instance, protocol.safety, 600, 3, cap, seed
+            )
+            assert by_code == by_state, (name, seed)
+            found += len(by_code[0])
+    assert found > 0
+
+
+# Two states satisfy ~bad, k=a and k=b; Go and Back move between them and
+# Crash violates from a. A walk a -> b -> a -> crash visits a twice.
+REVISIT_PROTO = """
+var k : enum {a, b}
+var bad : bool
+init k = a
+init bad = false
+action Go() { require k = a; k := b; }
+action Back() { require k = b; k := a; }
+action Crash() { require k = a; bad := true; }
+safety S: ~bad
+"""
+
+
+def test_walk_that_revisits_a_state_records_it_once():
+    protocol = parse_protocol(REVISIT_PROTO)
+    instance = parse_instance("", protocol)
+    revisits = 0
+    for seed in range(20):
+        by_state, by_code = _both_walkers(protocol, instance, protocol.safety, 40, 3, 100, seed)
+        assert by_code == by_state
+        ctis = by_code[0]
+        assert sorted(c.state.value("k") for c in ctis) == ["a", "b"]
+        for c in ctis:
+            revisits += any(t.post == c.state for t in c.witness)
+            assert replay_witness(c, protocol, instance, protocol.safety)
+    assert revisits > 0

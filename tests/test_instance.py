@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -17,8 +18,10 @@ from indinv.instance import (
     state_schema,
     state_space_size,
     State,
+    state_codec,
 )
 from indinv.parser import parse_protocol
+from indinv.syntax import ElemType
 
 BOOL_PROTO = "var b : bool\ninit b = false\nsafety S: true"
 
@@ -122,3 +125,59 @@ def test_no_fingerprint_collisions_across_lockserver_space(lockserver_protocol, 
     for (i, fa), (j, fb) in itertools.combinations(enumerate(fps), 2):
         if fa == fb:
             pytest.fail(f"states {i} and {j} collide")
+
+
+# No bundled protocol has an element-valued variable, and the type checker
+# admits no init for a scalar one, so `x` is declared bool and given its
+# element type after parsing; the codec reads only the variables' types.
+CODEC_PROTO = """
+sort Node
+var x : bool
+var e : enum {red, green, blue}
+var m : map<Node> -> Node
+var s : set<Node>
+var p : map<Node> -> enum {idle, busy, done}
+init x = false
+init e = red
+init m = [forall n: Node. n]
+init s = {}
+init p = [forall n: Node. idle]
+safety S: true
+"""
+
+
+def _codec_cases(small_benchmarks):
+    cases = {name: (p, inst) for name, (p, _, inst) in small_benchmarks.items()}
+    p = parse_protocol(CODEC_PROTO)
+    x = replace(p.vars[0], type=ElemType("Node"))
+    p = replace(p, vars=(x,) + p.vars[1:])
+    cases["elements"] = (p, parse_instance("Node=n1,n2,n3", p))
+    return cases
+
+
+def test_codes_are_enumeration_indices(small_benchmarks):
+    for name, (protocol, instance) in _codec_cases(small_benchmarks).items():
+        codec = state_codec(protocol, instance)
+        states = list(enumerate_states(protocol, instance))
+        assert len(states) == state_space_size(protocol, instance), name
+        for k, s in enumerate(states):
+            assert codec.decode(k) == s, (name, k)
+            assert codec.encode(codec.decode(k)) == k, (name, k)
+
+
+def test_random_code_draws_like_random_state(small_benchmarks):
+    for name, (protocol, instance) in _codec_cases(small_benchmarks).items():
+        codec = state_codec(protocol, instance)
+        for seed in range(30):
+            r1, r2 = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                assert codec.decode(codec.random_code(r1)) == random_state(protocol, instance, r2)
+            assert r1.getrandbits(64) == r2.getrandbits(64), (name, seed)
+
+
+def test_decoded_states_share_values(lockserver_protocol, lockserver_instance):
+    codec = state_codec(lockserver_protocol, lockserver_instance)
+    # codes 0 and 1 differ only in the last leaf, so `locked` is one object
+    a, b = codec.decode(0), codec.decode(1)
+    assert a.values[0] is b.values[0]
+    assert a.values[1] is not b.values[1]
