@@ -8,22 +8,23 @@ recorded with its witness suffix.
 
 A walk runs over keys. When the instance has no more states than the call
 has walks, a key is the state's code, its index in ``enumerate_states``
-order, and each distinct state's verdict, enabled firings and successor
-codes are computed once per call in tables no larger than the draws.
-Otherwise a key is the ``State`` itself and every visit evaluates afresh.
-Both walkers make the same rng calls and give the same batch; states and
-fingerprints are built only for the CTIs a walk adds.
+order, and the walk reads a ``WalkTable`` that an inference keeps for all
+its searches, so each conjunct is evaluated once per state. Otherwise a key
+is the ``State`` itself and every visit evaluates afresh. Both walkers make
+the same rng calls and give the same batch; states and fingerprints are
+built only for the CTIs a walk adds.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 
-from .evaluator import Compiled, Transition, apply_action, compile_expr, evaluate, firings
+from .evaluator import Transition, apply_action, compile_expr, evaluate, firings
 from .instance import (
-    Instance, State, fingerprint, random_state, state_codec, state_schema, state_space_size,
+    Instance, State, enumerate_states, fingerprint, random_state, state_codec, state_schema,
+    state_space_size,
 )
-from .syntax import Expr, Protocol
+from .syntax import And, Expr, Protocol
 
 
 @dataclass(frozen=True)
@@ -55,52 +56,91 @@ def _enabled(fs):
     return lambda s: [i for i, guard, env in guards if guard(s, env) is True]
 
 
-def _state_walker(protocol: Protocol, instance: Instance, ind: Compiled, fs):
-    """(draw, good, moves, step, state) over keys that are States."""
+def _state_walker(protocol: Protocol, instance: Instance, ind: Expr, fs):
+    """(draw, good, moves, step, state, fingerprint) over keys that are States."""
+    ind_f = compile_expr(ind, instance, state_schema(protocol))
+
     def step(s, i):
         _, apply, _, env = fs[i][2]
         return apply(s, env)
-    return (lambda rng: random_state(protocol, instance, rng), lambda s: ind(s, {}) is True,
-            _enabled(fs), step, lambda s: s)
+    return (lambda rng: random_state(protocol, instance, rng), lambda s: ind_f(s, {}) is True,
+            _enabled(fs), step, lambda s: s, fingerprint)
 
 
-def _code_walker(protocol: Protocol, instance: Instance, ind: Compiled, fs):
-    """(draw, good, moves, step, state) over state codes; each distinct
-    state's verdict, enabled firings and successors are computed once."""
-    codec = state_codec(protocol, instance)
-    decode, encode = codec.decode, codec.encode
-    size, nf, enabled = state_space_size(protocol, instance), len(fs), _enabled(fs)
-    verdicts = bytearray(size)  # 0 unknown, 1 satisfies ind, 2 violates it
-    moves_at: list = [None] * size
-    interned: dict = {}
-    succ: dict[int, int] = {}  # code * len(fs) + firing -> successor code
+def conjuncts_of(e: Expr) -> list[Expr]:
+    """e's top-level And arguments, flattened recursively."""
+    return [c for a in e.args for c in conjuncts_of(a)] if isinstance(e, And) else [e]
 
-    def good(c):
-        if not verdicts[c]:
-            verdicts[c] = 1 if ind(decode(c), {}) is True else 2
-        return verdicts[c] == 1
 
-    def moves(c):
-        m = moves_at[c]
+class WalkTable:
+    """Per-code tables over every state of an instance, kept for one inference.
+
+    ``ok[code]`` is 1 iff the state satisfies each conjunct of the last ind,
+    computed for every code in code order. An ind whose conjuncts extend the
+    last one's (the same ``Expr`` objects, by identity, then more) evaluates
+    only the new ones, and only where ``ok`` is still 1; any other ind
+    recomputes ``ok``. Enabled firings and successor codes do not depend on
+    ind, so each is computed once, when first needed, and kept.
+    """
+
+    def __init__(self, protocol: Protocol, instance: Instance) -> None:
+        self.space = (protocol, instance)
+        self.codec = state_codec(protocol, instance)
+        self.fs = firings(protocol, instance)
+        self.enabled = _enabled(self.fs)
+        size = state_space_size(protocol, instance)
+        self.conjuncts: list[Expr] = []  # none yet, so ok is all 1
+        self.ok = bytearray(b"\x01") * size
+        self.moves_at: list = [None] * size
+        self.interned: dict = {}
+        self.succ: dict[int, int] = {}  # code * len(fs) + firing -> successor code
+
+    def moves(self, c: int) -> tuple[int, ...]:
+        m = self.moves_at[c]
         if m is None:
-            m = tuple(enabled(decode(c)))
-            m = moves_at[c] = interned.setdefault(m, m)
+            m = tuple(self.enabled(self.codec.decode(c)))
+            m = self.moves_at[c] = self.interned.setdefault(m, m)
         return m
 
-    def step(c, i):
-        d = succ.get(c * nf + i)
+    def step(self, c: int, i: int) -> int:
+        key = c * len(self.fs) + i
+        d = self.succ.get(key)
         if d is None:
-            _, apply, _, env = fs[i][2]
-            d = succ[c * nf + i] = encode(apply(decode(c), env))
+            _, apply, _, env = self.fs[i][2]
+            d = self.succ[key] = self.codec.encode(apply(self.codec.decode(c), env))
         return d
 
-    return codec.random_code, good, moves, step, decode
+    def narrow(self, ind: Expr) -> None:
+        """Make ``ok`` the verdicts of ind."""
+        new, old, ok = conjuncts_of(ind), self.conjuncts, self.ok
+        if len(old) > len(new) or any(a is not b for a, b in zip(old, new)):
+            ok[:] = b"\x01" * len(ok)
+            old = []
+        fresh = [compile_expr(c, self.space[1], self.codec.schema) for c in new[len(old):]]
+        if fresh:
+            for k, s in enumerate(enumerate_states(*self.space)):
+                if ok[k] and not all(f(s, {}) is True for f in fresh):
+                    ok[k] = 0
+        self.conjuncts = new
+
+    def closed(self, ind: Expr) -> bool:
+        """Whether every enabled step from a state satisfying ind keeps it;
+        then no walk can leave ind, and a search would find no CTI."""
+        self.narrow(ind)
+        ok, moves, step = self.ok, self.moves, self.step
+        return all(ok[step(c, i)] for c in range(len(ok)) if ok[c] for i in moves(c))
+
+    def walker(self, ind: Expr):
+        """(draw, good, moves, step, state, fingerprint) over state codes."""
+        self.narrow(ind)
+        codec = self.codec
+        return (codec.random_code, self.ok.__getitem__, self.moves, self.step, codec.decode,
+                codec.fingerprint)
 
 
-def _sample_walks(protocol: Protocol, instance: Instance, ind: Compiled, budget: int,
-                  depth: int, cap: int, rng: random.Random, walker) -> tuple[list[CTI], int]:
-    fs = firings(protocol, instance)
-    draw, good, moves, step, state = walker(protocol, instance, ind, fs)
+def _sample_walks(fs, walker, budget: int, depth: int, cap: int,
+                  rng: random.Random) -> tuple[list[CTI], int]:
+    draw, good, moves, step, state, key_fingerprint = walker
     ctis: list[CTI] = []
     seen: set = set()
     attempts = 0
@@ -136,7 +176,7 @@ def _sample_walks(protocol: Protocol, instance: Instance, ind: Compiled, budget:
             if fresh:
                 first = fresh[0]
                 states = [state(key) for key in path[first:]]
-                fps = [fingerprint(s) for s in states[:-1]]
+                fps = [key_fingerprint(key) for key in path[first:-1]]
                 walk = [Transition(fs[i][2][0], fs[i][2][2], fp, post)
                         for i, fp, post in zip(taken[first:], fps, states[1:])]
                 for j in fresh:
@@ -153,19 +193,27 @@ def generate_ctis(
     depth: int,
     cap: int,
     rng: random.Random,
+    table: WalkTable | None = None,
 ) -> CtiBatch:
     """Sample up to n_ctis start states and collect at most cap distinct CTIs.
 
     Deterministic given the rng: the batch and the rng's next draw depend only
-    on its state on entry.
+    on its state on entry. ``table`` is an inference's table for this protocol
+    and instance, used when the walks run over codes; without one, a fresh
+    table serves this call alone.
     """
     if depth < 1:
         raise ValueError("walk depth must be at least 1")
     if cap < 1:
         raise ValueError("CTI cap must be at least 1")
-    ind_f = compile_expr(ind, instance, state_schema(protocol))
-    walker = _code_walker if state_space_size(protocol, instance) <= n_ctis else _state_walker
-    ctis, attempts = _sample_walks(protocol, instance, ind_f, n_ctis, depth, cap, rng, walker)
+    fs = firings(protocol, instance)
+    if state_space_size(protocol, instance) <= n_ctis:
+        if table is None or table.space != (protocol, instance):
+            table = WalkTable(protocol, instance)
+        walker = table.walker(ind)
+    else:
+        walker = _state_walker(protocol, instance, ind, fs)
+    ctis, attempts = _sample_walks(fs, walker, n_ctis, depth, cap, rng)
     return CtiBatch(ctis, attempts)
 
 

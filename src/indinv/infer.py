@@ -7,16 +7,19 @@ lemma helps, it resamples the repository at the next term size a bounded
 number of times before giving up; a failed run still returns the partial
 conjunction since its lemmas are invariants in their own right.
 
-Success means no CTI was found by sampling, which is evidence, not proof;
-``check_induction`` then validates the result on the instance, exhaustively
-when the state space fits its limit and by sampling otherwise.
+When the instance has no more states than ``n_ctis``, one ``WalkTable``
+serves every CTI search of the run, and a search is skipped when the table
+shows that no step leaves Ind. Success means no CTI was found by sampling,
+or that the table proved none exists; ``check_induction`` then validates the
+result on the instance, exhaustively when the state space fits its limit and
+by sampling otherwise.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 
-from .ctigen import CTI, generate_ctis
+from .ctigen import CTI, WalkTable, generate_ctis
 from .errors import ConfigError, UnsafeProtocolError
 from .evaluator import Transition, compile_expr, enabled, holds, initial_state
 from .instance import (
@@ -111,11 +114,15 @@ def infer_inductive_invariant(
     gen_stats = GenStats()
     reach: ReachSet | None = None
     rounds = regens = eliminated_total = 0
+    small = state_space_size(protocol, instance) <= config.n_ctis
+    table = WalkTable(protocol, instance) if small else None
 
     def ctis_for(current: Expr) -> list[CTI]:
+        if table is not None and table.closed(current):
+            return []  # no walk can leave current: the search would be empty
         return generate_ctis(
             protocol, instance, current, config.n_ctis, config.walk_depth,
-            config.cti_cap, rng,
+            config.cti_cap, rng, table=table,
         ).ctis
 
     def sample_round() -> None:

@@ -148,35 +148,6 @@ def describe_size(n: int) -> str:
     return "exceeds 2^63" if n >= SIZE_SENTINEL else str(n)
 
 
-def _subset(dom: tuple[str, ...], mask: int) -> frozenset:
-    return frozenset(dom[i] for i in range(len(dom)) if mask >> i & 1)
-
-
-def enumerate_values(t: ValueType, instance: Instance) -> Iterator[Value]:
-    if isinstance(t, BoolType):
-        yield False
-        yield True
-        return
-    if isinstance(t, ElemType):
-        yield from instance.domain(t.sort)
-        return
-    if isinstance(t, EnumType):
-        yield from t.labels
-        return
-    if isinstance(t, SetType):
-        dom = instance.domain(t.sort)
-        for mask in range(2 ** len(dom)):
-            yield _subset(dom, mask)
-        return
-    if isinstance(t, MapType):
-        dom = instance.domain(t.index_sort)
-        pools = [tuple(enumerate_values(t.elem, instance)) for _ in dom]
-        for combo in itertools.product(*pools):
-            yield MapV(tuple(zip(dom, combo)))
-        return
-    raise AssertionError(f"no domain for type {t!r}")
-
-
 def enumerate_states(
     protocol: Protocol, instance: Instance, limit: int | None = None
 ) -> Iterator[State]:
@@ -186,14 +157,10 @@ def enumerate_states(
         raise EnumerationLimitError(
             f"state space has {describe_size(size)} states, exceeds limit {limit}"
         )
-    schema = state_schema(protocol)
-    pools = [tuple(enumerate_values(t, instance)) for t in schema.types]
-
-    def gen() -> Iterator[State]:
-        for combo in itertools.product(*pools):
-            yield State(schema, combo)
-
-    return gen()
+    # code order: each variable's values by digit, the last variable fastest
+    codec = state_codec(protocol, instance)
+    pools = [[codec._value(i, d) for d in range(r)] for i, r in enumerate(codec.radices)]
+    return (State(codec.schema, combo) for combo in itertools.product(*pools))
 
 
 def _leaf(t: ValueType, instance: Instance) -> tuple:
@@ -227,7 +194,8 @@ class StateCodec:
     number of the leaves' digits in declaration order, the last leaf least
     significant. ``random_code`` makes exactly the rng calls ``random_state``
     makes; ``decode`` interns each variable's value by its digits, so
-    decoded states share them.
+    decoded states share them, and ``fingerprint`` joins each variable's
+    serialized bytes, kept by its digits too, without building the state.
     """
 
     def __init__(self, protocol: Protocol, instance: Instance) -> None:
@@ -239,6 +207,7 @@ class StateCodec:
         self.leaves = [(r, bits) for keys, r, bits, *_ in self.vars for _ in keys or "."]
         self.radices = [r ** len(keys) if keys else r for keys, r, *_ in self.vars]
         self.interned: list[dict[int, Value]] = [{} for _ in self.vars]
+        self.serialized: list[dict[int, bytes]] = [{} for _ in self.vars]
 
     def random_state(self, rng: random.Random) -> State:
         getrandbits, randrange = rng.getrandbits, rng.randrange
@@ -271,6 +240,19 @@ class StateCodec:
                 v = self.interned[i][d] = self._value(i, d)
             values.append(v)
         return State(self.schema, tuple(values[::-1]))
+
+    def fingerprint(self, code: int) -> Fingerprint:
+        """``fingerprint(self.decode(code))``, bit for bit."""
+        parts = []
+        for i in range(len(self.vars) - 1, -1, -1):
+            code, d = divmod(code, self.radices[i])
+            b = self.serialized[i].get(d)
+            if b is None:
+                out = bytearray()
+                _value_bytes(self.schema.types[i], self._value(i, d), out)
+                b = self.serialized[i][d] = bytes(out)
+            parts.append(b)
+        return _digest(b"".join(parts[::-1]))
 
     def _value(self, i: int, d: int) -> Value:
         keys, radix, _, value, _ = self.vars[i]
@@ -343,10 +325,13 @@ def state_to_bytes(state: State) -> bytes:
     return bytes(out)
 
 
+def _digest(data: bytes) -> Fingerprint:
+    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
+
+
 def fingerprint(state: State) -> Fingerprint:
     """64-bit digest of the canonical serialization; stable across runs."""
-    h = hashlib.blake2b(state_to_bytes(state), digest_size=8)
-    return int.from_bytes(h.digest(), "big")
+    return _digest(state_to_bytes(state))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 A lemma eliminates a CTI when the CTI's state falsifies the lemma. Each call
 picks the single lemma with the highest elimination count; ties go to the
-candidate with fewer literals, then the lexicographically smaller id.
+candidate with fewer literals, then the lexicographically smaller id. A
+lemma's scan stops once it can no longer reach the best count so far.
 """
 from __future__ import annotations
 
@@ -18,9 +19,20 @@ def eliminates(lemma: CandidateInvariant, cti: CTI, instance: Instance) -> bool:
     return not holds(lemma.closed, cti.state, instance)
 
 
-def _eliminated(lemma: CandidateInvariant, ctis: Sequence[CTI], instance: Instance) -> list[CTI]:
+def _eliminated(
+    lemma: CandidateInvariant, ctis: Sequence[CTI], instance: Instance, spare: int
+) -> list[CTI]:
+    """The CTIs lemma eliminates; [] as soon as more than spare survive it."""
     f = compile_expr(lemma.closed, instance, ctis[0].state.schema)
-    return [c for c in ctis if f(c.state, {}) is not True]
+    elim = []
+    for c in ctis:
+        if f(c.state, {}) is not True:
+            elim.append(c)
+        elif spare:
+            spare -= 1
+        else:
+            return []
+    return elim
 
 
 def choose_greedy(
@@ -36,7 +48,8 @@ def choose_greedy(
     for lemma in repo:
         if lemma.id in exclude:
             continue
-        elim = _eliminated(lemma, ctis, instance)
+        # one that can still tie is scanned in full: the tie-break may pick it
+        elim = _eliminated(lemma, ctis, instance, len(ctis) - (len(best[2]) if best else 1))
         if not elim:
             continue
         key = (-len(elim), len(lemma.literals), lemma.id)

@@ -8,10 +8,13 @@ import pytest
 
 from indinv import ctigen
 from indinv.ctigen import generate_ctis, replay_witness, replay_witness_diagnosis
-from indinv.evaluator import compile_expr, holds
-from indinv.instance import MapV, State, parse_instance, state_schema
+from indinv.evaluator import compile_expr, firings, holds
+from indinv.infer import check_induction, conjunction
+from indinv.instance import (
+    MapV, State, parse_instance, state_codec, state_schema, state_space_size,
+)
 from indinv.parser import parse_expression, parse_protocol
-from indinv.syntax import And
+from indinv.syntax import And, to_str
 
 from . import oracles
 
@@ -194,17 +197,21 @@ def test_cti_stream_is_pinned(all_benchmarks, name):
     assert _stream_digest(batch, rng) == digest
 
 
+def _walk(protocol, instance, walker, budget, depth, cap, seed):
+    """(ctis, attempts, rng's next draw) of one walker."""
+    rng = random.Random(seed)
+    ctis, attempts = ctigen._sample_walks(
+        firings(protocol, instance), walker, budget, depth, cap, rng
+    )
+    return ctis, attempts, rng.getrandbits(64)
+
+
 def _both_walkers(protocol, instance, ind, budget, depth, cap, seed):
-    """(ctis, attempts, rng's next draw) of each walker on the same inputs."""
-    ind_f = compile_expr(ind, instance, state_schema(protocol))
-    out = []
-    for walker in (ctigen._state_walker, ctigen._code_walker):
-        rng = random.Random(seed)
-        ctis, attempts = ctigen._sample_walks(
-            protocol, instance, ind_f, budget, depth, cap, rng, walker
-        )
-        out.append((ctis, attempts, rng.getrandbits(64)))
-    return out
+    """_walk of the State walker and of a fresh table's code walker."""
+    state_walker = ctigen._state_walker(protocol, instance, ind, firings(protocol, instance))
+    code_walker = ctigen.WalkTable(protocol, instance).walker(ind)
+    return [_walk(protocol, instance, w, budget, depth, cap, seed)
+            for w in (state_walker, code_walker)]
 
 
 @pytest.mark.parametrize("cap", [5, 10000])
@@ -247,3 +254,111 @@ def test_walk_that_revisits_a_state_records_it_once():
             revisits += any(t.post == c.state for t in c.witness)
             assert replay_witness(c, protocol, instance, protocol.safety)
     assert revisits > 0
+
+
+# Each bundled benchmark's conjuncts at seed 7 with the CLI defaults, safety
+# first. Lemmas are closed formulas over the sorts, so they also apply to
+# the small instances.
+SEED7_CONJUNCTS = {
+    "lockserver": [
+        "forall s: Server. forall c: Client. ~(s in held[c]) \\/ ~locked[s]",
+    ],
+    "consensus": [],
+    "twophase": [],
+    "declock": [
+        "forall a: Node. forall b: Node. forall c: Node. forall d: Node. "
+        "~(c in transfer[d]) \\/ ~has_lock[a]",
+        "forall a: Node. forall b: Node. forall c: Node. forall d: Node. "
+        "started \\/ ~(a in transfer[b])",
+        "forall a: Node. forall b: Node. forall c: Node. forall d: Node. started \\/ ~has_lock[a]",
+        "forall a: Node. forall b: Node. forall c: Node. forall d: Node. "
+        "a = c \\/ ~(a in transfer[b]) \\/ ~(c in transfer[d])",
+        "forall a: Node. forall b: Node. forall c: Node. forall d: Node. "
+        "b = d \\/ ~(a in transfer[b]) \\/ ~(c in transfer[d])",
+    ],
+    "election": [
+        "forall u: Node. forall v: Node. forall w: Node. voted[u] \\/ ~(u in votes[v])",
+        "forall u: Node. forall v: Node. forall w: Node. maj(votes[u], Node) \\/ ~leader[u]",
+        "forall u: Node. forall v: Node. forall w: Node. "
+        "v = w \\/ ~(u in votes[v]) \\/ ~(u in votes[w])",
+    ],
+}
+
+
+def _ind_sequence(name, protocol):
+    """The inds of an inference that picks the seed-7 lemmas in order: the
+    same conjunct objects each round, as ``infer`` passes them."""
+    conjuncts = [protocol.safety]
+    inds = [conjunction(conjuncts)]
+    for text in SEED7_CONJUNCTS[name]:
+        conjuncts.append(parse_expression(text, protocol))
+        inds.append(conjunction(list(conjuncts)))
+    return inds
+
+
+def _verdicts(protocol, instance, ind):
+    codec = state_codec(protocol, instance)
+    f = compile_expr(ind, instance, state_schema(protocol))
+    size = state_space_size(protocol, instance)
+    return bytes(f(codec.decode(k), {}) is True for k in range(size))
+
+
+@pytest.mark.parametrize("cap", [5, 10000])
+def test_shared_table_matches_fresh_table_and_state_walker(small_benchmarks, cap):
+    found = 0
+    for name, (protocol, _, instance) in small_benchmarks.items():
+        inds = _ind_sequence(name, protocol)
+        assert len(inds) == len(SEED7_CONJUNCTS[name]) + 1
+        for seed in (0, 1, 2):
+            shared = ctigen.WalkTable(protocol, instance)
+            for ind in inds:
+                by_shared = _walk(protocol, instance, shared.walker(ind), 600, 3, cap, seed)
+                assert bytes(shared.ok) == _verdicts(protocol, instance, ind), (name, seed)
+                by_state, by_fresh = _both_walkers(protocol, instance, ind, 600, 3, cap, seed)
+                assert by_shared == by_fresh == by_state, (name, seed, to_str(ind))
+                found += len(by_shared[0])
+    assert found > 0
+
+
+def test_table_resets_on_an_ind_that_does_not_extend_the_last(lockserver):
+    protocol, _, instance = lockserver
+    safety = protocol.safety
+    a = parse_expression(A1_TEXT, protocol)
+    a_again = parse_expression(A1_TEXT, protocol)  # equal text, another object
+    b = parse_expression("forall s: Server. locked[s]", protocol)
+    table = ctigen.WalkTable(protocol, instance)
+    for ind in (
+        safety, And((safety, a)), a, And((a, b)), b, And((safety, a)), And((safety, a_again)),
+        And((safety, b)), And((And((safety, a)), b)), And((safety, a, b)), safety,
+    ):
+        table.narrow(ind)
+        assert bytes(table.ok) == _verdicts(protocol, instance, ind), to_str(ind)
+
+
+def test_generate_ctis_builds_a_table_for_another_instance(small_benchmarks):
+    lock_p, _, lock_i = small_benchmarks["lockserver"]
+    elect_p, _, elect_i = small_benchmarks["election"]
+    table = ctigen.WalkTable(lock_p, lock_i)
+    shared = generate_ctis(elect_p, elect_i, elect_p.safety, 600, 3, 100, random.Random(4),
+                           table=table)
+    fresh = generate_ctis(elect_p, elect_i, elect_p.safety, 600, 3, 100, random.Random(4))
+    assert shared == fresh and len(fresh) > 0
+
+
+def test_closure_agrees_with_the_induction_checks(all_benchmarks, small_benchmarks):
+    # the oracle enumerates election and declock's default instances in
+    # 4-12 s per conjunct set, so there it runs on the small instances
+    for name, (protocol, _, instance) in all_benchmarks.items():
+        small = small_benchmarks[name][2]
+        oracle_instances = [small] if name in ("election", "declock") else [small, instance]
+        inds = _ind_sequence(name, protocol)
+        for ind in (inds[0], inds[-1]):
+            conjuncts = ctigen.conjuncts_of(ind)
+            closed = ctigen.WalkTable(protocol, instance).closed(ind)
+            report = check_induction(protocol, instance, conjuncts)
+            assert report.mode == "exhaustive"
+            assert closed == report.consecution_ok, (name, to_str(ind))
+            for inst in oracle_instances:
+                _, consecution, _ = oracles.o_check_induction(protocol, inst, conjuncts)
+                assert ctigen.WalkTable(protocol, inst).closed(ind) == consecution, name
+        assert closed, name  # each seed-7 result is inductive on its instance

@@ -23,6 +23,8 @@ from indinv.instance import (
 from indinv.parser import parse_protocol
 from indinv.syntax import ElemType
 
+from . import oracles
+
 BOOL_PROTO = "var b : bool\ninit b = false\nsafety S: true"
 
 
@@ -160,6 +162,10 @@ def test_codes_are_enumeration_indices(small_benchmarks):
         codec = state_codec(protocol, instance)
         states = list(enumerate_states(protocol, instance))
         assert len(states) == state_space_size(protocol, instance), name
+        # the oracle's enumeration is written apart from the codec
+        assert list(map(oracles.assign_from_state, states)) == list(
+            oracles.o_enumerate(protocol, instance)
+        ), name
         for k, s in enumerate(states):
             assert codec.decode(k) == s, (name, k)
             assert codec.encode(codec.decode(k)) == k, (name, k)
@@ -181,3 +187,20 @@ def test_decoded_states_share_values(lockserver_protocol, lockserver_instance):
     a, b = codec.decode(0), codec.decode(1)
     assert a.values[0] is b.values[0]
     assert a.values[1] is not b.values[1]
+
+
+def test_code_fingerprint_equals_state_fingerprint(all_benchmarks, small_benchmarks):
+    cases = _codec_cases(small_benchmarks)
+    for name in ("consensus", "lockserver", "twophase"):
+        protocol, _, instance = all_benchmarks[name]
+        codec = state_codec(protocol, instance)
+        for k in range(state_space_size(protocol, instance)):
+            assert codec.fingerprint(k) == fingerprint(codec.decode(k)), (name, k)
+    election, _, election_instance = all_benchmarks["election"]
+    rng = random.Random(3)
+    for name, (protocol, instance) in (("election", (election, election_instance)),
+                                       ("elements", cases["elements"])):
+        codec = state_codec(protocol, instance)
+        for _ in range(2000):
+            k = rng.randrange(state_space_size(protocol, instance))
+            assert codec.fingerprint(k) == fingerprint(codec.decode(k)), (name, k)

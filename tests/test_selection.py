@@ -226,3 +226,49 @@ def test_choice_is_deterministic(enum_protocol):
         again = choose_greedy(repo, ctis, instance)
         assert again[0].id == first[0].id
         assert [c.fingerprint for c in again[1]] == [c.fingerprint for c in first[1]]
+
+
+def test_pruned_choice_matches_an_unpruned_recount(enum_protocol, lockserver):
+    # choose_greedy stops scanning a lemma once it cannot reach the best
+    # count; a full recount of every lemma must give the same winner and
+    # the same eliminated list, ties included
+    enum_instance, enum_grammar, states = _enum_setup(enum_protocol)
+    protocol, grammar, instance = lockserver
+    batch = generate_ctis(protocol, instance, protocol.safety, 6000, 3, 10000, random.Random(2))
+
+    def pool(g, n_seeds, sizes):
+        return [
+            build_candidate(g, tuple(zip(idxs, negs)))
+            for n in sizes
+            for idxs in itertools.combinations(range(n_seeds), n)
+            for negs in itertools.product([False, True], repeat=n)
+        ]
+
+    fixtures = [
+        (pool(enum_grammar, 5, (1, 2, 3)), [_mk_cti(s) for s in states.values()], enum_instance),
+        (pool(grammar, 3, (1, 2)), batch.ctis, instance),
+    ]
+    rng = random.Random(11)
+    ties = 0
+    for _ in range(400):
+        lemmas, cti_pool, inst = rng.choice(fixtures)
+        repo = LemmaRepository()
+        for cand in rng.sample(lemmas, rng.randint(1, len(lemmas))):
+            repo.add(cand)
+        ctis = rng.sample(cti_pool, rng.randint(1, min(12, len(cti_pool))))
+        exclude = frozenset(l.id for l in repo if rng.random() < 0.1)
+        full = {l.id: [c for c in ctis if eliminates(l, c, inst)] for l in repo}
+        keys = sorted(
+            (-len(full[l.id]), len(l.literals), l.id)
+            for l in repo
+            if full[l.id] and l.id not in exclude
+        )
+        choice = choose_greedy(repo, ctis, inst, exclude=exclude)
+        if not keys:
+            assert choice is None
+            continue
+        lemma, eliminated = choice
+        assert lemma.id == keys[0][2]
+        assert eliminated == full[lemma.id]
+        ties += len(keys) > 1 and keys[0][0] == keys[1][0]
+    assert ties > 0
