@@ -6,13 +6,13 @@ at step k, every earlier state on the walk satisfies the candidate by
 construction, so all of them are counterexamples to induction; each is
 recorded with its witness suffix.
 
-A walk runs over keys. When the instance has no more states than the call
-has walks, a key is the state's code, its index in ``enumerate_states``
-order, and the walk reads a ``WalkTable`` that an inference keeps for all
-its searches, so each conjunct is evaluated once per state. Otherwise a key
-is the ``State`` itself and every visit evaluates afresh. Both walkers make
-the same rng calls and give the same batch; states and fingerprints are
-built only for the CTIs a walk adds.
+Every draw is a state code, made with exactly ``random_state``'s rng calls,
+and is rejected by per-conjunct verdict tables before any state is built.
+When the instance has no more states than the call has walks, a walk's keys
+are codes and it reads per-code verdicts, so each conjunct is evaluated at
+most once per state; otherwise its keys are ``State``s and each later visit
+evaluates afresh. Both make the same rng calls and give the same batch.
+An inference keeps one ``WalkTable`` with all these tables for its searches.
 """
 from __future__ import annotations
 
@@ -20,11 +20,10 @@ import random
 from dataclasses import dataclass
 
 from .evaluator import Transition, apply_action, compile_expr, evaluate, firings
-from .instance import (
-    Instance, State, enumerate_states, fingerprint, random_state, state_codec, state_schema,
-    state_space_size,
+from .instance import (  # noqa: F401 (bench/child.py counts random_state calls here)
+    Instance, State, StateCodec, fingerprint, random_state, state_codec, state_space_size,
 )
-from .syntax import And, Expr, Protocol
+from .syntax import And, Expr, Protocol, reads
 
 
 @dataclass(frozen=True)
@@ -56,44 +55,75 @@ def _enabled(fs):
     return lambda s: [i for i, guard, env in guards if guard(s, env) is True]
 
 
-def _state_walker(protocol: Protocol, instance: Instance, ind: Expr, fs):
-    """(draw, good, moves, step, state, fingerprint) over keys that are States."""
-    ind_f = compile_expr(ind, instance, state_schema(protocol))
-
-    def step(s, i):
-        _, apply, _, env = fs[i][2]
-        return apply(s, env)
-    return (lambda rng: random_state(protocol, instance, rng), lambda s: ind_f(s, {}) is True,
-            _enabled(fs), step, lambda s: s, fingerprint)
-
-
 def conjuncts_of(e: Expr) -> list[Expr]:
     """e's top-level And arguments, flattened recursively."""
     return [c for a in e.args for c in conjuncts_of(a)] if isinstance(e, And) else [e]
 
 
-class WalkTable:
-    """Per-code tables over every state of an instance, kept for one inference.
+class Verdicts:
+    """One conjunct's verdict on each state code of one instance.
 
-    ``ok[code]`` is 1 iff the state satisfies each conjunct of the last ind,
-    computed for every code in code order. An ind whose conjuncts extend the
-    last one's (the same ``Expr`` objects, by identity, then more) evaluates
-    only the new ones, and only where ``ok`` is still 1; any other ind
-    recomputes ``ok``. Enabled firings and successor codes do not depend on
-    ind, so each is computed once, when first needed, and kept.
+    The verdict depends only on the variables the conjunct reads, so it is
+    kept per projection of the code onto their digits: ``table[p]`` is 0
+    while unknown, else 1 for false and 2 for true. An entry is filled the
+    first time a code with that projection is asked about, by evaluating the
+    conjunct once on that code's state, of which only the variables it reads
+    are built, without interning. A conjunct with more than ``limit``
+    projections has no table and is evaluated on every call.
     """
 
-    def __init__(self, protocol: Protocol, instance: Instance) -> None:
+    def __init__(self, conjunct: Expr, codec: StateCodec, instance: Instance, limit: int):
+        self.conjunct = conjunct  # kept alive, so its id names no other conjunct
+        self.f = compile_expr(conjunct, instance, codec.schema)
+        names = reads(conjunct)
+        self.read = [i for i, n in enumerate(codec.schema.names) if n in names]
+        self.build = codec.build
+        count, self.project = codec.projection(names)
+        self.table = bytearray(count) if count <= limit else None
+        if self.table is None:
+            self.holds = self.evaluate
+
+    def evaluate(self, code: int) -> bool:
+        return self.f(self.build(code, self.read), {}) is True
+
+    def holds(self, code: int) -> bool:
+        p = self.project(code)
+        v = self.table[p]
+        if not v:
+            v = self.table[p] = 2 if self.evaluate(code) else 1
+        return v == 2
+
+
+class WalkTable:
+    """What an inference keeps about one instance across its CTI searches.
+
+    ``verdicts`` holds each conjunct's ``Verdicts``, by identity; ``infer``
+    passes the same conjunct objects every round. Walks over codes also read
+    ``ok``: ``ok[code]`` is 1 iff the state satisfies each conjunct of the
+    last ind. An ind whose conjuncts extend the last one's (the same objects,
+    then more) narrows ``ok`` by the new ones only, where it is still 1; any
+    other ind recomputes it. Enabled firings and successor codes do not
+    depend on ind, so each is computed once, when first needed, and kept.
+    These per-code parts are allocated on first use.
+    """
+
+    def __init__(self, protocol: Protocol, instance: Instance, limit: int = 1_000_000) -> None:
         self.space = (protocol, instance)
+        self.limit = limit
         self.codec = state_codec(protocol, instance)
         self.fs = firings(protocol, instance)
         self.enabled = _enabled(self.fs)
-        size = state_space_size(protocol, instance)
+        self.verdicts: dict[int, Verdicts] = {}
         self.conjuncts: list[Expr] = []  # none yet, so ok is all 1
-        self.ok = bytearray(b"\x01") * size
-        self.moves_at: list = [None] * size
+        self.ok: bytearray | None = None
         self.interned: dict = {}
         self.succ: dict[int, int] = {}  # code * len(fs) + firing -> successor code
+
+    def holds(self, conjunct: Expr):
+        """The conjunct's ``Verdicts.holds``, made on first use."""
+        if id(conjunct) not in self.verdicts:
+            self.verdicts[id(conjunct)] = Verdicts(conjunct, self.codec, self.space[1], self.limit)
+        return self.verdicts[id(conjunct)].holds
 
     def moves(self, c: int) -> tuple[int, ...]:
         m = self.moves_at[c]
@@ -102,24 +132,28 @@ class WalkTable:
             m = self.moves_at[c] = self.interned.setdefault(m, m)
         return m
 
+    def apply(self, s: State, i: int) -> State:
+        _, apply, _, env = self.fs[i][2]
+        return apply(s, env)
+
     def step(self, c: int, i: int) -> int:
         key = c * len(self.fs) + i
         d = self.succ.get(key)
         if d is None:
-            _, apply, _, env = self.fs[i][2]
-            d = self.succ[key] = self.codec.encode(apply(self.codec.decode(c), env))
+            d = self.succ[key] = self.codec.encode(self.apply(self.codec.decode(c), i))
         return d
 
     def narrow(self, ind: Expr) -> None:
         """Make ``ok`` the verdicts of ind."""
+        if self.ok is None:
+            self.ok, self.moves_at = bytearray(b"\x01") * self.codec.size, [None] * self.codec.size
         new, old, ok = conjuncts_of(ind), self.conjuncts, self.ok
         if len(old) > len(new) or any(a is not b for a, b in zip(old, new)):
             ok[:] = b"\x01" * len(ok)
             old = []
-        fresh = [compile_expr(c, self.space[1], self.codec.schema) for c in new[len(old):]]
-        if fresh:
-            for k, s in enumerate(enumerate_states(*self.space)):
-                if ok[k] and not all(f(s, {}) is True for f in fresh):
+        for holds in map(self.holds, new[len(old):]):
+            for k in range(len(ok)):
+                if ok[k] and not holds(k):
                     ok[k] = 0
         self.conjuncts = new
 
@@ -131,16 +165,36 @@ class WalkTable:
         return all(ok[step(c, i)] for c in range(len(ok)) if ok[c] for i in moves(c))
 
     def walker(self, ind: Expr):
-        """(draw, good, moves, step, state, fingerprint) over state codes."""
+        """(start, good, moves, step, state, fingerprint) over state codes."""
         self.narrow(ind)
-        codec = self.codec
-        return (codec.random_code, self.ok.__getitem__, self.moves, self.step, codec.decode,
-                codec.fingerprint)
+        codec, ok = self.codec, self.ok
+
+        def start(rng):
+            c = codec.random_code(rng)
+            return c if ok[c] else None
+        return start, ok.__getitem__, self.moves, self.step, codec.decode, codec.fingerprint
+
+    def state_walker(self, ind: Expr):
+        """(start, good, moves, step, state, fingerprint) over States: a drawn
+        code is checked conjunct by conjunct before any state exists; an
+        accepted one is built once, and every later visit evaluates ind."""
+        random_code, build = self.codec.random_code, self.codec.build
+        checks = [self.holds(c) for c in conjuncts_of(ind)]
+        ind_f = compile_expr(ind, self.space[1], self.codec.schema)
+
+        def start(rng):
+            c = random_code(rng)
+            for holds in checks:
+                if not holds(c):
+                    return None
+            return build(c)
+        return start, lambda s: ind_f(s, {}) is True, self.enabled, self.apply, lambda s: s, \
+            fingerprint
 
 
 def _sample_walks(fs, walker, budget: int, depth: int, cap: int,
                   rng: random.Random) -> tuple[list[CTI], int]:
-    draw, good, moves, step, state, key_fingerprint = walker
+    start, good, moves, step, state, key_fingerprint = walker
     ctis: list[CTI] = []
     seen: set = set()
     attempts = 0
@@ -148,8 +202,8 @@ def _sample_walks(fs, walker, budget: int, depth: int, cap: int,
         if len(ctis) >= cap:
             break
         attempts += 1
-        key = draw(rng)
-        if not good(key):
+        key = start(rng)
+        if key is None:  # the draw does not satisfy ind
             continue
         path = [key]
         taken: list[int] = []
@@ -206,14 +260,11 @@ def generate_ctis(
         raise ValueError("walk depth must be at least 1")
     if cap < 1:
         raise ValueError("CTI cap must be at least 1")
-    fs = firings(protocol, instance)
-    if state_space_size(protocol, instance) <= n_ctis:
-        if table is None or table.space != (protocol, instance):
-            table = WalkTable(protocol, instance)
-        walker = table.walker(ind)
-    else:
-        walker = _state_walker(protocol, instance, ind, fs)
-    ctis, attempts = _sample_walks(fs, walker, n_ctis, depth, cap, rng)
+    if table is None or table.space != (protocol, instance):
+        table = WalkTable(protocol, instance)
+    small = state_space_size(protocol, instance) <= n_ctis
+    walker = table.walker(ind) if small else table.state_walker(ind)
+    ctis, attempts = _sample_walks(table.fs, walker, n_ctis, depth, cap, rng)
     return CtiBatch(ctis, attempts)
 
 

@@ -61,6 +61,7 @@ from .syntax import (
     SetLit,
     SetOp,
     StateRef,
+    children,
 )
 
 Env = dict[str, str]
@@ -295,13 +296,7 @@ def compile_expr(
 
 def _binds(e: Expr) -> bool:
     """Whether evaluating e writes quantifier or map-constructor variables."""
-    if isinstance(e, (Quant, MapLit)):
-        return True
-    for field in vars(e).values():
-        children = field if isinstance(field, tuple) else (field,)
-        if any(isinstance(c, Expr) and _binds(c) for c in children):
-            return True
-    return False
+    return isinstance(e, (Quant, MapLit)) or any(map(_binds, children(e)))
 
 
 def evaluate(expr: Expr, state: State | None, env: Env, instance: Instance) -> Value:

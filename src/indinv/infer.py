@@ -7,28 +7,28 @@ lemma helps, it resamples the repository at the next term size a bounded
 number of times before giving up; a failed run still returns the partial
 conjunction since its lemmas are invariants in their own right.
 
-When the instance has no more states than ``n_ctis``, one ``WalkTable``
-serves every CTI search of the run, and a search is skipped when the table
-shows that no step leaves Ind. Success means no CTI was found by sampling,
-or that the table proved none exists; ``check_induction`` then validates the
-result on the instance, exhaustively when the state space fits its limit and
-by sampling otherwise.
+One ``WalkTable`` serves every CTI search of the run. Its verdict tables,
+each of at most ``reach_limit`` entries, persist across rounds; when the
+instance has no more states than ``n_ctis`` a search is skipped when the
+table shows that no step leaves Ind. Success means no CTI was found by
+sampling, or that the table proved none exists; ``check_induction``, with
+tables of its own, then validates the result on the instance, exhaustively
+when the state space fits its limit and by sampling otherwise.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 
-from .ctigen import CTI, WalkTable, generate_ctis
+from .ctigen import CTI, Verdicts, WalkTable, generate_ctis
 from .errors import ConfigError, UnsafeProtocolError
 from .evaluator import Transition, compile_expr, enabled, holds, initial_state
 from .instance import (
     Instance,
     State,
-    enumerate_states,
     fingerprint,
     format_state,
-    random_state,
+    state_codec,
     state_schema,
     state_space_size,
 )
@@ -115,10 +115,10 @@ def infer_inductive_invariant(
     reach: ReachSet | None = None
     rounds = regens = eliminated_total = 0
     small = state_space_size(protocol, instance) <= config.n_ctis
-    table = WalkTable(protocol, instance) if small else None
+    table = WalkTable(protocol, instance, config.reach_limit)
 
     def ctis_for(current: Expr) -> list[CTI]:
-        if table is not None and table.closed(current):
+        if small and table.closed(current):
             return []  # no walk can leave current: the search would be empty
         return generate_ctis(
             protocol, instance, current, config.n_ctis, config.walk_depth,
@@ -214,52 +214,45 @@ def check_induction(
         raise ConfigError("induction check needs at least one conjunct")
 
     init = initial_state(protocol, instance)
-    initiation_ok = True
-    initiation_witness: tuple[State, int] | None = None
-    for i, c in enumerate(conjuncts):
-        if not holds(c, init, instance):
-            initiation_ok = False
-            initiation_witness = (init, i)
-            break
+    failing = next((i for i, c in enumerate(conjuncts) if not holds(c, init, instance)), None)
+    initiation_witness = None if failing is None else (init, failing)
 
     structural = canonical_text(conjuncts[0]) == canonical_text(protocol.safety)
 
-    if state_space_size(protocol, instance) <= limit:
-        mode = "exhaustive"
-        states = enumerate_states(protocol, instance)
+    codec = state_codec(protocol, instance)
+    if codec.size <= limit:
+        mode, codes = "exhaustive", range(codec.size)
     else:
-        mode = "sampled"
         rng = random.Random(seed)
-        states = (random_state(protocol, instance, rng) for _ in range(n_samples))
+        mode, codes = "sampled", (codec.random_code(rng) for _ in range(n_samples))
 
     # Scan every state: each condition gets a complete verdict with the
     # first witness found, not just whichever failure happens to come first.
-    schema = state_schema(protocol)
-    compiled = [compile_expr(c, instance, schema) for c in conjuncts]
-    safe = compile_expr(protocol.safety, instance, schema)
+    # Codes are judged by this check's own verdict tables, and only states
+    # that satisfy every conjunct are built.
+    verdicts = [Verdicts(c, codec, instance, limit).holds for c in conjuncts]
+    safe = compile_expr(protocol.safety, instance, codec.schema)
 
-    def violated(s: State) -> int | None:
-        for i, c in enumerate(compiled):
-            if c(s, {}) is not True:
-                return i
-        return None
+    def violated(code: int) -> int | None:
+        return next((i for i, check in enumerate(verdicts) if not check(code)), None)
 
     consecution_ok = True
     consecution_witness: tuple[State, Transition, int] | None = None
     strengthening_ok = True
     strengthening_witness: State | None = None
     checked = 0
-    for s in states:
+    for code in codes:
         checked += 1
-        if violated(s) is not None:
+        if violated(code) is not None:
             continue
+        s = codec.decode(code)
         if not structural and strengthening_ok and safe(s, {}) is not True:
             strengthening_ok = False
             strengthening_witness = s
         if consecution_ok:
             for name, apply, binding, env in enabled(s, protocol, instance):
                 post = apply(s, env)
-                i = violated(post)
+                i = violated(codec.encode(post))
                 if i is not None:
                     consecution_ok = False
                     t = Transition(name, binding, fingerprint(s), post)
@@ -267,7 +260,7 @@ def check_induction(
                     break
 
     return InductionReport(
-        initiation_ok, initiation_witness,
+        initiation_witness is None, initiation_witness,
         consecution_ok, consecution_witness,
         strengthening_ok, structural, strengthening_witness,
         checked, mode,

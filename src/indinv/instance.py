@@ -7,16 +7,16 @@ compare. Enumeration order is fixed: variables in declaration order, domains
 in declared element order, sets by bitmask ascending, map entries with the
 last key varying fastest. A state's code is its index in that order, an
 integer below ``state_space_size``; ``state_codec`` builds, on first use, the
-codec that draws, encodes and decodes codes, which CTI walks use when the
-space has no more states than the walks.
+codec that draws, encodes, decodes and projects codes for CTI walks and the
+induction check.
 """
 from __future__ import annotations
 
 import hashlib
-import itertools
+import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .errors import EnumerationLimitError, InstanceError
 from .syntax import (
@@ -122,26 +122,9 @@ def state_schema(protocol: Protocol) -> StateSchema:
 # Domain sizes, enumeration, sampling
 
 
-def type_domain_size(t: ValueType, instance: Instance) -> int:
-    if isinstance(t, BoolType):
-        return 2
-    if isinstance(t, ElemType):
-        return len(instance.domain(t.sort))
-    if isinstance(t, EnumType):
-        return len(t.labels)
-    if isinstance(t, SetType):
-        return 2 ** len(instance.domain(t.sort))
-    if isinstance(t, MapType):
-        return type_domain_size(t.elem, instance) ** len(instance.domain(t.index_sort))
-    raise AssertionError(f"no domain for type {t!r}")
-
-
 def state_space_size(protocol: Protocol, instance: Instance) -> int:
     """Exact number of type-correct states (may exceed the 2^63 sentinel)."""
-    size = 1
-    for v in protocol.vars:
-        size *= type_domain_size(v.type, instance)
-    return size
+    return state_codec(protocol, instance).size
 
 
 def describe_size(n: int) -> str:
@@ -151,16 +134,13 @@ def describe_size(n: int) -> str:
 def enumerate_states(
     protocol: Protocol, instance: Instance, limit: int | None = None
 ) -> Iterator[State]:
-    """Yield every type-correct state exactly once, in a deterministic order."""
-    size = state_space_size(protocol, instance)
-    if limit is not None and size > limit:
-        raise EnumerationLimitError(
-            f"state space has {describe_size(size)} states, exceeds limit {limit}"
-        )
-    # code order: each variable's values by digit, the last variable fastest
+    """Yield every type-correct state exactly once, in code order."""
     codec = state_codec(protocol, instance)
-    pools = [[codec._value(i, d) for d in range(r)] for i, r in enumerate(codec.radices)]
-    return (State(codec.schema, combo) for combo in itertools.product(*pools))
+    if limit is not None and codec.size > limit:
+        raise EnumerationLimitError(
+            f"state space has {describe_size(codec.size)} states, exceeds limit {limit}"
+        )
+    return map(codec.decode, range(codec.size))
 
 
 def _leaf(t: ValueType, instance: Instance) -> tuple:
@@ -194,8 +174,10 @@ class StateCodec:
     number of the leaves' digits in declaration order, the last leaf least
     significant. ``random_code`` makes exactly the rng calls ``random_state``
     makes; ``decode`` interns each variable's value by its digits, so
-    decoded states share them, and ``fingerprint`` joins each variable's
-    serialized bytes, kept by its digits too, without building the state.
+    decoded states share them, while ``build`` interns none. Both share map
+    entry values by leaf digit. ``fingerprint`` joins each variable's
+    serialized bytes, kept by its digits, without building the state, and
+    ``projection`` numbers the codes by the digits of some variables.
     """
 
     def __init__(self, protocol: Protocol, instance: Instance) -> None:
@@ -206,6 +188,9 @@ class StateCodec:
             self.vars.append((keys, *_leaf(t.elem if keys else t, instance)))
         self.leaves = [(r, bits) for keys, r, bits, *_ in self.vars for _ in keys or "."]
         self.radices = [r ** len(keys) if keys else r for keys, r, *_ in self.vars]
+        self.weights = [math.prod(self.radices[i + 1:]) for i in range(len(self.vars))]
+        self.size = math.prod(self.radices)
+        self.entry_values: list[dict[int, Value]] = [{} for _ in self.vars]  # by leaf digit
         self.interned: list[dict[int, Value]] = [{} for _ in self.vars]
         self.serialized: list[dict[int, bytes]] = [{} for _ in self.vars]
 
@@ -233,35 +218,59 @@ class StateCodec:
 
     def decode(self, code: int) -> State:
         values = []
-        for i in range(len(self.vars) - 1, -1, -1):
-            code, d = divmod(code, self.radices[i])
+        for i, (w, r) in enumerate(zip(self.weights, self.radices)):
+            d = code // w % r
             v = self.interned[i].get(d)
             if v is None:
                 v = self.interned[i][d] = self._value(i, d)
             values.append(v)
-        return State(self.schema, tuple(values[::-1]))
+        return State(self.schema, tuple(values))
+
+    def build(self, code: int, only: Iterable[int] | None = None) -> State:
+        """``decode(code)`` of fresh values, interning nothing; given ``only``,
+        the variables at other indices are None."""
+        values: list = [None] * len(self.vars)
+        for i in range(len(values)) if only is None else only:
+            values[i] = self._value(i, code // self.weights[i] % self.radices[i])
+        return State(self.schema, tuple(values))
 
     def fingerprint(self, code: int) -> Fingerprint:
         """``fingerprint(self.decode(code))``, bit for bit."""
         parts = []
-        for i in range(len(self.vars) - 1, -1, -1):
-            code, d = divmod(code, self.radices[i])
+        for i, (w, r) in enumerate(zip(self.weights, self.radices)):
+            d = code // w % r
             b = self.serialized[i].get(d)
             if b is None:
                 out = bytearray()
                 _value_bytes(self.schema.types[i], self._value(i, d), out)
                 b = self.serialized[i][d] = bytes(out)
             parts.append(b)
-        return _digest(b"".join(parts[::-1]))
+        return _digest(b"".join(parts))
+
+    def projection(self, names: frozenset[str]) -> tuple[int, Callable[[int], int]]:
+        """(count, project): ``project(code)`` is the mixed-radix number, below
+        count, of the named variables' digits in declaration order."""
+        terms, count = [], 1  # (weight in code, radix, weight in projection)
+        for i in reversed(range(len(self.vars))):
+            if self.schema.names[i] in names:
+                terms.append((self.weights[i], self.radices[i], count))
+                count *= self.radices[i]
+        if len(terms) == 1:
+            (w, r, _), = terms
+            return count, lambda code: code // w % r
+        return count, lambda code: sum([code // w % r * k for w, r, k in terms])
 
     def _value(self, i: int, d: int) -> Value:
         keys, radix, _, value, _ = self.vars[i]
         if keys is None:
             return value(d)
-        entries = []
+        known, entries = self.entry_values[i], []
         for k in reversed(keys):
             d, leaf = divmod(d, radix)
-            entries.append((k, value(leaf)))
+            v = known.get(leaf)
+            if v is None:
+                v = known[leaf] = value(leaf)
+            entries.append((k, v))
         return MapV(tuple(entries[::-1]))
 
 
@@ -335,32 +344,7 @@ def fingerprint(state: State) -> Fingerprint:
 
 
 # ---------------------------------------------------------------------------
-# Conformance and display
-
-
-def value_conforms(v: Value, t: ValueType, instance: Instance) -> bool:
-    if isinstance(t, BoolType):
-        return isinstance(v, bool)
-    if isinstance(t, ElemType):
-        return isinstance(v, str) and v in instance.domain(t.sort)
-    if isinstance(t, EnumType):
-        return isinstance(v, str) and v in t.labels
-    if isinstance(t, SetType):
-        return isinstance(v, frozenset) and v <= set(instance.domain(t.sort))
-    if isinstance(t, MapType):
-        if not isinstance(v, MapV):
-            return False
-        if tuple(k for k, _ in v.entries) != instance.domain(t.index_sort):
-            return False
-        return all(value_conforms(ev, t.elem, instance) for _, ev in v.entries)
-    return False
-
-
-def state_conforms(state: State, instance: Instance) -> bool:
-    return all(
-        value_conforms(v, t, instance)
-        for t, v in zip(state.schema.types, state.values)
-    )
+# Display
 
 
 def format_value(v: Value) -> str:

@@ -7,6 +7,7 @@ deduplication and repository keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +189,21 @@ class MapLit(Expr):
     var: str
     sort: str
     body: Expr
+
+
+def children(e: Expr) -> Iterator[Expr]:
+    """e's direct subexpressions, in field order."""
+    for field in vars(e).values():
+        for c in field if isinstance(field, tuple) else (field,):
+            if isinstance(c, Expr):
+                yield c
+
+
+def reads(e: Expr) -> frozenset[str]:
+    """The names of the state variables that evaluating e reads."""
+    if isinstance(e, StateRef):
+        return frozenset([e.name])
+    return frozenset().union(*map(reads, children(e)))
 
 
 # ---------------------------------------------------------------------------

@@ -244,3 +244,28 @@ def state_from_assign(protocol: Protocol, inst: Instance, assign: Assign) -> Sta
 
 def freeze_state(state: State):
     return o_freeze(assign_from_state(state))
+
+
+# -- type conformance of engine values ---------------------------------------
+
+
+def value_conforms(v, t, inst: Instance) -> bool:
+    if isinstance(t, BoolType):
+        return isinstance(v, bool)
+    if isinstance(t, ElemType):
+        return isinstance(v, str) and v in inst.domain(t.sort)
+    if isinstance(t, EnumType):
+        return isinstance(v, str) and v in t.labels
+    if isinstance(t, SetType):
+        return isinstance(v, frozenset) and v <= set(inst.domain(t.sort))
+    if isinstance(t, MapType):
+        if not isinstance(v, MapV):
+            return False
+        if tuple(k for k, _ in v.entries) != inst.domain(t.index_sort):
+            return False
+        return all(value_conforms(ev, t.elem, inst) for _, ev in v.entries)
+    return False
+
+
+def state_conforms(state: State, inst: Instance) -> bool:
+    return all(value_conforms(v, t, inst) for t, v in zip(state.schema.types, state.values))

@@ -8,10 +8,11 @@ import pytest
 
 from indinv import ctigen
 from indinv.ctigen import generate_ctis, replay_witness, replay_witness_diagnosis
-from indinv.evaluator import compile_expr, firings, holds
+from indinv.evaluator import Transition, compile_expr, firings, holds
 from indinv.infer import check_induction, conjunction
 from indinv.instance import (
-    MapV, State, parse_instance, state_codec, state_schema, state_space_size,
+    MapV, State, fingerprint, parse_instance, random_state, state_codec, state_schema,
+    state_space_size,
 )
 from indinv.parser import parse_expression, parse_protocol
 from indinv.syntax import And, to_str
@@ -42,8 +43,6 @@ def test_known_one_step_cti_is_recorded(lockserver):
     safe = protocol.safety
     batch = _batch(lockserver, safe, n=20000, depth=1)
     target = _state(protocol, {"s1": True, "s2": True}, {"c1": {"s1"}, "c2": set()})
-    from indinv.instance import fingerprint
-
     assert fingerprint(target) in batch.fingerprints()
 
 
@@ -109,8 +108,6 @@ def test_start_state_violating_ind_detected(lockserver):
     batch = _batch(lockserver, safe, n=3000)
     cti = batch.ctis[0]
     violating = _state(protocol, {"s1": False, "s2": False}, {"c1": {"s1"}, "c2": {"s1"}})
-    from indinv.instance import fingerprint
-
     tampered = replace(cti, state=violating, fingerprint=fingerprint(violating))
     diag = replay_witness_diagnosis(tampered, protocol, instance, safe)
     assert diag is not None
@@ -170,11 +167,14 @@ def _stream_digest(batch, rng) -> str:
 # and every result file changes with it. The lockserver and election digests
 # were computed at commit 3859043, with the tree-walking interpreter that
 # preceded the closure compiler and built every successor of a walk state; the
-# other four at commit ecc8221, before walks ran over state codes. At a budget
-# of 3000 walks, consensus (8 states), twophase (64) and lockserver (64) take
-# the state-code walker, and declock (8192), election (32768) and lockserver
-# 4x4 (1,048,576) the State walker. Consensus and twophase find no CTI, so
-# their digests pin the number of walks and the rng's next draw.
+# other four at commit ecc8221, before walks ran over state codes or verdict
+# tables. At a budget of 3000 walks, consensus (8 states), twophase (64) and
+# lockserver (64) take the state-code walker, and declock (8192), election
+# (32768) and lockserver 4x4 (1,048,576) the State walker, which rejects draws
+# by the safety's verdict table: 8 entries over declock's has_lock, 8 over
+# election's leader, 65,536 over lockserver 4x4's held. Consensus and
+# twophase find no CTI, so their digests pin the number of walks and the
+# rng's next draw.
 PINNED_STREAMS = {
     "lockserver": (None, "3f2c680b37576330"),
     "election": (None, "7248c6f1ed21b25e"),
@@ -206,12 +206,56 @@ def _walk(protocol, instance, walker, budget, depth, cap, seed):
     return ctis, attempts, rng.getrandbits(64)
 
 
-def _both_walkers(protocol, instance, ind, budget, depth, cap, seed):
-    """_walk of the State walker and of a fresh table's code walker."""
-    state_walker = ctigen._state_walker(protocol, instance, ind, firings(protocol, instance))
-    code_walker = ctigen.WalkTable(protocol, instance).walker(ind)
-    return [_walk(protocol, instance, w, budget, depth, cap, seed)
-            for w in (state_walker, code_walker)]
+def _reference_walks(protocol, instance, ind, budget, depth, cap, rng):
+    """The State walk as it was before codes and verdict tables, written out
+    in full: draw random_state, evaluate the compiled ind at every visit."""
+    fs = firings(protocol, instance)
+    ind_f = compile_expr(ind, instance, state_schema(protocol))
+    ctis, seen, attempts = [], set(), 0
+    for _ in range(budget):
+        if len(ctis) >= cap:
+            break
+        attempts += 1
+        s = random_state(protocol, instance, rng)
+        if ind_f(s, {}) is not True:
+            continue
+        path, taken = [s], []
+        for _step in range(depth):
+            choices = [i for i, (guard, env, _) in enumerate(fs) if guard(s, env) is True]
+            if not choices:
+                break
+            i = choices[rng.randrange(len(choices))]
+            _, apply, _, env = fs[i][2]
+            s = apply(s, env)
+            path.append(s)
+            taken.append(i)
+            if ind_f(s, {}) is True:
+                continue
+            k = len(taken)
+            for j in range(k):
+                if path[j] in seen:
+                    continue
+                seen.add(path[j])
+                walk = tuple(Transition(fs[t][2][0], fs[t][2][2], fingerprint(pre), post)
+                             for t, pre, post in zip(taken[j:], path[j:k], path[j + 1:]))
+                ctis.append(ctigen.CTI(path[j], fingerprint(path[j]), walk, k - j))
+                if len(ctis) >= cap:
+                    break
+            break
+    return ctis, attempts
+
+
+def _walkers(protocol, instance, ind, budget, depth, cap, seed, limit=1_000_000):
+    """(ctis, attempts, rng's next draw) of the reference walk, then of a
+    fresh table's State walker and code walker."""
+    rng = random.Random(seed)
+    reference = (*_reference_walks(protocol, instance, ind, budget, depth, cap, rng),
+                 rng.getrandbits(64))
+    tables = [ctigen.WalkTable(protocol, instance, limit) for _ in range(2)]
+    return [reference] + [
+        _walk(protocol, instance, w, budget, depth, cap, seed)
+        for w in (tables[0].state_walker(ind), tables[1].walker(ind))
+    ]
 
 
 @pytest.mark.parametrize("cap", [5, 10000])
@@ -219,10 +263,10 @@ def test_code_walker_matches_state_walker(small_benchmarks, cap):
     found = 0
     for name, (protocol, _, instance) in small_benchmarks.items():
         for seed in (0, 1, 2):
-            by_state, by_code = _both_walkers(
+            reference, by_state, by_code = _walkers(
                 protocol, instance, protocol.safety, 600, 3, cap, seed
             )
-            assert by_code == by_state, (name, seed)
+            assert by_code == by_state == reference, (name, seed)
             found += len(by_code[0])
     assert found > 0
 
@@ -246,8 +290,10 @@ def test_walk_that_revisits_a_state_records_it_once():
     instance = parse_instance("", protocol)
     revisits = 0
     for seed in range(20):
-        by_state, by_code = _both_walkers(protocol, instance, protocol.safety, 40, 3, 100, seed)
-        assert by_code == by_state
+        reference, by_state, by_code = _walkers(
+            protocol, instance, protocol.safety, 40, 3, 100, seed
+        )
+        assert by_code == by_state == reference
         ctis = by_code[0]
         assert sorted(c.state.value("k") for c in ctis) == ["a", "b"]
         for c in ctis:
@@ -314,8 +360,11 @@ def test_shared_table_matches_fresh_table_and_state_walker(small_benchmarks, cap
             for ind in inds:
                 by_shared = _walk(protocol, instance, shared.walker(ind), 600, 3, cap, seed)
                 assert bytes(shared.ok) == _verdicts(protocol, instance, ind), (name, seed)
-                by_state, by_fresh = _both_walkers(protocol, instance, ind, 600, 3, cap, seed)
-                assert by_shared == by_fresh == by_state, (name, seed, to_str(ind))
+                by_shared_state = _walk(protocol, instance, shared.state_walker(ind),
+                                        600, 3, cap, seed)
+                reference, by_state, by_fresh = _walkers(protocol, instance, ind, 600, 3, cap, seed)
+                assert by_shared == by_shared_state == by_fresh == by_state == reference, (
+                    name, seed, to_str(ind))
                 found += len(by_shared[0])
     assert found > 0
 
@@ -362,3 +411,99 @@ def test_closure_agrees_with_the_induction_checks(all_benchmarks, small_benchmar
                 _, consecution, _ = oracles.o_check_induction(protocol, inst, conjuncts)
                 assert ctigen.WalkTable(protocol, inst).closed(ind) == consecution, name
         assert closed, name  # each seed-7 result is inductive on its instance
+
+
+# -- verdict tables -----------------------------------------------------------
+
+LOCKSERVER_4X4 = "Server=s1,s2,s3,s4 Client=c1,c2,c3,c4"
+
+
+def _conjuncts(name, protocol):
+    return [protocol.safety] + [parse_expression(t, protocol) for t in SEED7_CONJUNCTS[name]]
+
+
+def _check_verdicts(protocol, instance, conjunct, codes, limit=1_000_000):
+    """A fresh Verdicts of conjunct, after asserting on each code in turn that
+    it equals the compiled conjunct on the decoded state, and on every 97th
+    that this equals the oracle."""
+    codec = state_codec(protocol, instance)
+    verdicts = ctigen.Verdicts(conjunct, codec, instance, limit)
+    f = compile_expr(conjunct, instance, codec.schema)
+    for n, k in enumerate(codes):
+        expected = f(codec.decode(k), {}) is True
+        assert verdicts.holds(k) == expected, (to_str(conjunct), k)
+        if n % 97 == 0:
+            assign = oracles.assign_from_state(codec.decode(k))
+            assert oracles.o_holds(conjunct, assign, instance) == expected
+    return verdicts
+
+
+def test_verdict_tables_equal_direct_evaluation(all_benchmarks):
+    for name, (protocol, _, instance) in all_benchmarks.items():
+        size = state_space_size(protocol, instance)
+        for c in _conjuncts(name, protocol):
+            verdicts = _check_verdicts(protocol, instance, c, range(size))
+            # every projection is some code's, so no entry is left unknown
+            assert verdicts.table is not None and all(verdicts.table), (name, to_str(c))
+            if name == "election" and c is protocol.safety:
+                assert len(verdicts.table) == 8  # safety reads leader alone
+
+
+def test_verdict_tables_equal_direct_evaluation_on_random_codes(lockserver):
+    protocol = lockserver[0]
+    instance = parse_instance(LOCKSERVER_4X4, protocol)
+    rng = random.Random(5)
+    codes = [state_codec(protocol, instance).random_code(rng) for _ in range(5000)]
+    for c in _conjuncts("lockserver", protocol):
+        # the lemma reads both variables, 2^20 projections: over the default
+        # limit, so the limit here is raised to give it a table as well. Each
+        # code is asked twice, so that filled entries are read back.
+        assert _check_verdicts(protocol, instance, c, codes * 2, limit=2**20).table is not None
+    safe, lemma = [ctigen.Verdicts(c, state_codec(protocol, instance), instance, 1_000_000)
+                   for c in _conjuncts("lockserver", protocol)]
+    assert len(safe.table) == 2**16 and lemma.table is None
+
+
+def test_a_table_of_another_instance_is_never_used(lockserver):
+    protocol, _, small = lockserver
+    big = parse_instance(LOCKSERVER_4X4, protocol)
+    table = ctigen.WalkTable(protocol, small)
+    for n in (3000, 30):  # the code walker, then the State walker, on 2x2
+        generate_ctis(protocol, small, protocol.safety, n, 3, 10000, random.Random(1),
+                      table=table)
+    assert table.verdicts[id(protocol.safety)].table is not None
+    shared = generate_ctis(protocol, big, protocol.safety, 3000, 3, 10000, random.Random(3),
+                           table=table)
+    fresh = generate_ctis(protocol, big, protocol.safety, 3000, 3, 10000, random.Random(3))
+    reference = _reference_walks(protocol, big, protocol.safety, 3000, 3, 10000,
+                                 random.Random(3))
+    assert shared == fresh and (fresh.ctis, fresh.samples_attempted) == reference
+    assert len(fresh) > 0
+
+
+def test_a_conjunct_over_the_limit_is_evaluated_directly(small_benchmarks):
+    found = 0
+    for name, (protocol, _, instance) in small_benchmarks.items():
+        table = ctigen.WalkTable(protocol, instance, limit=1)
+        for ind in _ind_sequence(name, protocol):
+            table.narrow(ind)
+            assert bytes(table.ok) == _verdicts(protocol, instance, ind), name
+            for seed in (0, 1):
+                reference, by_state, by_code = _walkers(
+                    protocol, instance, ind, 600, 3, 10000, seed, limit=1
+                )
+                assert by_code == by_state == reference, (name, seed, to_str(ind))
+                found += len(reference[0])
+        assert [v.table for v in table.verdicts.values()] == [None] * len(table.verdicts)
+    assert found > 0
+
+
+def test_a_sparse_search_builds_rejected_draws_without_interning(lockserver):
+    protocol = lockserver[0]
+    instance = parse_instance(LOCKSERVER_4X4, protocol)
+    codec = state_codec(protocol, instance)
+    before = [len(d) for d in codec.interned]
+    batch = generate_ctis(protocol, instance, protocol.safety, 3000, 3, 10000, random.Random(2))
+    assert batch.samples_attempted == 3000 and len(batch) > 0
+    assert state_codec(protocol, instance) is codec
+    assert [len(d) for d in codec.interned] == before

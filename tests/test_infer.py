@@ -2,20 +2,26 @@ from __future__ import annotations
 
 import pytest
 
+import random
+
 from indinv.errors import ConfigError, UnsafeProtocolError
-from indinv.evaluator import holds
+from indinv.evaluator import Transition, compile_expr, enabled, holds, initial_state
 from indinv.infer import (
+    InductionReport,
     InferenceConfig,
     check_induction,
     infer_inductive_invariant,
     render_result,
 )
-from indinv.instance import enumerate_states, parse_instance
+from indinv.instance import (
+    enumerate_states, fingerprint, parse_instance, random_state, state_schema, state_space_size,
+)
 from indinv.parser import parse_expression, parse_grammar, parse_protocol
 from indinv.reachability import compute_reach
-from indinv.syntax import And, BoolLit
+from indinv.syntax import And, BoolLit, Not, canonical_text
 
 from . import oracles
+from .test_ctigen import SEED7_CONJUNCTS
 
 A1_TEXT = "forall s: Server. forall c: Client. locked[s] -> ~(s in held[c])"
 
@@ -196,6 +202,67 @@ def test_verdicts_match_oracle_on_crafted_conjunct_sets(small_benchmarks):
             assert rep.initiation_ok == i_ok, name
             assert rep.consecution_ok == c_ok, name
             assert rep.strengthening_ok == s_ok, name
+
+
+def _scan_induction(protocol, instance, conjuncts, limit=1_000_000, n_samples=20000, seed=0):
+    """check_induction written as a plain per-state scan: every state is
+    built, by enumeration or by random_state, and every conjunct evaluated."""
+    init = initial_state(protocol, instance)
+    failing = [i for i, c in enumerate(conjuncts) if not holds(c, init, instance)]
+    structural = canonical_text(conjuncts[0]) == canonical_text(protocol.safety)
+    if state_space_size(protocol, instance) <= limit:
+        mode, states = "exhaustive", list(enumerate_states(protocol, instance))
+    else:
+        rng = random.Random(seed)
+        mode, states = "sampled", [random_state(protocol, instance, rng) for _ in range(n_samples)]
+    schema = state_schema(protocol)
+    fs = [compile_expr(c, instance, schema) for c in conjuncts]
+    safe = compile_expr(protocol.safety, instance, schema)
+    inside = [s for s in states if all(f(s, {}) is True for f in fs)]
+    weak = [s for s in inside if safe(s, {}) is not True]
+    steps = [
+        (s, Transition(name, binding, fingerprint(s), post), bad[0])
+        for s in inside for name, apply, binding, env in enabled(s, protocol, instance)
+        for post in [apply(s, env)]
+        for bad in [[i for i, f in enumerate(fs) if f(post, {}) is not True]] if bad
+    ]
+    return InductionReport(
+        not failing, (init, failing[0]) if failing else None,
+        not steps, steps[0] if steps else None,
+        structural or not weak, structural, None if structural or not weak else weak[0],
+        len(states), mode,
+    )
+
+
+def _conjunct_lists(protocol, lemmas):
+    safety = protocol.safety
+    lists = [[safety], [safety, *lemmas], [BoolLit(True)], [Not(safety)],
+             [safety, BoolLit(False)], [BoolLit(True), safety]]
+    if lemmas:
+        lists += [[lemma] for lemma in lemmas] + [[*lemmas[::-1], safety]]
+    return lists
+
+
+def test_check_induction_equals_a_plain_scan(all_benchmarks, small_benchmarks):
+    cases = [all_benchmarks[n] for n in ("consensus", "lockserver", "twophase")]
+    cases.append(small_benchmarks["election"])
+    for name, (protocol, _, instance) in zip(("consensus", "lockserver", "twophase", "election"),
+                                            cases):
+        lemmas = [parse_expression(t, protocol) for t in SEED7_CONJUNCTS[name]]
+        for conjuncts in _conjunct_lists(protocol, lemmas):
+            report = check_induction(protocol, instance, conjuncts)
+            assert report.mode == "exhaustive"
+            assert report == _scan_induction(protocol, instance, conjuncts), (name, conjuncts)
+    protocol = all_benchmarks["lockserver"][0]
+    instance = parse_instance("Server=s1,s2,s3,s4 Client=c1,c2,c3,c4", protocol)
+    lemmas = [parse_expression(t, protocol) for t in SEED7_CONJUNCTS["lockserver"]]
+    verdicts = set()
+    for conjuncts in _conjunct_lists(protocol, lemmas):
+        report = check_induction(protocol, instance, conjuncts, n_samples=2000, seed=11)
+        assert report.mode == "sampled"
+        assert report == _scan_induction(protocol, instance, conjuncts, n_samples=2000, seed=11)
+        verdicts.add((report.consecution_ok, report.strengthening_ok))
+    assert verdicts == {(True, True), (False, True), (True, False), (False, False)}
 
 
 # -- reporting ----------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import replace
 
@@ -14,7 +15,6 @@ from indinv.instance import (
     MapV,
     parse_instance,
     random_state,
-    state_conforms,
     state_schema,
     state_space_size,
     State,
@@ -101,7 +101,7 @@ def test_random_state_conforms_and_is_enumerable(lockserver_protocol, lockserver
     rng = random.Random(7)
     for _ in range(200):
         s = random_state(lockserver_protocol, lockserver_instance, rng)
-        assert state_conforms(s, lockserver_instance)
+        assert oracles.state_conforms(s, lockserver_instance)
         assert fingerprint(s) in enumerated
 
 
@@ -204,3 +204,39 @@ def test_code_fingerprint_equals_state_fingerprint(all_benchmarks, small_benchma
         for _ in range(2000):
             k = rng.randrange(state_space_size(protocol, instance))
             assert codec.fingerprint(k) == fingerprint(codec.decode(k)), (name, k)
+
+
+def test_projection_is_the_number_of_the_named_digits(small_benchmarks):
+    for name, (protocol, instance) in _codec_cases(small_benchmarks).items():
+        codec = state_codec(protocol, instance)
+        names = codec.schema.names
+        # code order counts through the variables' digits, the last fastest
+        digits = list(itertools.product(*map(range, codec.radices)))
+        stride = 1 if len(digits) <= 4096 else 13  # every code of the small cases
+        for r in range(len(names) + 1):
+            for subset in itertools.combinations(range(len(names)), r):
+                count, project = codec.projection(frozenset(names[i] for i in subset))
+                assert count == math.prod(codec.radices[i] for i in subset), (name, subset)
+                for k, ds in enumerate(digits):
+                    if k % stride:
+                        continue
+                    expected = 0
+                    for i in subset:
+                        expected = expected * codec.radices[i] + ds[i]
+                    assert project(k) == expected, (name, subset, k)
+
+
+def test_built_states_equal_decoded_ones_and_intern_nothing(small_benchmarks):
+    for name, (protocol, instance) in _codec_cases(small_benchmarks).items():
+        codec = state_codec(protocol, instance)
+        interned = [len(d) for d in codec.interned]
+        n = len(codec.schema.names)
+        size = state_space_size(protocol, instance)
+        for k in range(0, size, 1 if size <= 4096 else 13):  # every code of the small cases
+            s = codec.build(k)
+            assert [len(d) for d in codec.interned] == interned
+            assert s == codec.decode(k), (name, k)
+            for i in range(n):
+                part = codec.build(k, [i]).values
+                assert part[i] == s.values[i] and part.count(None) == n - 1, (name, k, i)
+            interned = [len(d) for d in codec.interned]

@@ -6,8 +6,20 @@ from indinv.parser import parse_expression
 from indinv.syntax import (
     And,
     BoolLit,
+    BoundRef,
+    Card,
+    EnumLit,
+    Eq,
+    InSet,
+    MapIndex,
+    MapLit,
+    Not,
     Or,
+    Quant,
+    SetLit,
+    StateRef,
     canonicalize,
+    reads,
     to_str,
 )
 
@@ -66,3 +78,26 @@ def test_canonical_text_round_trips_through_print(body):
     # printing a canonical expression and re-canonicalizing changes nothing
     once = canonicalize(body)
     assert to_str(canonicalize(once)) == to_str(once)
+
+
+def test_reads_names_each_state_variable_once():
+    held_c = MapIndex(StateRef("held"), BoundRef("c"))
+    assert reads(held_c) == {"held"}
+    assert reads(MapIndex(StateRef("owner"), StateRef("turn"))) == {"owner", "turn"}
+    assert reads(BoolLit(True)) == frozenset()
+    assert reads(Eq(EnumLit("a"), BoundRef("x"))) == frozenset()
+    quant = Quant("forall", "c", "Client", Quant(
+        "exists", "s", "Server",
+        And((InSet(BoundRef("s"), held_c), Not(MapIndex(StateRef("locked"), BoundRef("s"))))),
+    ))
+    assert reads(quant) == {"held", "locked"}
+    maplit = MapLit("c", "Client", SetLit((StateRef("pick"), BoundRef("c"))))
+    assert reads(maplit) == {"pick"}
+    assert reads(Or((Eq(Card(StateRef("chosen")), Card(SetLit(()))), quant, maplit))) == {
+        "chosen", "held", "locked", "pick"}
+
+
+def test_reads_of_parsed_conjuncts(lockserver_protocol):
+    assert reads(lockserver_protocol.safety) == {"held"}
+    assert reads(_parse(lockserver_protocol, "locked[s] -> ~(s in held[c])")) == {
+        "locked", "held"}
