@@ -65,7 +65,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("protocol", help="protocol file, or a bundled benchmark name")
     p.add_argument("--instance", help="sort domains, e.g. 'Server=s1,s2 Client=c1,c2'")
     p.add_argument("--reach-limit", type=_at_least(1), default=1_000_000,
-                   help="bound on enumerated or reachable states")
+                   help="bound on enumerated or reachable states and on verdict table entries")
 
 
 class _ArgumentParser(argparse.ArgumentParser):

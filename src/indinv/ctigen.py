@@ -119,7 +119,7 @@ class WalkTable:
         self.interned: dict = {}
         self.succ: dict[int, int] = {}  # code * len(fs) + firing -> successor code
 
-    def holds(self, conjunct: Expr):
+    def holds_of(self, conjunct: Expr):
         """The conjunct's ``Verdicts.holds``, made on first use."""
         if id(conjunct) not in self.verdicts:
             self.verdicts[id(conjunct)] = Verdicts(conjunct, self.codec, self.space[1], self.limit)
@@ -151,7 +151,7 @@ class WalkTable:
         if len(old) > len(new) or any(a is not b for a, b in zip(old, new)):
             ok[:] = b"\x01" * len(ok)
             old = []
-        for holds in map(self.holds, new[len(old):]):
+        for holds in map(self.holds_of, new[len(old):]):
             for k in range(len(ok)):
                 if ok[k] and not holds(k):
                     ok[k] = 0
@@ -179,7 +179,7 @@ class WalkTable:
         code is checked conjunct by conjunct before any state exists; an
         accepted one is built once, and every later visit evaluates ind."""
         random_code, build = self.codec.random_code, self.codec.build
-        checks = [self.holds(c) for c in conjuncts_of(ind)]
+        checks = [self.holds_of(c) for c in conjuncts_of(ind)]
         ind_f = compile_expr(ind, self.space[1], self.codec.schema)
 
         def start(rng):
