@@ -122,9 +122,7 @@ def cmd_infer(args) -> int:
     )
     t0 = time.perf_counter()
     result = infer_inductive_invariant(protocol, instance, grammar, config)
-    induction = check_induction(
-        protocol, instance, result.conjuncts, limit=args.reach_limit, seed=config.seed
-    )
+    induction = check_induction(protocol, instance, result.conjuncts, limit=args.reach_limit)
     elapsed = time.perf_counter() - t0
 
     content = render_result(result, induction, name)

@@ -6,13 +6,13 @@ at step k, every earlier state on the walk satisfies the candidate by
 construction, so all of them are counterexamples to induction; each is
 recorded with its witness suffix.
 
-Every draw is a state code, made with exactly ``random_state``'s rng calls,
-and is rejected by per-conjunct verdict tables before any state is built.
-When the instance has no more states than the call has walks, a walk's keys
-are codes and it reads per-code verdicts, so each conjunct is evaluated at
-most once per state; otherwise its keys are ``State``s and each later visit
-evaluates afresh. Both make the same rng calls and give the same batch.
-An inference keeps one ``WalkTable`` with all these tables for its searches.
+Every walk runs over state codes. A draw is a code, made with exactly
+``random_state``'s rng calls, and is rejected by per-conjunct verdict tables
+before any state is built. When the instance has no more states than the call
+has walks, a walk reads per-code tables of verdicts, enabled firings and
+successors, each computed at most once per state; otherwise each visit decodes
+its code once. Both give the same batch. An inference keeps one ``WalkTable``
+for its searches; ``check_induction`` makes one of its own and shares its scan.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .evaluator import Transition, apply_action, compile_expr, evaluate, firings
 from .instance import (  # noqa: F401 (bench/child.py counts random_state calls here)
-    Instance, State, StateCodec, fingerprint, random_state, state_codec, state_space_size,
+    Instance, State, StateCodec, fingerprint, random_state, state_codec,
 )
 from .syntax import And, Expr, Protocol, reads
 
@@ -47,12 +47,6 @@ class CtiBatch:
 
     def fingerprints(self) -> set[int]:
         return {c.fingerprint for c in self.ctis}
-
-
-def _enabled(fs):
-    """enabled(s): the indices of the firings whose guard holds in s."""
-    guards = [(i, guard, env) for i, (guard, env, _) in enumerate(fs)]
-    return lambda s: [i for i, guard, env in guards if guard(s, env) is True]
 
 
 def conjuncts_of(e: Expr) -> list[Expr]:
@@ -95,16 +89,16 @@ class Verdicts:
 
 
 class WalkTable:
-    """What an inference keeps about one instance across its CTI searches.
+    """What a search, or an inference's run of searches, keeps about one instance.
 
-    ``verdicts`` holds each conjunct's ``Verdicts``, by identity; ``infer``
-    passes the same conjunct objects every round. Walks over codes also read
-    ``ok``: ``ok[code]`` is 1 iff the state satisfies each conjunct of the
-    last ind. An ind whose conjuncts extend the last one's (the same objects,
-    then more) narrows ``ok`` by the new ones only, where it is still 1; any
-    other ind recomputes it. Enabled firings and successor codes do not
-    depend on ind, so each is computed once, when first needed, and kept.
-    These per-code parts are allocated on first use.
+    ``verdicts`` holds each conjunct's ``Verdicts`` by identity, and
+    ``good(conjuncts)`` is their conjunction. ``enabled`` and ``successor``
+    work on a visited code's state, decoded once per visit through a
+    one-entry cache. Dense searches read per-code tables instead: ``ok``, the
+    verdicts of the last ind, recomputed for each new ind object, and the
+    enabled firings and successor codes, each computed once when first needed.
+    ``leaving`` is the one scan for a step out of ``good``, shared by
+    ``closed`` and ``check_induction``.
     """
 
     def __init__(self, protocol: Protocol, instance: Instance, limit: int = 1_000_000) -> None:
@@ -112,11 +106,13 @@ class WalkTable:
         self.limit = limit
         self.codec = state_codec(protocol, instance)
         self.fs = firings(protocol, instance)
-        self.enabled = _enabled(self.fs)
+        self.guards = [(i, guard, env) for i, (guard, env, _) in enumerate(self.fs)]
         self.verdicts: dict[int, Verdicts] = {}
-        self.conjuncts: list[Expr] = []  # none yet, so ok is all 1
+        self.held: tuple = (None, None)  # (code, its state)
+        self.ind: Expr | None = None
         self.ok: bytearray | None = None
         self.interned: dict = {}
+        self.moves_at: dict[int, tuple[int, ...]] = {}
         self.succ: dict[int, int] = {}  # code * len(fs) + firing -> successor code
 
     def holds_of(self, conjunct: Expr):
@@ -125,76 +121,87 @@ class WalkTable:
             self.verdicts[id(conjunct)] = Verdicts(conjunct, self.codec, self.space[1], self.limit)
         return self.verdicts[id(conjunct)].holds
 
+    def good(self, conjuncts: list[Expr]):
+        """good(code): whether the code's state satisfies every conjunct."""
+        checks = [self.holds_of(c) for c in conjuncts]
+
+        def good(code: int) -> bool:
+            for holds in checks:
+                if not holds(code):
+                    return False
+            return True
+        return good
+
+    def state(self, code: int) -> State:
+        if self.held[0] != code:
+            self.held = (code, self.codec.decode(code))
+        return self.held[1]
+
+    def enabled(self, code: int) -> list[int]:
+        s = self.state(code)
+        return [i for i, guard, env in self.guards if guard(s, env) is True]
+
+    def successor(self, code: int, i: int) -> int:
+        _, apply, _, env = self.fs[i][2]
+        return self.codec.encode(apply(self.state(code), env))
+
     def moves(self, c: int) -> tuple[int, ...]:
-        m = self.moves_at[c]
+        m = self.moves_at.get(c)
         if m is None:
-            m = tuple(self.enabled(self.codec.decode(c)))
+            m = tuple(self.enabled(c))
             m = self.moves_at[c] = self.interned.setdefault(m, m)
         return m
-
-    def apply(self, s: State, i: int) -> State:
-        _, apply, _, env = self.fs[i][2]
-        return apply(s, env)
 
     def step(self, c: int, i: int) -> int:
         key = c * len(self.fs) + i
         d = self.succ.get(key)
         if d is None:
-            d = self.succ[key] = self.codec.encode(self.apply(self.codec.decode(c), i))
+            d = self.succ[key] = self.successor(c, i)
         return d
 
     def narrow(self, ind: Expr) -> None:
         """Make ``ok`` the verdicts of ind."""
-        if self.ok is None:
-            self.ok, self.moves_at = bytearray(b"\x01") * self.codec.size, [None] * self.codec.size
-        new, old, ok = conjuncts_of(ind), self.conjuncts, self.ok
-        if len(old) > len(new) or any(a is not b for a, b in zip(old, new)):
-            ok[:] = b"\x01" * len(ok)
-            old = []
-        for holds in map(self.holds_of, new[len(old):]):
-            for k in range(len(ok)):
-                if ok[k] and not holds(k):
-                    ok[k] = 0
-        self.conjuncts = new
+        if ind is not self.ind:
+            self.ind = ind
+            self.ok = bytearray(map(self.good(conjuncts_of(ind)), range(self.codec.size)))
+
+    @staticmethod
+    def leaving(good, moves, step, codes):
+        """The first (code, firing, successor) over codes, then firings, of a
+        step from a good code to one that is not; None if there is none."""
+        for c in codes:
+            if good(c):
+                for i in moves(c):
+                    d = step(c, i)
+                    if not good(d):
+                        return c, i, d
+        return None
 
     def closed(self, ind: Expr) -> bool:
         """Whether every enabled step from a state satisfying ind keeps it;
         then no walk can leave ind, and a search would find no CTI."""
         self.narrow(ind)
-        ok, moves, step = self.ok, self.moves, self.step
-        return all(ok[step(c, i)] for c in range(len(ok)) if ok[c] for i in moves(c))
+        return self.leaving(self.ok.__getitem__, self.moves, self.step, range(len(self.ok))) is None
 
-    def walker(self, ind: Expr):
-        """(start, good, moves, step, state, fingerprint) over state codes."""
-        self.narrow(ind)
-        codec, ok = self.codec, self.ok
-
-        def start(rng):
-            c = codec.random_code(rng)
-            return c if ok[c] else None
-        return start, ok.__getitem__, self.moves, self.step, codec.decode, codec.fingerprint
-
-    def state_walker(self, ind: Expr):
-        """(start, good, moves, step, state, fingerprint) over States: a drawn
-        code is checked conjunct by conjunct before any state exists; an
-        accepted one is built once, and every later visit evaluates ind."""
-        random_code, build = self.codec.random_code, self.codec.build
-        checks = [self.holds_of(c) for c in conjuncts_of(ind)]
-        ind_f = compile_expr(ind, self.space[1], self.codec.schema)
+    def walker(self, ind: Expr, dense: bool):
+        """(start, good, moves, step) over state codes: dense reads the
+        per-code tables, else each visit works on its state."""
+        if dense:
+            self.narrow(ind)
+            good, moves, step = self.ok.__getitem__, self.moves, self.step
+        else:
+            good, moves, step = self.good(conjuncts_of(ind)), self.enabled, self.successor
+        random_code = self.codec.random_code
 
         def start(rng):
             c = random_code(rng)
-            for holds in checks:
-                if not holds(c):
-                    return None
-            return build(c)
-        return start, lambda s: ind_f(s, {}) is True, self.enabled, self.apply, lambda s: s, \
-            fingerprint
+            return c if good(c) else None
+        return start, good, moves, step
 
 
-def _sample_walks(fs, walker, budget: int, depth: int, cap: int,
+def _sample_walks(fs, codec: StateCodec, walker, budget: int, depth: int, cap: int,
                   rng: random.Random) -> tuple[list[CTI], int]:
-    start, good, moves, step, state, key_fingerprint = walker
+    start, good, moves, step = walker
     ctis: list[CTI] = []
     seen: set = set()
     attempts = 0
@@ -229,8 +236,8 @@ def _sample_walks(fs, walker, budget: int, depth: int, cap: int,
                         break
             if fresh:
                 first = fresh[0]
-                states = [state(key) for key in path[first:]]
-                fps = [key_fingerprint(key) for key in path[first:-1]]
+                states = [codec.decode(key) for key in path[first:]]
+                fps = [codec.fingerprint(key) for key in path[first:-1]]
                 walk = [Transition(fs[i][2][0], fs[i][2][2], fp, post)
                         for i, fp, post in zip(taken[first:], fps, states[1:])]
                 for j in fresh:
@@ -253,8 +260,7 @@ def generate_ctis(
 
     Deterministic given the rng: the batch and the rng's next draw depend only
     on its state on entry. ``table`` is an inference's table for this protocol
-    and instance, used when the walks run over codes; without one, a fresh
-    table serves this call alone.
+    and instance; without one, a fresh table serves this call alone.
     """
     if depth < 1:
         raise ValueError("walk depth must be at least 1")
@@ -262,9 +268,8 @@ def generate_ctis(
         raise ValueError("CTI cap must be at least 1")
     if table is None or table.space != (protocol, instance):
         table = WalkTable(protocol, instance)
-    small = state_space_size(protocol, instance) <= n_ctis
-    walker = table.walker(ind) if small else table.state_walker(ind)
-    ctis, attempts = _sample_walks(table.fs, walker, n_ctis, depth, cap, rng)
+    walker = table.walker(ind, table.codec.size <= n_ctis)
+    ctis, attempts = _sample_walks(table.fs, table.codec, walker, n_ctis, depth, cap, rng)
     return CtiBatch(ctis, attempts)
 
 

@@ -11,24 +11,23 @@ One ``WalkTable`` serves every CTI search of the run. Its verdict tables,
 each of at most ``reach_limit`` entries, persist across rounds; when the
 instance has no more states than ``n_ctis`` a search is skipped when the
 table shows that no step leaves Ind. Success means no CTI was found by
-sampling, or that the table proved none exists; ``check_induction``, with
-tables of its own, then validates the result on the instance, exhaustively
-when the state space fits its limit and by sampling otherwise.
+sampling, or that the table proved none exists. ``check_induction`` then
+validates the result on the instance, exhaustively when the state space fits
+its limit and by sampling otherwise, with a ``WalkTable`` of its own and the
+same scan for a step that leaves the conjunction as the table's closure test.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 
-from .ctigen import CTI, Verdicts, WalkTable, generate_ctis
+from .ctigen import CTI, WalkTable, generate_ctis
 from .errors import ConfigError, UnsafeProtocolError
-from .evaluator import Transition, compile_expr, enabled, holds, initial_state
+from .evaluator import Transition, compile_expr, holds, initial_state
 from .instance import (
     Instance,
     State,
-    fingerprint,
     format_state,
-    state_codec,
     state_schema,
     state_space_size,
 )
@@ -207,8 +206,8 @@ def check_induction(
     as induction requires) and is exhaustive; otherwise it draws
     ``n_samples`` random states, and a pass is evidence, not proof. The
     report's ``mode`` says which. Strengthening passes structurally when the
-    first conjunct is the safety predicate, else it is checked state by
-    state.
+    first conjunct is the safety predicate, else it is checked code by code
+    against the safety's verdict table.
     """
     if not conjuncts:
         raise ConfigError("induction check needs at least one conjunct")
@@ -219,51 +218,36 @@ def check_induction(
 
     structural = canonical_text(conjuncts[0]) == canonical_text(protocol.safety)
 
-    codec = state_codec(protocol, instance)
+    table = WalkTable(protocol, instance, limit)
+    codec = table.codec
     if codec.size <= limit:
         mode, codes = "exhaustive", range(codec.size)
     else:
         rng = random.Random(seed)
-        mode, codes = "sampled", (codec.random_code(rng) for _ in range(n_samples))
+        mode, codes = "sampled", [codec.random_code(rng) for _ in range(n_samples)]
 
-    # Scan every state: each condition gets a complete verdict with the
-    # first witness found, not just whichever failure happens to come first.
-    # Codes are judged by this check's own verdict tables, and only states
-    # that satisfy every conjunct are built.
-    verdicts = [Verdicts(c, codec, instance, limit).holds for c in conjuncts]
-    safe = compile_expr(protocol.safety, instance, codec.schema)
-
-    def violated(code: int) -> int | None:
-        return next((i for i, check in enumerate(verdicts) if not check(code)), None)
-
-    consecution_ok = True
+    # Each condition gets a complete verdict over every code, with the first
+    # witness in code order, then firing order. A fresh table, never an
+    # inference's, judges codes; the scan is the one ``WalkTable.closed`` runs.
+    good = table.good(conjuncts)
+    step = table.leaving(good, table.enabled, table.successor, codes)
     consecution_witness: tuple[State, Transition, int] | None = None
-    strengthening_ok = True
-    strengthening_witness: State | None = None
-    checked = 0
-    for code in codes:
-        checked += 1
-        if violated(code) is not None:
-            continue
-        s = codec.decode(code)
-        if not structural and strengthening_ok and safe(s, {}) is not True:
-            strengthening_ok = False
-            strengthening_witness = s
-        if consecution_ok:
-            for name, apply, binding, env in enabled(s, protocol, instance):
-                post = apply(s, env)
-                i = violated(codec.encode(post))
-                if i is not None:
-                    consecution_ok = False
-                    t = Transition(name, binding, fingerprint(s), post)
-                    consecution_witness = (s, t, i)
-                    break
+    if step is not None:
+        code, i, post = step
+        name, _, binding, _ = table.fs[i][2]
+        bad = next(k for k, c in enumerate(conjuncts) if not table.holds_of(c)(post))
+        t = Transition(name, binding, codec.fingerprint(code), codec.decode(post))
+        consecution_witness = (codec.decode(code), t, bad)
+    weak = None
+    if not structural:
+        safe = table.holds_of(protocol.safety)
+        weak = next((c for c in codes if good(c) and not safe(c)), None)
 
     return InductionReport(
         initiation_witness is None, initiation_witness,
-        consecution_ok, consecution_witness,
-        strengthening_ok, structural, strengthening_witness,
-        checked, mode,
+        step is None, consecution_witness,
+        weak is None, structural, None if weak is None else codec.decode(weak),
+        len(codes), mode,
     )
 
 

@@ -172,12 +172,15 @@ class StateCodec:
 
     A leaf is a scalar variable or one map entry. A code is the mixed-radix
     number of the leaves' digits in declaration order, the last leaf least
-    significant. ``random_code`` makes exactly the rng calls ``random_state``
-    makes; ``decode`` interns each variable's value by its digits, so
-    decoded states share them, while ``build`` interns none. Both share map
-    entry values by leaf digit. ``fingerprint`` joins each variable's
-    serialized bytes, kept by its digits, without building the state, and
-    ``projection`` numbers the codes by the digits of some variables.
+    significant. ``random_code`` draws each leaf's digit with one rng call,
+    and ``random_state`` builds the drawn code's state. ``decode`` interns
+    each variable's value by its digits, so decoded states share them, while
+    ``build`` interns none. Both share map entry values by leaf digit.
+    ``fingerprint`` joins each variable's serialized bytes, kept by its
+    digits, without building the state, and ``projection`` numbers the codes
+    by the digits of some variables. CTI walks and ``check_induction`` run
+    over codes alike: the check shares ``WalkTable``'s closure scan and uses
+    a table of its own.
     """
 
     def __init__(self, protocol: Protocol, instance: Instance) -> None:
@@ -193,14 +196,6 @@ class StateCodec:
         self.entry_values: list[dict[int, Value]] = [{} for _ in self.vars]  # by leaf digit
         self.interned: list[dict[int, Value]] = [{} for _ in self.vars]
         self.serialized: list[dict[int, bytes]] = [{} for _ in self.vars]
-
-    def random_state(self, rng: random.Random) -> State:
-        getrandbits, randrange = rng.getrandbits, rng.randrange
-        values = []
-        for keys, radix, bits, value, _ in self.vars:
-            ds = [getrandbits(bits) if bits else randrange(radix) for _ in keys or "."]
-            values.append(MapV(tuple(zip(keys, map(value, ds)))) if keys else value(ds[0]))
-        return State(self.schema, tuple(values))
 
     def random_code(self, rng: random.Random) -> int:
         getrandbits, randrange = rng.getrandbits, rng.randrange
@@ -290,7 +285,8 @@ def state_codec(protocol: Protocol, instance: Instance) -> StateCodec:
 
 def random_state(protocol: Protocol, instance: Instance, rng: random.Random) -> State:
     """Independently uniform value per variable; deterministic given the rng."""
-    return state_codec(protocol, instance).random_state(rng)
+    codec = state_codec(protocol, instance)
+    return codec.build(codec.random_code(rng))
 
 
 # ---------------------------------------------------------------------------

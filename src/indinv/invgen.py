@@ -125,8 +125,6 @@ class LemmaRepository:
 class GenStats:
     sampled: int = 0
     duplicates: int = 0
-    kept: int = 0
-    rejected: int = 0
     evals: int = 0
 
 
@@ -169,11 +167,8 @@ def generate_lemma_invariants(
                 break
         if bad is None:
             repo.add(cand)
-            stats.kept += 1
-        else:
-            stats.rejected += 1
-            if on_reject is not None:
-                on_reject(cand, bad)
+        elif on_reject is not None:
+            on_reject(cand, bad)
     return repo
 
 

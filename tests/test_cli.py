@@ -7,6 +7,7 @@ import pytest
 from indinv import benchmarks
 from indinv.cli import build_arg_parser, main
 from indinv.infer import InferenceConfig
+from indinv.syntax import to_str
 
 from . import oracles
 
@@ -114,6 +115,26 @@ def test_check_past_the_limit_samples_like_infer(tmp_path, capsys):
     inv = tmp_path / "ind.txt"
     inv.write_text(f"{SAFE_TEXT}\n{A1_TEXT}\n")
     assert main(["check", "lockserver", str(inv), "--instance", LOCKSERVER_4X4]) == 0
+    assert "states checked: 20000 mode=sampled" in capsys.readouterr().out
+
+
+def test_infer_and_check_run_one_induction_check(tmp_path, monkeypatch, capsys):
+    import indinv.cli as cli
+
+    calls = []
+    check = cli.check_induction
+
+    def spy(protocol, instance, conjuncts, **kwargs):
+        calls.append((protocol, instance, [to_str(c) for c in conjuncts], kwargs))
+        return check(protocol, instance, conjuncts, **kwargs)
+
+    monkeypatch.setattr(cli, "check_induction", spy)
+    out = tmp_path / "r.txt"
+    assert main([*_infer_args(out, seed=7), "--instance", LOCKSERVER_4X4]) == 0
+    inv = tmp_path / "ind.txt"
+    inv.write_text("".join(text + "\n" for text in calls[0][2]))
+    assert main(["check", "lockserver", str(inv), "--instance", LOCKSERVER_4X4]) == 0
+    assert len(calls) == 2 and calls[0] == calls[1]
     assert "states checked: 20000 mode=sampled" in capsys.readouterr().out
 
 

@@ -168,12 +168,13 @@ def _stream_digest(batch, rng) -> str:
 # were computed at commit 3859043, with the tree-walking interpreter that
 # preceded the closure compiler and built every successor of a walk state; the
 # other four at commit ecc8221, before walks ran over state codes or verdict
-# tables. At a budget of 3000 walks, consensus (8 states), twophase (64) and
-# lockserver (64) take the state-code walker, and declock (8192), election
-# (32768) and lockserver 4x4 (1,048,576) the State walker, which rejects draws
-# by the safety's verdict table: 8 entries over declock's has_lock, 8 over
-# election's leader, 65,536 over lockserver 4x4's held. Consensus and
-# twophase find no CTI, so their digests pin the number of walks and the
+# tables. Every walk runs over codes. At a budget of 3000 walks, consensus
+# (8 states), twophase (64) and lockserver (64) take the dense walker, which
+# reads per-code tables, and declock (8192), election (32768) and lockserver
+# 4x4 (1,048,576) the sparse walker, which rejects draws by the safety's
+# verdict table (8 entries over declock's has_lock, 8 over election's leader,
+# 65,536 over lockserver 4x4's held) and decodes each visited code. Consensus
+# and twophase find no CTI, so their digests pin the number of walks and the
 # rng's next draw.
 PINNED_STREAMS = {
     "lockserver": (None, "3f2c680b37576330"),
@@ -201,7 +202,8 @@ def _walk(protocol, instance, walker, budget, depth, cap, seed):
     """(ctis, attempts, rng's next draw) of one walker."""
     rng = random.Random(seed)
     ctis, attempts = ctigen._sample_walks(
-        firings(protocol, instance), walker, budget, depth, cap, rng
+        firings(protocol, instance), state_codec(protocol, instance), walker, budget, depth, cap,
+        rng,
     )
     return ctis, attempts, rng.getrandbits(64)
 
@@ -247,14 +249,15 @@ def _reference_walks(protocol, instance, ind, budget, depth, cap, rng):
 
 def _walkers(protocol, instance, ind, budget, depth, cap, seed, limit=1_000_000):
     """(ctis, attempts, rng's next draw) of the reference walk, then of a
-    fresh table's State walker and code walker."""
+    fresh table's sparse walker (each visit works on its decoded state) and
+    dense walker (per-code tables)."""
     rng = random.Random(seed)
     reference = (*_reference_walks(protocol, instance, ind, budget, depth, cap, rng),
                  rng.getrandbits(64))
     tables = [ctigen.WalkTable(protocol, instance, limit) for _ in range(2)]
     return [reference] + [
         _walk(protocol, instance, w, budget, depth, cap, seed)
-        for w in (tables[0].state_walker(ind), tables[1].walker(ind))
+        for w in (tables[0].walker(ind, False), tables[1].walker(ind, True))
     ]
 
 
@@ -358,9 +361,9 @@ def test_shared_table_matches_fresh_table_and_state_walker(small_benchmarks, cap
         for seed in (0, 1, 2):
             shared = ctigen.WalkTable(protocol, instance)
             for ind in inds:
-                by_shared = _walk(protocol, instance, shared.walker(ind), 600, 3, cap, seed)
+                by_shared = _walk(protocol, instance, shared.walker(ind, True), 600, 3, cap, seed)
                 assert bytes(shared.ok) == _verdicts(protocol, instance, ind), (name, seed)
-                by_shared_state = _walk(protocol, instance, shared.state_walker(ind),
+                by_shared_state = _walk(protocol, instance, shared.walker(ind, False),
                                         600, 3, cap, seed)
                 reference, by_state, by_fresh = _walkers(protocol, instance, ind, 600, 3, cap, seed)
                 assert by_shared == by_shared_state == by_fresh == by_state == reference, (
@@ -468,7 +471,7 @@ def test_a_table_of_another_instance_is_never_used(lockserver):
     protocol, _, small = lockserver
     big = parse_instance(LOCKSERVER_4X4, protocol)
     table = ctigen.WalkTable(protocol, small)
-    for n in (3000, 30):  # the code walker, then the State walker, on 2x2
+    for n in (3000, 30):  # the dense walker, then the sparse one, on 2x2
         generate_ctis(protocol, small, protocol.safety, n, 3, 10000, random.Random(1),
                       table=table)
     assert table.verdicts[id(protocol.safety)].table is not None
@@ -498,12 +501,20 @@ def test_a_conjunct_over_the_limit_is_evaluated_directly(small_benchmarks):
     assert found > 0
 
 
-def test_a_sparse_search_builds_rejected_draws_without_interning(lockserver):
+def test_a_sparse_search_builds_rejected_draws_without_interning(lockserver, monkeypatch):
+    # a sparse search decodes the codes it visits and the last post-states of
+    # its CTIs' witnesses; a draw that fails safety is rejected by the
+    # verdict table and never decoded
     protocol = lockserver[0]
     instance = parse_instance(LOCKSERVER_4X4, protocol)
     codec = state_codec(protocol, instance)
-    before = [len(d) for d in codec.interned]
+    decoded = []
+    decode = codec.decode
+    monkeypatch.setattr(codec, "decode", lambda code: decoded.append(code) or decode(code))
     batch = generate_ctis(protocol, instance, protocol.safety, 3000, 3, 10000, random.Random(2))
     assert batch.samples_attempted == 3000 and len(batch) > 0
     assert state_codec(protocol, instance) is codec
-    assert [len(d) for d in codec.interned] == before
+    safe = compile_expr(protocol.safety, instance, codec.schema)
+    last_posts = {codec.encode(c.witness[-1].post) for c in batch.ctis}
+    unsafe = {k for k in decoded if safe(decode(k), {}) is not True}
+    assert unsafe and unsafe <= last_posts
