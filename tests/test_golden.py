@@ -1,0 +1,37 @@
+"""Result files pinned byte for byte across engine changes.
+
+Each file under ``data/golden`` is the output of ``indinv infer`` on a
+bundled benchmark at its small test instance (for lockserver that is also
+its default instance) with CLI defaults. A refactor or a fast path that
+keeps the engine's semantics leaves every file unchanged; the files are
+never regenerated to make this test pass.
+"""
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from indinv.cli import main
+
+from .conftest import SMALL_INSTANCES
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+SEEDS = (7, 401)
+
+
+def test_every_golden_file_is_covered():
+    expected = {f"{name}-small-{seed}.txt" for name in SMALL_INSTANCES for seed in SEEDS}
+    assert {p.name for p in GOLDEN.iterdir()} == expected
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", sorted(SMALL_INSTANCES))
+def test_result_file_matches_golden(name, seed, tmp_path, capsys):
+    out = tmp_path / "result.txt"
+    main([
+        "infer", name, "--grammar", name, "--instance", SMALL_INSTANCES[name],
+        "--seed", str(seed), "--out", str(out),
+    ])
+    capsys.readouterr()
+    assert out.read_bytes() == (GOLDEN / f"{name}-small-{seed}.txt").read_bytes()
