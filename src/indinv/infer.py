@@ -31,12 +31,7 @@ from .instance import (
     state_schema,
     state_space_size,
 )
-from .invgen import (
-    GenStats,
-    LemmaRepository,
-    generate_lemma_invariants,
-    term_size_schedule,
-)
+from .invgen import LemmaRepository, generate_lemma_invariants, term_size_schedule
 from .reachability import ReachSet, compute_reach
 from .selection import choose_greedy
 from .syntax import And, Expr, GrammarConfig, Protocol, canonical_text, to_str
@@ -110,7 +105,6 @@ def infer_inductive_invariant(
     conjuncts: list[Expr] = [safety]
     chosen_ids = {canonical_text(safety)}
     repo = LemmaRepository()
-    gen_stats = GenStats()
     reach: ReachSet | None = None
     rounds = regens = eliminated_total = 0
     small = state_space_size(protocol, instance) <= config.n_ctis
@@ -136,9 +130,7 @@ def infer_inductive_invariant(
                     )
         rounds += 1
         nterms = min(term_size_schedule(grammar, rounds), len(grammar.seeds))
-        generate_lemma_invariants(
-            reach, grammar, repo, config.n_lemmas, nterms, rng, stats=gen_stats,
-        )
+        generate_lemma_invariants(reach, grammar, repo, config.n_lemmas, nterms, rng)
 
     remaining = ctis_for(safety)
     if remaining:
@@ -161,7 +153,7 @@ def infer_inductive_invariant(
 
     return InferenceResult(
         status, conjuncts, eliminated_total, rounds,
-        gen_stats.sampled, len(repo), config.seed, config, instance.text(),
+        rounds * config.n_lemmas, len(repo), config.seed, config, instance.text(),
     )
 
 

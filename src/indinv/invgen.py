@@ -2,20 +2,29 @@
 
 A candidate is a disjunction of distinct seed predicates, each negated with
 probability one half, placed under the grammar's quantifier template. A
-candidate survives only if it holds on every reachable state; checking a
-candidate stops at the first falsifying state.
+candidate survives only if it holds on every reachable state.
+
+Both filtering and selection judge candidates by ``Rows``: one Python int per
+seed and template binding whose bit i is the seed's value on state i of a
+list. A candidate's row, whose bit i says whether it holds on state i, is
+then a few whole-row ORs, ANDs and XORs; no candidate is evaluated state by
+state.
 """
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 import random
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from dataclasses import dataclass, field
+from typing import Callable, Iterator, Sequence
 
 from .errors import EngineError
 from .evaluator import compile_expr
-from .instance import State
+from .instance import Instance, State
 from .reachability import ReachSet
 from .syntax import (
+    BoundRef,
     Expr,
     GrammarConfig,
     Not,
@@ -23,16 +32,17 @@ from .syntax import (
     Quant,
     canonical_text,
     canonicalize,
+    reads,
     to_str,
 )
 
 
 @dataclass(frozen=True)
 class CandidateInvariant:
-    template: tuple[tuple[str, str, str], ...]
     literals: tuple[tuple[int, bool], ...]  # (seed index, negated)
     closed: Expr
     id: str
+    grammar: GrammarConfig = field(compare=False, repr=False)
 
     def __str__(self) -> str:
         return self.id
@@ -50,9 +60,7 @@ def build_candidate(
     for kind, var, sort in reversed(grammar.template):
         closed = Quant(kind, var, sort, closed)
     closed = canonicalize(closed)
-    return CandidateInvariant(
-        grammar.template, tuple(sorted(literals)), closed, to_str(closed)
-    )
+    return CandidateInvariant(tuple(sorted(literals)), closed, to_str(closed), grammar)
 
 
 def _is_tautological(grammar: GrammarConfig, literals) -> bool:
@@ -121,11 +129,72 @@ class LemmaRepository:
         return iter(self._lemmas.values())
 
 
-@dataclass
-class GenStats:
-    sampled: int = 0
-    duplicates: int = 0
-    evals: int = 0
+class Rows:
+    """Seed and clause truth values over a list of states, as Python ints.
+
+    ``seed(i)`` is one row per template binding, in ``itertools.product``
+    order, with bit k seed i's value on ``states[k]``; it is built on first
+    use by evaluating the seed once per group of states that agree on the
+    variables it reads and per binding of the template variables it mentions.
+    """
+
+    def __init__(self, states: Sequence[State], grammar: GrammarConfig, instance: Instance) -> None:
+        self.states = states
+        self.grammar = grammar
+        self.full = (1 << len(states)) - 1
+        self._instance = instance
+        self._domains = [instance.domain(sort) for _, _, sort in grammar.template]
+        self._groups: dict[frozenset[str], list[list]] = {}
+        self._seeds: dict[int, list[int]] = {}
+
+    def _grouped(self, names: frozenset[str]) -> list[list]:
+        """[first state, bitmask] per distinct value of the named variables."""
+        if names not in self._groups:
+            pos = [self.states[0].schema.index(n) for n in sorted(names)]
+            groups: dict[tuple, list] = {}
+            for k, s in enumerate(self.states):
+                groups.setdefault(tuple([s.values[j] for j in pos]), [s, 0])[1] |= 1 << k
+            self._groups[names] = list(groups.values())
+        return self._groups[names]
+
+    def seed(self, idx: int) -> list[int]:
+        if idx not in self._seeds:
+            seed = self.grammar.seeds[idx]
+            f = compile_expr(seed, self._instance, self.states[0].schema)
+            groups = self._grouped(reads(seed))
+            names = [var for _, var, _ in self.grammar.template]
+            used = reads(seed, BoundRef)
+            by_env: dict[tuple, int] = {}
+            rows = []
+            for combo in itertools.product(*self._domains):
+                env = tuple((v, el) for v, el in zip(names, combo) if v in used)
+                if env not in by_env:
+                    # the groups' masks are disjoint, so their sum is their OR
+                    by_env[env] = sum(mask for s, mask in groups if f(s, dict(env)))
+                rows.append(by_env[env])
+            self._seeds[idx] = rows
+        return self._seeds[idx]
+
+    def clause(self, literals: tuple[tuple[int, bool], ...]) -> int:
+        """Bit k says whether the candidate with these literals holds on states[k]."""
+        full = self.full
+        lits = [(self.seed(idx), negated) for idx, negated in literals]
+        rows = []
+        for b in range(len(lits[0][0])):
+            row = 0
+            for seed_rows, negated in lits:
+                row |= full ^ seed_rows[b] if negated else seed_rows[b]
+            rows.append(row)
+        # fold the template from the innermost quantifier out
+        for (kind, _, _), dom in zip(reversed(self.grammar.template), reversed(self._domains)):
+            op, d = (operator.and_ if kind == "forall" else operator.or_), len(dom)
+            rows = [functools.reduce(op, rows[k:k + d]) for k in range(0, len(rows), d)]
+        return rows[0]
+
+
+# Rows over the last reach set filtered, for its grammar: every sampling
+# round of one inference filters against the same reach set.
+_reach_rows: Rows | None = None
 
 
 def generate_lemma_invariants(
@@ -137,38 +206,31 @@ def generate_lemma_invariants(
     rng: random.Random,
     *,
     on_reject: Callable[[CandidateInvariant, State], None] | None = None,
-    stats: GenStats | None = None,
 ) -> LemmaRepository:
     """Draw n_lemmas candidates and keep those true on every reachable state.
 
     Duplicate draws are discarded, not re-drawn; n_lemmas counts draws. Each
     fresh candidate is checked as it is drawn, so the repository's contents
-    and order are a pure function of the rng stream.
+    and order are a pure function of the rng stream. ``on_reject`` gets the
+    first reachable state, in reach order, that falsifies the candidate.
     """
+    global _reach_rows
     if not reach.states:
         raise ValueError("reachable set is empty")
-    stats = stats if stats is not None else GenStats()
-
-    schema = reach.states[0].schema
     batch_ids: set[str] = set()
     for _ in range(n_lemmas):
         cand = sample_candidate(grammar, nterms, rng)
-        stats.sampled += 1
         if cand.id in repo or cand.id in batch_ids:
-            stats.duplicates += 1
             continue
         batch_ids.add(cand.id)
-        f = compile_expr(cand.closed, reach.instance, schema)
-        bad: State | None = None
-        for s in reach.states:
-            stats.evals += 1
-            if f(s, {}) is not True:
-                bad = s
-                break
-        if bad is None:
+        rows = _reach_rows
+        if rows is None or rows.states is not reach.states or rows.grammar is not grammar:
+            rows = _reach_rows = Rows(reach.states, grammar, reach.instance)
+        miss = rows.full ^ rows.clause(cand.literals)
+        if not miss:
             repo.add(cand)
         elif on_reject is not None:
-            on_reject(cand, bad)
+            on_reject(cand, reach.states[(miss & -miss).bit_length() - 1])
     return repo
 
 

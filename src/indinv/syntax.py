@@ -199,11 +199,12 @@ def children(e: Expr) -> Iterator[Expr]:
                 yield c
 
 
-def reads(e: Expr) -> frozenset[str]:
-    """The names of the state variables that evaluating e reads."""
-    if isinstance(e, StateRef):
+def reads(e: Expr, ref: type = StateRef) -> frozenset[str]:
+    """The names of the state variables that evaluating e reads, or with
+    ``ref=BoundRef`` the names of the bound variables it refers to."""
+    if isinstance(e, ref):
         return frozenset([e.name])
-    return frozenset().union(*map(reads, children(e)))
+    return frozenset().union(*(reads(c, ref) for c in children(e)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ from collections import Counter
 
 import pytest
 
+from indinv import invgen
 from indinv.invgen import (
-    GenStats,
     LemmaRepository,
     build_candidate,
     generate_lemma_invariants,
@@ -16,7 +16,7 @@ from indinv.invgen import (
 )
 from indinv.parser import parse_expression, parse_grammar
 from indinv.reachability import compute_reach
-from indinv.syntax import GrammarConfig, canonical_text
+from indinv.syntax import BoundRef, GrammarConfig, canonical_text, reads, to_str
 
 from . import oracles
 
@@ -162,18 +162,35 @@ def test_survivors_hold_on_reach_by_slow_second_pass(small_benchmarks):
                 assert oracles.o_holds(lemma.closed, assign, instance), (name, lemma.id)
 
 
-def test_early_exit_keeps_eval_count_below_full_scan(lockserver):
-    protocol, grammar, instance = lockserver
+def test_seed_evaluations_stay_within_groups_times_bindings(small_benchmarks, monkeypatch):
+    # Filtering evaluates each seed once per group of reach states that agree
+    # on the variables it reads and per binding of the template variables it
+    # mentions, once per reach set however many rounds and candidates use it.
+    protocol, grammar, instance = small_benchmarks["election"]
+    calls = Counter()
+    compile_expr = invgen.compile_expr
+
+    def counting(expr, *args):
+        f = compile_expr(expr, *args)
+
+        def counted(s, env):
+            calls[expr] += 1
+            return f(s, env)
+        return counted
+
+    monkeypatch.setattr(invgen, "compile_expr", counting)
     reach = compute_reach(protocol, instance)
     repo = LemmaRepository()
-    stats = GenStats()
-    generate_lemma_invariants(
-        reach, grammar, repo, 300, 1, random.Random(0), stats=stats
-    )
-    checked = stats.sampled - stats.duplicates
-    assert stats.evals <= checked * len(reach.states)
-    # every single-term candidate is falsified, most at shallow states
-    assert stats.evals < checked * len(reach.states)
+    for nterms in (1, 2, 3):
+        generate_lemma_invariants(reach, grammar, repo, 300, nterms, random.Random(nterms))
+    assert set(calls) == set(grammar.seeds)
+    for seed in grammar.seeds:
+        groups = {tuple(s.value(v) for v in sorted(reads(seed))) for s in reach.states}
+        sorts = [sort for _, v, sort in grammar.template if v in reads(seed, BoundRef)]
+        bindings = len(list(itertools.product(*map(instance.domain, sorts))))
+        assert calls[seed] <= len(groups) * bindings, to_str(seed)
+    # far below one evaluation per candidate and reachable state
+    assert sum(calls.values()) < len(repo) * len(reach.states)
 
 
 def test_term_size_schedule_clamps():

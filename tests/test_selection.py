@@ -229,9 +229,9 @@ def test_choice_is_deterministic(enum_protocol):
 
 
 def test_pruned_choice_matches_an_unpruned_recount(enum_protocol, lockserver):
-    # choose_greedy stops scanning a lemma once it cannot reach the best
-    # count; a full recount of every lemma must give the same winner and
-    # the same eliminated list, ties included
+    # choose_greedy scores every lemma by bit operations on its row over the
+    # CTI states; a per-CTI recount of every lemma through holds must give
+    # the same winner and the same eliminated list, ties included
     enum_instance, enum_grammar, states = _enum_setup(enum_protocol)
     protocol, grammar, instance = lockserver
     batch = generate_ctis(protocol, instance, protocol.safety, 6000, 3, 10000, random.Random(2))
