@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success (inference succeeded and validated, or check passed),
-2 fail (inference or induction check failed), 1 any error (usage, bad files,
-parse or type errors, limits). The induction check is exhaustive when the
-state space fits --reach-limit and sampled otherwise; a sampled pass exits 0
-but is evidence, not proof, and the output names the mode.
+2 fail (inference or induction check failed or unchecked), 1 any error (usage,
+bad files, parse or type errors, limits). Past --reach-limit states the
+induction check samples: a pass is evidence, not proof, and with no sampled
+state inside the conjunction (ind=0) the check is unchecked.
 """
 from __future__ import annotations
 
@@ -64,7 +64,7 @@ def _at_least(minimum: int):
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("protocol", help="protocol file, or a bundled benchmark name")
     p.add_argument("--instance", help="sort domains, e.g. 'Server=s1,s2 Client=c1,c2'")
-    p.add_argument("--reach-limit", type=_at_least(1), default=1_000_000,
+    p.add_argument("--reach-limit", type=_at_least(1), default=InferenceConfig.reach_limit,
                    help="bound on enumerated or reachable states and on verdict table entries")
 
 
@@ -88,12 +88,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_common(p_infer)
     p_infer.add_argument("--grammar", required=True,
                          help="grammar file, or a bundled benchmark name")
-    p_infer.add_argument("--seed", type=int, default=0)
-    p_infer.add_argument("--n-lemmas", type=_at_least(1), default=15000)
-    p_infer.add_argument("--n-ctis", type=_at_least(1), default=50000)
-    p_infer.add_argument("--cti-cap", type=_at_least(1), default=10000)
-    p_infer.add_argument("--depth", type=_at_least(1), default=3, help="CTI walk depth")
-    p_infer.add_argument("--max-regen", type=_at_least(0), default=3,
+    p_infer.add_argument("--seed", type=int, default=InferenceConfig.seed)
+    p_infer.add_argument("--n-lemmas", type=_at_least(1), default=InferenceConfig.n_lemmas)
+    p_infer.add_argument("--n-ctis", type=_at_least(1), default=InferenceConfig.n_ctis)
+    p_infer.add_argument("--cti-cap", type=_at_least(1), default=InferenceConfig.cti_cap)
+    p_infer.add_argument("--depth", type=_at_least(1), default=InferenceConfig.walk_depth,
+                         help="CTI walk depth")
+    p_infer.add_argument("--max-regen", type=_at_least(0), default=InferenceConfig.max_regen_rounds,
                          help="lemma regeneration rounds before giving up")
     p_infer.add_argument("--out", help="result file (default: standard output)")
 
@@ -160,7 +161,8 @@ def cmd_check(args) -> int:
     if report.initiation_witness is not None:
         state, idx = report.initiation_witness
         print(f"  conjunct {idx + 1} fails at the initial state: {format_state(state)}")
-    print(f"consecution: {'pass' if report.consecution_ok else 'fail'}")
+    consecution = "fail" if not report.consecution_ok else "pass" if report.inside else "unchecked"
+    print(f"consecution: {consecution}")
     if report.consecution_witness is not None:
         state, trans, idx = report.consecution_witness
         binding = ", ".join(el for _, el in trans.binding)
@@ -172,7 +174,7 @@ def cmd_check(args) -> int:
     if report.strengthening_witness is not None:
         print(f"  state satisfies the conjuncts but not safety: "
               f"{format_state(report.strengthening_witness)}")
-    print(f"states checked: {report.states_checked} mode={report.mode}")
+    print(f"states checked: {report.states_checked} mode={report.mode} ind={report.inside}")
     return 0 if report.passed else 2
 
 

@@ -45,9 +45,6 @@ class CtiBatch:
     def __len__(self) -> int:
         return len(self.ctis)
 
-    def fingerprints(self) -> set[int]:
-        return {c.fingerprint for c in self.ctis}
-
 
 def conjuncts_of(e: Expr) -> list[Expr]:
     """e's top-level And arguments, flattened recursively."""

@@ -28,10 +28,6 @@ class InstanceError(EngineError):
     """Malformed or incomplete sort-domain binding."""
 
 
-class EnumerationLimitError(EngineError):
-    """State space too large for the requested exhaustive operation."""
-
-
 class ReachLimitError(EngineError):
     """Reachable-state computation exceeded the configured bound."""
 

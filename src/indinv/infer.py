@@ -163,23 +163,39 @@ def infer_inductive_invariant(
 
 @dataclass
 class InductionReport:
-    initiation_ok: bool
+    """A condition holds when it has no witness. ``inside`` counts the checked
+    codes that satisfy every conjunct: consecution is tested from those alone."""
+
     initiation_witness: tuple[State, int] | None  # (state, conjunct index)
-    consecution_ok: bool
     consecution_witness: tuple[State, Transition, int] | None
-    strengthening_ok: bool
     strengthening_structural: bool
     strengthening_witness: State | None
     states_checked: int
+    inside: int
     mode: str
 
     @property
+    def initiation_ok(self) -> bool:
+        return self.initiation_witness is None
+
+    @property
+    def consecution_ok(self) -> bool:
+        return self.consecution_witness is None
+
+    @property
+    def strengthening_ok(self) -> bool:
+        return self.strengthening_witness is None
+
+    @property
     def passed(self) -> bool:
-        return self.initiation_ok and self.consecution_ok and self.strengthening_ok
+        return (self.initiation_ok and self.consecution_ok and self.strengthening_ok
+                and self.inside > 0)
 
     def describe(self) -> str:
-        verdict = "pass" if self.passed else "fail"
-        return f"{verdict} mode={self.mode} states={self.states_checked}"
+        unchecked = self.initiation_ok and not self.inside  # nothing else has a witness
+        verdict = "pass" if self.passed else "unchecked" if unchecked else "fail"
+        text = f"{verdict} mode={self.mode} states={self.states_checked}"
+        return text + f" ind={self.inside}" if self.mode == "sampled" else text
 
 
 def check_induction(
@@ -222,7 +238,8 @@ def check_induction(
     # witness in code order, then firing order. A fresh table, never an
     # inference's, judges codes; the scan is the one ``WalkTable.closed`` runs.
     good = table.good(conjuncts)
-    step = table.leaving(good, table.enabled, table.successor, codes)
+    inside = [c for c in codes if good(c)]
+    step = table.leaving(good, table.enabled, table.successor, inside)
     consecution_witness: tuple[State, Transition, int] | None = None
     if step is not None:
         code, i, post = step
@@ -233,13 +250,12 @@ def check_induction(
     weak = None
     if not structural:
         safe = table.holds_of(protocol.safety)
-        weak = next((c for c in codes if good(c) and not safe(c)), None)
+        weak = next((c for c in inside if not safe(c)), None)
 
     return InductionReport(
-        initiation_witness is None, initiation_witness,
-        step is None, consecution_witness,
-        weak is None, structural, None if weak is None else codec.decode(weak),
-        len(codes), mode,
+        initiation_witness, consecution_witness,
+        structural, None if weak is None else codec.decode(weak),
+        len(codes), len(inside), mode,
     )
 
 

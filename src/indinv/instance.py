@@ -6,9 +6,9 @@ declared ValueType schema carries the tags, so values stay small and fast to
 compare. Enumeration order is fixed: variables in declaration order, domains
 in declared element order, sets by bitmask ascending, map entries with the
 last key varying fastest. A state's code is its index in that order, an
-integer below ``state_space_size``; ``state_codec`` builds, on first use, the
-codec that draws, encodes, decodes and projects codes for CTI walks and the
-induction check.
+integer below ``state_space_size``, which nothing here bounds: callers compare
+it with their own limits. ``state_codec`` builds, on first use, the codec that
+draws, encodes, decodes and projects codes for CTI walks and the induction check.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Union
 
-from .errors import EnumerationLimitError, InstanceError
+from .errors import InstanceError
 from .syntax import (
     BoolType,
     ElemType,
@@ -28,9 +28,6 @@ from .syntax import (
     SetType,
     ValueType,
 )
-
-SIZE_SENTINEL = 2**63
-
 
 @dataclass(frozen=True)
 class Instance:
@@ -123,23 +120,13 @@ def state_schema(protocol: Protocol) -> StateSchema:
 
 
 def state_space_size(protocol: Protocol, instance: Instance) -> int:
-    """Exact number of type-correct states (may exceed the 2^63 sentinel)."""
+    """Exact number of type-correct states, an unbounded int."""
     return state_codec(protocol, instance).size
 
 
-def describe_size(n: int) -> str:
-    return "exceeds 2^63" if n >= SIZE_SENTINEL else str(n)
-
-
-def enumerate_states(
-    protocol: Protocol, instance: Instance, limit: int | None = None
-) -> Iterator[State]:
+def enumerate_states(protocol: Protocol, instance: Instance) -> Iterator[State]:
     """Yield every type-correct state exactly once, in code order."""
     codec = state_codec(protocol, instance)
-    if limit is not None and codec.size > limit:
-        raise EnumerationLimitError(
-            f"state space has {describe_size(codec.size)} states, exceeds limit {limit}"
-        )
     return map(codec.decode, range(codec.size))
 
 

@@ -44,9 +44,6 @@ class CandidateInvariant:
     id: str
     grammar: GrammarConfig = field(compare=False, repr=False)
 
-    def __str__(self) -> str:
-        return self.id
-
 
 def build_candidate(
     grammar: GrammarConfig, literals: tuple[tuple[int, bool], ...]

@@ -45,8 +45,6 @@ from .syntax import (
 _TWO_CHAR_SYMBOLS = (":=", "!=", "->", "/\\", "\\/")
 _ONE_CHAR_SYMBOLS = set(":,(){}[].;=~+-&|<>")
 
-_DECL_KEYWORDS = ("sort", "var", "init", "action", "safety")
-
 
 @dataclass(frozen=True)
 class Token:

@@ -17,7 +17,6 @@ class ReachSet:
     """Reachable states in BFS discovery order, closed under successors."""
 
     states: list[State]
-    index: set[int]
     instance: Instance
 
     def __len__(self) -> int:
@@ -51,4 +50,4 @@ def compute_reach(protocol: Protocol, instance: Instance, limit: int = 1_000_000
                     states.append(t.post)
                     nxt.append(t.post)
         frontier = nxt
-    return ReachSet(states, index, instance)
+    return ReachSet(states, instance)

@@ -7,7 +7,7 @@ deduplication and repository keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +199,17 @@ def children(e: Expr) -> Iterator[Expr]:
                 yield c
 
 
+def map_children(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
+    """e with f applied to each direct subexpression, and to each element of
+    a tuple field; a node with no subexpressions is returned unchanged."""
+    if next(children(e), None) is None:
+        return e
+    return type(e)(*[
+        tuple(map(f, x)) if isinstance(x, tuple) else f(x) if isinstance(x, Expr) else x
+        for x in vars(e).values()
+    ])
+
+
 def reads(e: Expr, ref: type = StateRef) -> frozenset[str]:
     """The names of the state variables that evaluating e reads, or with
     ``ref=BoundRef`` the names of the bound variables it refers to."""
@@ -300,29 +311,7 @@ def canonicalize(e: Expr) -> Expr:
         if len(ordered) == 1:
             return ordered[0]
         return kind(tuple(ordered))
-    if isinstance(e, Implies):
-        return Implies(canonicalize(e.lhs), canonicalize(e.rhs))
-    if isinstance(e, Quant):
-        return Quant(e.kind, e.var, e.sort, canonicalize(e.body))
-    if isinstance(e, MapLit):
-        return MapLit(e.var, e.sort, canonicalize(e.body))
-    if isinstance(e, MapIndex):
-        return MapIndex(canonicalize(e.mapping), canonicalize(e.key))
-    if isinstance(e, SetLit):
-        return SetLit(tuple(canonicalize(m) for m in e.members))
-    if isinstance(e, SetOp):
-        return SetOp(e.op, canonicalize(e.lhs), canonicalize(e.rhs))
-    if isinstance(e, InSet):
-        return InSet(canonicalize(e.elem), canonicalize(e.container))
-    if isinstance(e, Eq):
-        return Eq(canonicalize(e.lhs), canonicalize(e.rhs))
-    if isinstance(e, Ne):
-        return Ne(canonicalize(e.lhs), canonicalize(e.rhs))
-    if isinstance(e, Card):
-        return Card(canonicalize(e.arg))
-    if isinstance(e, Maj):
-        return Maj(canonicalize(e.arg), e.sort)
-    return e
+    return map_children(e, canonicalize)
 
 
 def canonical_text(e: Expr) -> str:
@@ -375,20 +364,13 @@ class Protocol:
     safety: Expr
 
     def __post_init__(self):
-        object.__setattr__(self, "_var_types", {v.name: v.type for v in self.vars})
         object.__setattr__(self, "_actions", {a.name: a for a in self.actions})
-
-    def var_type(self, name: str) -> ValueType:
-        return self._var_types[name]
 
     def action(self, name: str) -> ActionDecl:
         return self._actions[name]
 
     def sort_names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.sorts)
-
-    def var_names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.vars)
 
 
 @dataclass(frozen=True)

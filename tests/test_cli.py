@@ -118,6 +118,16 @@ def test_check_past_the_limit_samples_like_infer(tmp_path, capsys):
     assert "states checked: 20000 mode=sampled" in capsys.readouterr().out
 
 
+def test_sampled_check_with_no_state_inside_is_unchecked_exit_two(tmp_path, capsys):
+    inv = tmp_path / "ind.txt"
+    inv.write_text(f"{SAFE_TEXT}\n{A1_TEXT}\n")
+    instance = "Server=s1,s2,s3,s4,s5 Client=c1,c2,c3,c4,c5"
+    assert main(["check", "lockserver", str(inv), "--instance", instance]) == 2
+    out = capsys.readouterr().out
+    assert "consecution: unchecked" in out
+    assert "states checked: 20000 mode=sampled ind=0" in out
+
+
 def test_infer_and_check_run_one_induction_check(tmp_path, monkeypatch, capsys):
     import indinv.cli as cli
 

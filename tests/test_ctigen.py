@@ -43,7 +43,7 @@ def test_known_one_step_cti_is_recorded(lockserver):
     safe = protocol.safety
     batch = _batch(lockserver, safe, n=20000, depth=1)
     target = _state(protocol, {"s1": True, "s2": True}, {"c1": {"s1"}, "c2": set()})
-    assert fingerprint(target) in batch.fingerprints()
+    assert fingerprint(target) in {c.fingerprint for c in batch.ctis}
 
 
 def test_inductive_candidate_yields_empty_batch(lockserver):

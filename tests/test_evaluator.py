@@ -105,7 +105,7 @@ def test_frame_property(lockserver_protocol, lockserver_instance):
     }
     for s in enumerate_states(lockserver_protocol, lockserver_instance):
         for t in successors(s, lockserver_protocol, lockserver_instance):
-            for name in lockserver_protocol.var_names():
+            for name in (v.name for v in lockserver_protocol.vars):
                 if name not in targets[t.action]:
                     assert t.post.value(name) == s.value(name)
 

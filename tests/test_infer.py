@@ -193,6 +193,20 @@ def test_sampled_mode_finds_obvious_consecution_failures(lockserver):
     assert not report.consecution_ok
 
 
+def test_sampled_check_counts_the_codes_inside_the_conjunction(lockserver):
+    protocol = lockserver[0]
+    instance = parse_instance("Server=s1,s2,s3,s4 Client=c1,c2,c3,c4", protocol)
+    # lockserver 4x4's seed-7 invariant, checked with infer's own sample
+    ind = [protocol.safety, *(parse_expression(t, protocol) for t in SEED7_CONJUNCTS["lockserver"])]
+    report = check_induction(protocol, instance, ind)
+    assert report.passed
+    assert report.describe() == "pass mode=sampled states=20000 ind=18"
+    # none of the 18 is among the sample's first 500 codes
+    report = check_induction(protocol, instance, ind, n_samples=500)
+    assert report.consecution_ok and report.strengthening_ok and not report.passed
+    assert report.describe() == "unchecked mode=sampled states=500 ind=0"
+
+
 def test_verdicts_match_oracle_on_crafted_conjunct_sets(small_benchmarks):
     for name, (protocol, grammar, instance) in small_benchmarks.items():
         cases = [[protocol.safety], [protocol.safety, BoolLit(False)]]
@@ -227,10 +241,9 @@ def _scan_induction(protocol, instance, conjuncts, limit=1_000_000, n_samples=20
         for bad in [[i for i, f in enumerate(fs) if f(post, {}) is not True]] if bad
     ]
     return InductionReport(
-        not failing, (init, failing[0]) if failing else None,
-        not steps, steps[0] if steps else None,
-        structural or not weak, structural, None if structural or not weak else weak[0],
-        len(states), mode,
+        (init, failing[0]) if failing else None, steps[0] if steps else None,
+        structural, None if structural or not weak else weak[0],
+        len(states), len(inside), mode,
     )
 
 

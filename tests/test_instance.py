@@ -7,9 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from indinv.errors import EnumerationLimitError
 from indinv.instance import (
-    describe_size,
     enumerate_states,
     fingerprint,
     MapV,
@@ -43,12 +41,6 @@ def test_lockserver_1_1_space_is_4(lockserver_protocol):
     assert state_space_size(lockserver_protocol, inst) == 4
 
 
-def test_describe_size_sentinel():
-    assert describe_size(64) == "64"
-    assert describe_size(2**63) == "exceeds 2^63"
-    assert describe_size(2**100) == "exceeds 2^63"
-
-
 def test_enumerate_bool_states():
     p = parse_protocol(BOOL_PROTO)
     inst = parse_instance("", p)
@@ -67,11 +59,6 @@ def test_enumerate_yields_size_many_distinct_states(lockserver_protocol, lockser
     states = list(enumerate_states(lockserver_protocol, lockserver_instance))
     assert len(states) == 64
     assert len({fingerprint(s) for s in states}) == 64
-
-
-def test_enumerate_respects_limit(lockserver_protocol, lockserver_instance):
-    with pytest.raises(EnumerationLimitError, match="64"):
-        enumerate_states(lockserver_protocol, lockserver_instance, limit=10)
 
 
 def test_enumeration_order_is_deterministic(lockserver_protocol, lockserver_instance):

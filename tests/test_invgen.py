@@ -109,8 +109,8 @@ def test_falsified_candidate_excluded_with_reachable_witness(lockserver):
     # no single-term candidate is an invariant of the lock service
     assert len(repo) == 0
     assert rejected
-    reach_fps = reach.index
     from indinv.instance import fingerprint
+    reach_fps = {fingerprint(s) for s in reach.states}
     from indinv.evaluator import holds
 
     for cand, state in rejected:

@@ -26,9 +26,10 @@ LOCKSERVER = benchmarks.protocol_path("lockserver").read_text()
 def test_lockserver_structure():
     p = parse_protocol(LOCKSERVER)
     assert p.sort_names() == ("Server", "Client")
-    assert p.var_names() == ("locked", "held")
-    assert p.var_type("locked") == MapType("Server", BoolType())
-    assert p.var_type("held") == MapType("Client", SetType("Server"))
+    assert [(v.name, v.type) for v in p.vars] == [
+        ("locked", MapType("Server", BoolType())),
+        ("held", MapType("Client", SetType("Server"))),
+    ]
     assert [a.name for a in p.actions] == ["Connect", "Disconnect"]
     assert p.safety_name == "Safe"
 

@@ -10,15 +10,23 @@ from indinv.syntax import (
     Card,
     EnumLit,
     Eq,
+    Expr,
+    Ident,
+    Implies,
     InSet,
+    Maj,
     MapIndex,
     MapLit,
+    Ne,
     Not,
     Or,
     Quant,
     SetLit,
+    SetOp,
     StateRef,
     canonicalize,
+    children,
+    map_children,
     reads,
     to_str,
 )
@@ -78,6 +86,41 @@ def test_canonical_text_round_trips_through_print(body):
     # printing a canonical expression and re-canonicalizing changes nothing
     once = canonicalize(body)
     assert to_str(canonicalize(once)) == to_str(once)
+
+
+def _every_node(e: Expr):
+    yield e
+    for c in children(e):
+        yield from _every_node(c)
+
+
+def test_map_children_rebuilds_every_node_kind():
+    s, held = BoundRef("s"), MapIndex(StateRef("held"), Ident("c"))
+    members = SetOp("-", SetOp("+", held, SetLit((s, EnumLit("s2")))), SetLit(()))
+    tree = Quant("forall", "s", "Server", Implies(
+        Not(Not(Or((Not(StateRef("locked")), InSet(s, members))))),
+        And((Ne(Card(SetOp("&", held, SetLit(()))), Card(members)),
+             Or((Maj(held, "Server"), Not(Not(BoolLit(False))))),
+             Eq(StateRef("locked"), MapLit("x", "Server", Not(Not(BoolLit(True))))))),
+    ))
+    nodes = list(_every_node(tree))
+    assert {type(n) for n in nodes} == set(Expr.__subclasses__())
+
+    def mark(c: Expr) -> Expr:
+        return BoundRef("<%s>" % to_str(c))
+
+    for node in nodes:
+        assert map_children(node, lambda x: x) == node
+        rebuilt = map_children(node, mark)
+        assert type(rebuilt) is type(node)
+        assert list(children(rebuilt)) == [mark(c) for c in children(node)]
+        if not list(children(node)):
+            assert rebuilt is node
+    assert to_str(canonicalize(tree)) == (
+        "forall s: Server. s in held[c] + {s, s2} - {} \\/ ~locked -> "
+        "(false \\/ maj(held[c], Server)) /\\ locked = [forall x: Server. true] /\\ "
+        "|held[c] & {}| != |held[c] + {s, s2} - {}|"
+    )
 
 
 def test_reads_names_each_state_variable_once():
