@@ -170,7 +170,8 @@ def cmd_check(args) -> int:
         print(f"  transition: {trans.action}({binding})")
         print(f"  violates conjunct {idx + 1}: {to_str(conjuncts[idx])}")
         print(f"  post-state: {format_state(trans.post)}")
-    print(f"strengthening: {'pass' if report.strengthening_ok else 'fail'}")
+    unchecked = not (report.strengthening_structural or report.inside)  # no state tested
+    print(f"strengthening: {'unchecked' if unchecked else 'pass' if report.strengthening_ok else 'fail'}")
     if report.strengthening_witness is not None:
         print(f"  state satisfies the conjuncts but not safety: "
               f"{format_state(report.strengthening_witness)}")

@@ -4,7 +4,8 @@ A sampled start state that satisfies the current candidate is walked forward
 by uniformly random enabled transitions. If the walk hits a violating state
 at step k, every earlier state on the walk satisfies the candidate by
 construction, so all of them are counterexamples to induction; each is
-recorded with its witness suffix.
+recorded by its code, a state's identity, with its witness suffix, whose
+steps carry their pre-states' codes.
 
 Every walk runs over state codes. A draw is a code, made with exactly
 ``random_state``'s rng calls, and is rejected by per-conjunct verdict tables
@@ -20,7 +21,8 @@ import random
 from dataclasses import dataclass
 
 from .evaluator import Transition, apply_action, compile_expr, evaluate, firings
-from .instance import (  # noqa: F401 (bench/child.py counts random_state calls here)
+# The engine calls neither fingerprint nor random_state; bench/child.py counts them here.
+from .instance import (  # noqa: F401
     Instance, State, StateCodec, fingerprint, random_state, state_codec,
 )
 from .syntax import And, Expr, Protocol, reads
@@ -29,7 +31,7 @@ from .syntax import And, Expr, Protocol, reads
 @dataclass(frozen=True)
 class CTI:
     state: State
-    fingerprint: int
+    code: int
     witness: tuple[Transition, ...]
     depth_to_violation: int
 
@@ -234,11 +236,10 @@ def _sample_walks(fs, codec: StateCodec, walker, budget: int, depth: int, cap: i
             if fresh:
                 first = fresh[0]
                 states = [codec.decode(key) for key in path[first:]]
-                fps = [codec.fingerprint(key) for key in path[first:-1]]
-                walk = [Transition(fs[i][2][0], fs[i][2][2], fp, post)
-                        for i, fp, post in zip(taken[first:], fps, states[1:])]
+                walk = [Transition(fs[i][2][0], fs[i][2][2], pre, post)
+                        for i, pre, post in zip(taken[first:], path[first:-1], states[1:])]
                 for j in fresh:
-                    ctis.append(CTI(states[j - first], fps[j - first], tuple(walk[j - first:]), k - j))
+                    ctis.append(CTI(states[j - first], path[j], tuple(walk[j - first:]), k - j))
             break
     return ctis, attempts
 
@@ -274,13 +275,12 @@ def replay_witness_diagnosis(
     cti: CTI, protocol: Protocol, instance: Instance, ind: Expr
 ) -> str | None:
     """None when the witness re-executes exactly; else names the failing step."""
-    if fingerprint(cti.state) != cti.fingerprint:
-        return "step 0: stored fingerprint does not match the start state"
+    encode = state_codec(protocol, instance).encode
+    if encode(cti.state) != cti.code:
+        return "step 0: stored code does not match the start state"
     ind_f = compile_expr(ind, instance, cti.state.schema)
     if ind_f(cti.state, {}) is not True:
         return "step 0: start state does not satisfy the predicate"
-    if len(cti.witness) != cti.depth_to_violation:
-        return "step 0: depth does not match the witness length"
     cur = cti.state
     last = len(cti.witness) - 1
     for i, t in enumerate(cti.witness):
@@ -291,8 +291,8 @@ def replay_witness_diagnosis(
         if tuple(n for n, _ in t.binding) != tuple(n for n, _ in action.params):
             return f"step {i}: binding does not match the parameters of {t.action}"
         env = dict(t.binding)
-        if fingerprint(cur) != t.pre_fingerprint:
-            return f"step {i}: pre-state fingerprint mismatch"
+        if encode(cur) != t.pre_code:
+            return f"step {i}: pre-state code mismatch"
         if evaluate(action.guard, cur, env, instance) is not True:
             return f"step {i}: guard of {t.action} does not hold"
         post = apply_action(cur, action, env, protocol, instance)

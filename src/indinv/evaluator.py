@@ -35,7 +35,7 @@ from .instance import (
     State,
     StateSchema,
     Value,
-    fingerprint,
+    state_codec,
     state_schema,
 )
 from .syntax import (
@@ -71,9 +71,11 @@ Compiled = Callable[[State, Env], Value]
 
 @dataclass(frozen=True)
 class Transition:
+    """One firing: its action, binding, the pre-state's code, and the post-state."""
+
     action: str
     binding: Binding
-    pre_fingerprint: int
+    pre_code: int
     post: State
 
 
@@ -409,8 +411,8 @@ def apply_action(
 
 def successors(state: State, protocol: Protocol, instance: Instance) -> list[Transition]:
     """All enabled transitions, in action declaration then binding order."""
-    pre_fp = fingerprint(state)
+    pre = state_codec(protocol, instance).encode(state)
     return [
-        Transition(name, binding, pre_fp, apply(state, env))
+        Transition(name, binding, pre, apply(state, env))
         for name, apply, binding, env in enabled(state, protocol, instance)
     ]

@@ -24,13 +24,7 @@ from dataclasses import dataclass
 from .ctigen import CTI, WalkTable, generate_ctis
 from .errors import ConfigError, UnsafeProtocolError
 from .evaluator import Transition, compile_expr, holds, initial_state
-from .instance import (
-    Instance,
-    State,
-    format_state,
-    state_schema,
-    state_space_size,
-)
+from .instance import Instance, State, format_state, state_schema
 from .invgen import LemmaRepository, generate_lemma_invariants, term_size_schedule
 from .reachability import ReachSet, compute_reach
 from .selection import choose_greedy
@@ -74,11 +68,13 @@ class InferenceResult:
     conjuncts: list[Expr]  # safety first, then lemmas in selection order
     ctis_eliminated: int
     rounds: int  # lemma sampling rounds executed
-    lemmas_sampled: int
     lemmas_kept: int
-    seed: int
     config: InferenceConfig
     instance_text: str
+
+    @property
+    def lemmas_sampled(self) -> int:
+        return self.rounds * self.config.n_lemmas
 
     @property
     def succeeded(self) -> bool:
@@ -107,8 +103,8 @@ def infer_inductive_invariant(
     repo = LemmaRepository()
     reach: ReachSet | None = None
     rounds = regens = eliminated_total = 0
-    small = state_space_size(protocol, instance) <= config.n_ctis
     table = WalkTable(protocol, instance, config.reach_limit)
+    small = table.codec.size <= config.n_ctis
 
     def ctis_for(current: Expr) -> list[CTI]:
         if small and table.closed(current):
@@ -152,8 +148,7 @@ def infer_inductive_invariant(
         remaining = ctis_for(conjunction(conjuncts))
 
     return InferenceResult(
-        status, conjuncts, eliminated_total, rounds,
-        rounds * config.n_lemmas, len(repo), config.seed, config, instance.text(),
+        status, conjuncts, eliminated_total, rounds, len(repo), config, instance.text()
     )
 
 
@@ -245,7 +240,7 @@ def check_induction(
         code, i, post = step
         name, _, binding, _ = table.fs[i][2]
         bad = next(k for k, c in enumerate(conjuncts) if not table.holds_of(c)(post))
-        t = Transition(name, binding, codec.fingerprint(code), codec.decode(post))
+        t = Transition(name, binding, code, codec.decode(post))
         consecution_witness = (codec.decode(code), t, bad)
     weak = None
     if not structural:
@@ -273,7 +268,7 @@ def render_result(
         f"status: {result.status}",
         f"protocol: {protocol_name}",
         f"instance: {result.instance_text}",
-        f"seed: {result.seed}",
+        f"seed: {result.config.seed}",
         f"config: {result.config.describe()}",
         f"conjuncts: {len(result.conjuncts)}",
     ]

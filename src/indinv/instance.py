@@ -1,4 +1,4 @@
-"""Finite sort domains, concrete values, states, state codes, and fingerprints.
+"""Finite sort domains, concrete values, states, and state codes.
 
 Runtime values are plain Python data: bool for booleans, str for sort
 elements and enum labels, frozenset[str] for sets, and MapV for maps. The
@@ -7,12 +7,12 @@ compare. Enumeration order is fixed: variables in declaration order, domains
 in declared element order, sets by bitmask ascending, map entries with the
 last key varying fastest. A state's code is its index in that order, an
 integer below ``state_space_size``, which nothing here bounds: callers compare
-it with their own limits. ``state_codec`` builds, on first use, the codec that
-draws, encodes, decodes and projects codes for CTI walks and the induction check.
+it with their own limits. The code is a state's only identity on every engine
+path; ``fingerprint``, a 64-bit digest, is public API only. ``state_codec``
+builds, on first use, the codec that draws, encodes, decodes and projects codes.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from dataclasses import dataclass
@@ -163,11 +163,11 @@ class StateCodec:
     and ``random_state`` builds the drawn code's state. ``decode`` interns
     each variable's value by its digits, so decoded states share them, while
     ``build`` interns none. Both share map entry values by leaf digit.
-    ``fingerprint`` joins each variable's serialized bytes, kept by its
-    digits, without building the state, and ``projection`` numbers the codes
-    by the digits of some variables. CTI walks and ``check_induction`` run
-    over codes alike: the check shares ``WalkTable``'s closure scan and uses
-    a table of its own.
+    ``projection`` numbers the codes by the digits of some variables. Equal
+    states have equal codes, so a code is a state's identity: reachability
+    dedups by ``encode``, and CTIs and witness steps carry codes. CTI walks
+    and ``check_induction`` run over codes alike: the check shares
+    ``WalkTable``'s closure scan and uses a table of its own.
     """
 
     def __init__(self, protocol: Protocol, instance: Instance) -> None:
@@ -182,7 +182,6 @@ class StateCodec:
         self.size = math.prod(self.radices)
         self.entry_values: list[dict[int, Value]] = [{} for _ in self.vars]  # by leaf digit
         self.interned: list[dict[int, Value]] = [{} for _ in self.vars]
-        self.serialized: list[dict[int, bytes]] = [{} for _ in self.vars]
 
     def random_code(self, rng: random.Random) -> int:
         getrandbits, randrange = rng.getrandbits, rng.randrange
@@ -215,19 +214,6 @@ class StateCodec:
         for i in range(len(values)) if only is None else only:
             values[i] = self._value(i, code // self.weights[i] % self.radices[i])
         return State(self.schema, tuple(values))
-
-    def fingerprint(self, code: int) -> Fingerprint:
-        """``fingerprint(self.decode(code))``, bit for bit."""
-        parts = []
-        for i, (w, r) in enumerate(zip(self.weights, self.radices)):
-            d = code // w % r
-            b = self.serialized[i].get(d)
-            if b is None:
-                out = bytearray()
-                _value_bytes(self.schema.types[i], self._value(i, d), out)
-                b = self.serialized[i][d] = bytes(out)
-            parts.append(b)
-        return _digest(b"".join(parts))
 
     def projection(self, names: frozenset[str]) -> tuple[int, Callable[[int], int]]:
         """(count, project): ``project(code)`` is the mixed-radix number, below
@@ -282,32 +268,28 @@ def random_state(protocol: Protocol, instance: Instance, rng: random.Random) -> 
 Fingerprint = int
 
 
+def _name_bytes(name: str, out: bytearray) -> None:
+    b = name.encode("utf-8")
+    out += len(b).to_bytes(2, "big")
+    out += b
+
+
 def _value_bytes(t: ValueType, v: Value, out: bytearray) -> None:
     if isinstance(t, BoolType):
         out.append(1 if v else 0)
-        return
-    if isinstance(t, (ElemType, EnumType)):
-        b = v.encode("utf-8")
-        out += len(b).to_bytes(2, "big")
-        out += b
-        return
-    if isinstance(t, SetType):
-        members = sorted(v)
-        out += len(members).to_bytes(4, "big")
-        for m in members:
-            b = m.encode("utf-8")
-            out += len(b).to_bytes(2, "big")
-            out += b
-        return
-    if isinstance(t, MapType):
+    elif isinstance(t, (ElemType, EnumType)):
+        _name_bytes(v, out)
+    elif isinstance(t, SetType):
+        out += len(v).to_bytes(4, "big")
+        for m in sorted(v):
+            _name_bytes(m, out)
+    elif isinstance(t, MapType):
         out += len(v.entries).to_bytes(4, "big")
         for k, ev in v.entries:
-            b = k.encode("utf-8")
-            out += len(b).to_bytes(2, "big")
-            out += b
+            _name_bytes(k, out)
             _value_bytes(t.elem, ev, out)
-        return
-    raise AssertionError(f"cannot serialize type {t!r}")
+    else:
+        raise AssertionError(f"cannot serialize type {t!r}")
 
 
 def state_to_bytes(state: State) -> bytes:
@@ -318,6 +300,7 @@ def state_to_bytes(state: State) -> bytes:
 
 
 def _digest(data: bytes) -> Fingerprint:
+    import hashlib  # here, not at the top: no engine path digests, and start-up is measured
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .errors import ReachLimitError
 from .evaluator import initial_state, successors
-from .instance import Instance, State, fingerprint
+from .instance import Instance, State, state_codec
 from .syntax import Protocol
 
 
@@ -24,12 +24,13 @@ class ReachSet:
 
 
 def compute_reach(protocol: Protocol, instance: Instance, limit: int = 1_000_000) -> ReachSet:
-    """BFS closure from the initial state; errors out past ``limit`` states."""
+    """BFS closure from the initial state, deduped by code; errors out past ``limit`` states."""
     if limit <= 0:
         raise ValueError("reach limit must be positive")
+    encode = state_codec(protocol, instance).encode
     init = initial_state(protocol, instance)
     states = [init]
-    index = {fingerprint(init)}
+    index = {encode(init)}
     frontier = [init]
     depth = 0
     while frontier:
@@ -37,8 +38,8 @@ def compute_reach(protocol: Protocol, instance: Instance, limit: int = 1_000_000
         nxt: list[State] = []
         for s in frontier:
             for t in successors(s, protocol, instance):
-                fp = fingerprint(t.post)
-                if fp not in index:
+                code = encode(t.post)
+                if code not in index:
                     if len(states) + 1 > limit:
                         raise ReachLimitError(
                             f"reachable set exceeds limit {limit} "
@@ -46,7 +47,7 @@ def compute_reach(protocol: Protocol, instance: Instance, limit: int = 1_000_000
                             depth,
                             len(states) + 1,
                         )
-                    index.add(fp)
+                    index.add(code)
                     states.append(t.post)
                     nxt.append(t.post)
         frontier = nxt

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -125,7 +129,55 @@ def test_sampled_check_with_no_state_inside_is_unchecked_exit_two(tmp_path, caps
     assert main(["check", "lockserver", str(inv), "--instance", instance]) == 2
     out = capsys.readouterr().out
     assert "consecution: unchecked" in out
+    assert "strengthening: pass" in out  # structural: safety is listed first
     assert "states checked: 20000 mode=sampled ind=0" in out
+
+
+def test_semantic_strengthening_checked_from_no_state_is_unchecked(tmp_path, capsys):
+    # safety listed second, so strengthening is checked state by state, and
+    # no sampled state satisfies the conjunction
+    inv = tmp_path / "ind.txt"
+    inv.write_text(f"{A1_TEXT}\n{SAFE_TEXT}\n")
+    instance = "Server=s1,s2,s3,s4,s5 Client=c1,c2,c3,c4,c5"
+    assert main(["check", "lockserver", str(inv), "--instance", instance]) == 2
+    out = capsys.readouterr().out
+    assert "consecution: unchecked" in out
+    assert "strengthening: unchecked" in out
+    assert "states checked: 20000 mode=sampled ind=0" in out
+
+
+def test_no_command_digests_a_state(tmp_path, monkeypatch, capsys):
+    # a state's identity is its code: infer, reach and check never call the
+    # blake2b digest behind the public fingerprint
+    import indinv.instance as instance_module
+
+    calls = []
+    digest = instance_module._digest
+    monkeypatch.setattr(instance_module, "_digest",
+                        lambda data: calls.append(data) or digest(data))
+    out = tmp_path / "r.txt"
+    assert main(["infer", "lockserver", "--grammar", "lockserver", "--seed", "7",
+                 "--n-ctis", "3000", "--instance", LOCKSERVER_4X4, "--out", str(out)]) == 0
+    assert main(["reach", "lockserver", "--instance", LOCKSERVER_4X4]) == 0
+    inv = tmp_path / "ind.txt"
+    inv.write_text("".join(line.split(": ", 1)[1] + "\n" for line in out.read_text().splitlines()
+                           if re.match(r"conjunct \d+: ", line)))
+    assert main(["check", "lockserver", str(inv), "--instance", LOCKSERVER_4X4]) == 0
+    assert "mode=sampled" in capsys.readouterr().out
+    assert calls == []
+    # the spy sees the public function's digest
+    protocol, _, inst_text = benchmarks.load("lockserver")
+    instance = instance_module.parse_instance(inst_text, protocol)
+    instance_module.fingerprint(instance_module.state_codec(protocol, instance).decode(0))
+    assert len(calls) == 1
+
+
+def test_importing_the_cli_leaves_hashlib_unimported():
+    code = "import sys, indinv.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_infer_and_check_run_one_induction_check(tmp_path, monkeypatch, capsys):

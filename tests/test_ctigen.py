@@ -43,7 +43,7 @@ def test_known_one_step_cti_is_recorded(lockserver):
     safe = protocol.safety
     batch = _batch(lockserver, safe, n=20000, depth=1)
     target = _state(protocol, {"s1": True, "s2": True}, {"c1": {"s1"}, "c2": set()})
-    assert fingerprint(target) in {c.fingerprint for c in batch.ctis}
+    assert state_codec(protocol, instance).encode(target) in {c.code for c in batch.ctis}
 
 
 def test_inductive_candidate_yields_empty_batch(lockserver):
@@ -71,10 +71,10 @@ def test_all_ctis_satisfy_ind_and_replay(lockserver):
         assert replay_witness(cti, protocol, instance, safe)
 
 
-def test_no_duplicate_fingerprints(lockserver):
+def test_no_duplicate_codes(lockserver):
     batch = _batch(lockserver, lockserver[0].safety, n=5000)
-    fps = [c.fingerprint for c in batch.ctis]
-    assert len(fps) == len(set(fps))
+    codes = [c.code for c in batch.ctis]
+    assert len(codes) == len(set(codes))
 
 
 def test_cap_bounds_batch_size(lockserver):
@@ -108,16 +108,47 @@ def test_start_state_violating_ind_detected(lockserver):
     batch = _batch(lockserver, safe, n=3000)
     cti = batch.ctis[0]
     violating = _state(protocol, {"s1": False, "s2": False}, {"c1": {"s1"}, "c2": {"s1"}})
-    tampered = replace(cti, state=violating, fingerprint=fingerprint(violating))
+    tampered = replace(cti, state=violating, code=state_codec(protocol, instance).encode(violating))
     diag = replay_witness_diagnosis(tampered, protocol, instance, safe)
     assert diag is not None
     assert "step 0" in diag
 
 
+def _deep_cti(lockserver):
+    """A CTI of safety whose witness has at least two steps, and its replay."""
+    protocol, _, instance = lockserver
+    batch = _batch(lockserver, protocol.safety, n=20000, seed=4)
+    cti = next(c for c in batch.ctis if c.depth_to_violation >= 2)
+    return cti, lambda c: replay_witness_diagnosis(c, protocol, instance, protocol.safety)
+
+
+def test_witness_steps_carry_their_pre_state_codes(lockserver):
+    protocol, _, instance = lockserver
+    encode = state_codec(protocol, instance).encode
+    cti, replay = _deep_cti(lockserver)
+    pres = [cti.state] + [t.post for t in cti.witness[:-1]]
+    assert cti.code == encode(cti.state)
+    assert [t.pre_code for t in cti.witness] == [encode(s) for s in pres]
+    assert replay(cti) is None
+
+
+def test_tampered_code_detected(lockserver):
+    cti, replay = _deep_cti(lockserver)
+    tampered = replace(cti, code=cti.code + 1)
+    assert replay(tampered) == "step 0: stored code does not match the start state"
+
+
+def test_tampered_pre_code_at_step_one_detected(lockserver):
+    cti, replay = _deep_cti(lockserver)
+    step = replace(cti.witness[1], pre_code=cti.witness[1].pre_code + 1)
+    tampered = replace(cti, witness=(cti.witness[0], step, *cti.witness[2:]))
+    assert replay(tampered) == "step 1: pre-state code mismatch"
+
+
 def test_deterministic_at_one_worker(lockserver):
     a = _batch(lockserver, lockserver[0].safety, seed=9)
     b = _batch(lockserver, lockserver[0].safety, seed=9)
-    assert [c.fingerprint for c in a.ctis] == [c.fingerprint for c in b.ctis]
+    assert [c.code for c in a.ctis] == [c.code for c in b.ctis]
     assert a.samples_attempted == b.samples_attempted
 
 
@@ -151,14 +182,16 @@ def test_invalid_depth_and_cap_rejected(lockserver):
 
 
 def _stream_digest(batch, rng) -> str:
-    """Digest of a batch in order, plus the next draw of the rng it consumed."""
+    """Digest of a batch in order, plus the next draw of the rng it consumed.
+    Each CTI enters by the public fingerprint of its state, the number CTIs
+    carried before a state's code became its identity."""
     h = hashlib.sha256()
     for c in batch.ctis:
         steps = " ".join(
             "%s(%s)" % (t.action, ",".join(f"{p}={el}" for p, el in t.binding))
             for t in c.witness
         )
-        h.update(f"{c.fingerprint:016x} {c.depth_to_violation} {steps}\n".encode())
+        h.update(f"{fingerprint(c.state):016x} {c.depth_to_violation} {steps}\n".encode())
     h.update(f"samples={batch.samples_attempted} next={rng.getrandbits(64)}".encode())
     return h.hexdigest()[:16]
 
@@ -212,6 +245,7 @@ def _reference_walks(protocol, instance, ind, budget, depth, cap, rng):
     """The State walk as it was before codes and verdict tables, written out
     in full: draw random_state, evaluate the compiled ind at every visit."""
     fs = firings(protocol, instance)
+    encode = state_codec(protocol, instance).encode
     ind_f = compile_expr(ind, instance, state_schema(protocol))
     ctis, seen, attempts = [], set(), 0
     for _ in range(budget):
@@ -238,9 +272,9 @@ def _reference_walks(protocol, instance, ind, budget, depth, cap, rng):
                 if path[j] in seen:
                     continue
                 seen.add(path[j])
-                walk = tuple(Transition(fs[t][2][0], fs[t][2][2], fingerprint(pre), post)
+                walk = tuple(Transition(fs[t][2][0], fs[t][2][2], encode(pre), post)
                              for t, pre, post in zip(taken[j:], path[j:k], path[j + 1:]))
-                ctis.append(ctigen.CTI(path[j], fingerprint(path[j]), walk, k - j))
+                ctis.append(ctigen.CTI(path[j], encode(path[j]), walk, k - j))
                 if len(ctis) >= cap:
                     break
             break

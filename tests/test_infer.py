@@ -14,7 +14,7 @@ from indinv.infer import (
     render_result,
 )
 from indinv.instance import (
-    enumerate_states, fingerprint, parse_instance, random_state, state_schema, state_space_size,
+    enumerate_states, parse_instance, random_state, state_codec, state_schema, state_space_size,
 )
 from indinv.parser import parse_expression, parse_grammar, parse_protocol
 from indinv.reachability import compute_reach
@@ -230,12 +230,13 @@ def _scan_induction(protocol, instance, conjuncts, limit=1_000_000, n_samples=20
         rng = random.Random(seed)
         mode, states = "sampled", [random_state(protocol, instance, rng) for _ in range(n_samples)]
     schema = state_schema(protocol)
+    encode = state_codec(protocol, instance).encode
     fs = [compile_expr(c, instance, schema) for c in conjuncts]
     safe = compile_expr(protocol.safety, instance, schema)
     inside = [s for s in states if all(f(s, {}) is True for f in fs)]
     weak = [s for s in inside if safe(s, {}) is not True]
     steps = [
-        (s, Transition(name, binding, fingerprint(s), post), bad[0])
+        (s, Transition(name, binding, encode(s), post), bad[0])
         for s in inside for name, apply, binding, env in enabled(s, protocol, instance)
         for post in [apply(s, env)]
         for bad in [[i for i, f in enumerate(fs) if f(post, {}) is not True]] if bad

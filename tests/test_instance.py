@@ -176,23 +176,6 @@ def test_decoded_states_share_values(lockserver_protocol, lockserver_instance):
     assert a.values[1] is not b.values[1]
 
 
-def test_code_fingerprint_equals_state_fingerprint(all_benchmarks, small_benchmarks):
-    cases = _codec_cases(small_benchmarks)
-    for name in ("consensus", "lockserver", "twophase"):
-        protocol, _, instance = all_benchmarks[name]
-        codec = state_codec(protocol, instance)
-        for k in range(state_space_size(protocol, instance)):
-            assert codec.fingerprint(k) == fingerprint(codec.decode(k)), (name, k)
-    election, _, election_instance = all_benchmarks["election"]
-    rng = random.Random(3)
-    for name, (protocol, instance) in (("election", (election, election_instance)),
-                                       ("elements", cases["elements"])):
-        codec = state_codec(protocol, instance)
-        for _ in range(2000):
-            k = rng.randrange(state_space_size(protocol, instance))
-            assert codec.fingerprint(k) == fingerprint(codec.decode(k)), (name, k)
-
-
 def test_projection_is_the_number_of_the_named_digits(small_benchmarks):
     for name, (protocol, instance) in _codec_cases(small_benchmarks).items():
         codec = state_codec(protocol, instance)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from indinv.errors import ReachLimitError
-from indinv.evaluator import holds, successors
+from indinv.evaluator import holds, initial_state, successors
 from indinv.instance import fingerprint, parse_instance
 from indinv.reachability import compute_reach
 
@@ -54,3 +54,30 @@ def test_bfs_discovery_order_is_deterministic(lockserver_protocol, lockserver_in
     a = compute_reach(lockserver_protocol, lockserver_instance)
     b = compute_reach(lockserver_protocol, lockserver_instance)
     assert [fingerprint(s) for s in a.states] == [fingerprint(s) for s in b.states]
+
+
+def _bfs_by_fingerprint(protocol, instance):
+    """Reachable states in BFS discovery order, deduplicated by the public
+    fingerprint: the digest ``compute_reach`` deduplicated by before codes."""
+    init = initial_state(protocol, instance)
+    states, seen, frontier = [init], {fingerprint(init)}, [init]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for t in successors(s, protocol, instance):
+                if fingerprint(t.post) not in seen:
+                    seen.add(fingerprint(t.post))
+                    states.append(t.post)
+                    nxt.append(t.post)
+        frontier = nxt
+    return states
+
+
+def test_reach_by_code_equals_bfs_by_fingerprint(all_benchmarks, small_benchmarks):
+    lockserver = all_benchmarks["lockserver"][0]
+    cases = [*all_benchmarks.items(), *small_benchmarks.items(),
+             ("lockserver 3x3", (lockserver, None,
+                                 parse_instance("Server=s1,s2,s3 Client=c1,c2,c3", lockserver)))]
+    for name, (protocol, _, instance) in cases:
+        expected = _bfs_by_fingerprint(protocol, instance)
+        assert compute_reach(protocol, instance).states == expected, name

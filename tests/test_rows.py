@@ -14,7 +14,7 @@ import pytest
 
 from indinv.ctigen import CTI, generate_ctis
 from indinv.evaluator import Transition, holds
-from indinv.instance import enumerate_states, fingerprint
+from indinv.instance import enumerate_states
 from indinv.invgen import (
     LemmaRepository,
     Rows,
@@ -59,9 +59,9 @@ def _assert_rows_match_oracle(grammar, states, instance):
         assert rows.clause(cand.literals) == expected, cand.id
 
 
-def _mk_cti(state):
-    t = Transition("stub", (), fingerprint(state), state)
-    return CTI(state, fingerprint(state), (t,), 1)
+def _mk_cti(state, code):
+    t = Transition("stub", (), code, state)
+    return CTI(state, code, (t,), 1)
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_INSTANCES))
@@ -117,7 +117,7 @@ def test_kept_set_and_rejections_equal_a_plain_recount(name, small_benchmarks):
 def test_pick_over_the_exists_grammar_equals_a_plain_recount(lockserver):
     protocol, _, instance = lockserver
     grammar = parse_grammar(EXISTS_GRAMMAR, protocol)
-    ctis = [_mk_cti(s) for s in enumerate_states(protocol, instance)]
+    ctis = [_mk_cti(s, k) for k, s in enumerate(enumerate_states(protocol, instance))]
     pool = list(_clauses(grammar))
     rng = random.Random(3)
     for _ in range(20):

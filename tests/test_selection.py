@@ -5,17 +5,17 @@ import random
 
 from indinv.ctigen import CTI, generate_ctis
 from indinv.evaluator import Transition
-from indinv.instance import enumerate_states, fingerprint, parse_instance
+from indinv.instance import enumerate_states, parse_instance, state_codec
 from indinv.invgen import LemmaRepository, build_candidate
 from indinv.parser import parse_expression
 from indinv.selection import choose_greedy, eliminates
 from indinv.syntax import GrammarConfig, canonicalize
 
 
-def _mk_cti(state):
-    # selection only reads the state and fingerprint; witness is a stub
-    t = Transition("stub", (), fingerprint(state), state)
-    return CTI(state, fingerprint(state), (t,), 1)
+def _mk_cti(state, code):
+    # selection only reads the state and its code; the witness is a stub
+    t = Transition("stub", (), code, state)
+    return CTI(state, code, (t,), 1)
 
 
 def _enum_setup(enum_protocol):
@@ -30,7 +30,7 @@ def _enum_setup(enum_protocol):
 
 def test_lemma_with_max_count_wins(enum_protocol):
     instance, grammar, states = _enum_setup(enum_protocol)
-    ctis = [_mk_cti(states[f"e{i}"]) for i in range(1, 6)]
+    ctis = [_mk_cti(states[f"e{i}"], i - 1) for i in range(1, 6)]
     l1 = build_candidate(grammar, ((2, False), (3, False), (4, False)))  # false on e1,e2
     l2 = build_candidate(grammar, ((0, False), (4, False)))  # false on e2,e3,e4
     repo = LemmaRepository()
@@ -45,7 +45,7 @@ def test_lemma_with_max_count_wins(enum_protocol):
 
 def test_no_eliminator_returns_none(enum_protocol):
     instance, grammar, states = _enum_setup(enum_protocol)
-    ctis = [_mk_cti(states["e1"])]
+    ctis = [_mk_cti(states["e1"], 0)]
     repo = LemmaRepository()
     # true on every state, so it never eliminates anything
     always_true = build_candidate(
@@ -59,7 +59,7 @@ def test_no_eliminator_returns_none(enum_protocol):
 
 def test_tie_breaks_prefer_fewer_literals_then_smaller_id(enum_protocol):
     instance, grammar, states = _enum_setup(enum_protocol)
-    ctis = [_mk_cti(states["e1"]), _mk_cti(states["e2"])]
+    ctis = [_mk_cti(states["e1"], 0), _mk_cti(states["e2"], 1)]
     one_literal = build_candidate(grammar, ((2, False),))  # x = e3
     two_literals = build_candidate(grammar, ((2, False), (3, False)))  # x = e3 \/ x = e4
     repo = LemmaRepository()
@@ -81,7 +81,7 @@ def test_tie_breaks_prefer_fewer_literals_then_smaller_id(enum_protocol):
 
 def test_excluded_ids_are_skipped(enum_protocol):
     instance, grammar, states = _enum_setup(enum_protocol)
-    ctis = [_mk_cti(states["e1"])]
+    ctis = [_mk_cti(states["e1"], 0)]
     best = build_candidate(grammar, ((1, False),))
     repo = LemmaRepository()
     repo.add(best)
@@ -130,7 +130,7 @@ def test_eliminates_the_locked_and_held_state(lockserver):
             MapV((("c1", frozenset({"s1"})), ("c2", frozenset()))),
         ),
     )
-    assert eliminates(a1, _mk_cti(state), instance)
+    assert eliminates(a1, _mk_cti(state, state_codec(protocol, instance).encode(state)), instance)
 
 
 def test_cover_report_count_matches_per_cti_recount(lockserver):
@@ -148,7 +148,7 @@ def test_cover_report_count_matches_per_cti_recount(lockserver):
     assert recount
     lemma, eliminated = choose_greedy(repo, batch.ctis, instance)
     assert lemma.id == a1.id
-    assert [c.fingerprint for c in eliminated] == [c.fingerprint for c in recount]
+    assert [c.code for c in eliminated] == [c.code for c in recount]
 
 
 def test_greedy_maximality_on_random_fixtures(lockserver):
@@ -217,7 +217,7 @@ def test_eliminated_ctis_fail_the_strengthened_candidate(lockserver):
 
 def test_choice_is_deterministic(enum_protocol):
     instance, grammar, states = _enum_setup(enum_protocol)
-    ctis = [_mk_cti(states[f"e{i}"]) for i in range(1, 6)]
+    ctis = [_mk_cti(states[f"e{i}"], i - 1) for i in range(1, 6)]
     repo = LemmaRepository()
     for i in range(5):
         repo.add(build_candidate(grammar, ((i, False),)))
@@ -225,7 +225,7 @@ def test_choice_is_deterministic(enum_protocol):
     for _ in range(5):
         again = choose_greedy(repo, ctis, instance)
         assert again[0].id == first[0].id
-        assert [c.fingerprint for c in again[1]] == [c.fingerprint for c in first[1]]
+        assert [c.code for c in again[1]] == [c.code for c in first[1]]
 
 
 def test_pruned_choice_matches_an_unpruned_recount(enum_protocol, lockserver):
@@ -245,7 +245,8 @@ def test_pruned_choice_matches_an_unpruned_recount(enum_protocol, lockserver):
         ]
 
     fixtures = [
-        (pool(enum_grammar, 5, (1, 2, 3)), [_mk_cti(s) for s in states.values()], enum_instance),
+        (pool(enum_grammar, 5, (1, 2, 3)),
+         [_mk_cti(s, k) for k, s in enumerate(states.values())], enum_instance),
         (pool(grammar, 3, (1, 2)), batch.ctis, instance),
     ]
     rng = random.Random(11)
