@@ -7,25 +7,30 @@ construction, so all of them are counterexamples to induction; each is
 recorded by its code, a state's identity, with its witness suffix, whose
 steps carry their pre-states' codes.
 
-Every walk runs over state codes. A draw is a code, made with exactly
-``random_state``'s rng calls, and is rejected by per-conjunct verdict tables
-before any state is built. When the instance has no more states than the call
-has walks, a walk reads per-code tables of verdicts, enabled firings and
-successors, each computed at most once per state; otherwise each visit decodes
-its code once. Both give the same batch. An inference keeps one ``WalkTable``
-for its searches; ``check_induction`` makes one of its own and shares its scan.
+Every walk runs over state codes, made with exactly ``random_state``'s rng
+calls, and builds a state only to report a CTI. A conjunct's verdict, a
+firing's guard and the change a firing makes to a code (a successor is code
+plus delta) each depend on a few leaves, scalar variables or map entries, so
+each is kept in a table over their digits, filled on first use. When the
+instance has no more states than the call has walks, a walk also reads
+per-code tables of verdicts, enabled firings and successors. Both give the
+same batch. An inference keeps one ``WalkTable`` for its searches;
+``check_induction`` makes one of its own and shares its scan.
 """
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 import random
 from dataclasses import dataclass
 
-from .evaluator import Transition, apply_action, compile_expr, evaluate, firings
+from .evaluator import Compiled, Transition, apply_action, compile_expr, evaluate, firings
 # The engine calls neither fingerprint nor random_state; bench/child.py counts them here.
 from .instance import (  # noqa: F401
     Instance, State, StateCodec, fingerprint, random_state, state_codec,
 )
-from .syntax import And, Expr, Protocol, reads
+from .syntax import And, BoundRef, Expr, MapIndex, MapLit, Protocol, Quant, StateRef, children
 
 
 @dataclass(frozen=True)
@@ -53,31 +58,49 @@ def conjuncts_of(e: Expr) -> list[Expr]:
     return [c for a in e.args for c in conjuncts_of(a)] if isinstance(e, And) else [e]
 
 
-class Verdicts:
-    """One conjunct's verdict on each state code of one instance.
+def _leaves(e: Expr, codec: StateCodec, binding: dict[str, str],
+            shadowed: frozenset[str] = frozenset()) -> set[int]:
+    """The leaves that evaluating e may read under an action's binding:
+    ``m[p]`` for a parameter p that nothing in e rebinds reads one, any other
+    index all of m's and what it reads, any other variable all of its own."""
+    if isinstance(e, StateRef):
+        return set(codec.var_leaves[e.name].values())
+    if isinstance(e, MapIndex):
+        key = e.key
+        if isinstance(key, BoundRef) and key.name in binding and key.name not in shadowed:
+            return {codec.var_leaves[e.mapping.name][binding[key.name]]}
+        return _leaves(e.mapping, codec, binding) | _leaves(key, codec, binding, shadowed)
+    if isinstance(e, (Quant, MapLit)):
+        shadowed = shadowed | {e.var}
+    return set().union(*[_leaves(c, codec, binding, shadowed) for c in children(e)])
 
-    The verdict depends only on the variables the conjunct reads, so it is
-    kept per projection of the code onto their digits: ``table[p]`` is 0
-    while unknown, else 1 for false and 2 for true. An entry is filled the
-    first time a code with that projection is asked about, by evaluating the
-    conjunct once on that code's state, of which only the variables it reads
-    are built, without interning. A conjunct with more than ``limit``
-    projections has no table and is evaluated on every call.
+
+class Verdicts:
+    """A predicate's verdict on each state code of one instance: a closed
+    conjunct's, or a firing's guard's under the firing's binding ``env``.
+
+    The verdict depends only on the leaves the predicate reads, so it is kept
+    per projection of the code onto their digits: ``table[p]`` is 0 while
+    unknown, else 1 for false and 2 for true, filled the first time a code
+    with that projection is asked about by evaluating the predicate on the
+    code's state, of which only the variables it reads are built. With more
+    than ``limit`` projections there is no table, and each call evaluates.
+    ``column`` holds every code's verdict, computed once per projection.
     """
 
-    def __init__(self, conjunct: Expr, codec: StateCodec, instance: Instance, limit: int):
-        self.conjunct = conjunct  # kept alive, so its id names no other conjunct
-        self.f = compile_expr(conjunct, instance, codec.schema)
-        names = reads(conjunct)
-        self.read = [i for i, n in enumerate(codec.schema.names) if n in names]
-        self.build = codec.build
-        count, self.project = codec.projection(names)
+    def __init__(self, expr: Expr, f: Compiled, env: dict, codec: StateCodec, limit: int):
+        self.expr = expr  # kept alive, so its id names no other expression
+        self.f, self.env = f, env
+        self.codec, self.leaves = codec, _leaves(expr, codec, env)
+        self.read = [i for i, leaves in enumerate(codec.var_leaves.values())
+                     if not self.leaves.isdisjoint(leaves.values())]
+        count, self.project = codec.projection(self.leaves)
         self.table = bytearray(count) if count <= limit else None
         if self.table is None:
             self.holds = self.evaluate
 
     def evaluate(self, code: int) -> bool:
-        return self.f(self.build(code, self.read), {}) is True
+        return self.f(self.codec.build(code, self.read), self.env) is True
 
     def holds(self, code: int) -> bool:
         p = self.project(code)
@@ -86,43 +109,62 @@ class Verdicts:
             v = self.table[p] = 2 if self.evaluate(code) else 1
         return v == 2
 
+    @functools.cached_property
+    def column(self) -> int:
+        """An int whose little-endian byte k is 1 if code k satisfies the
+        predicate, else 0; so the AND of columns is their conjunction's."""
+        return int.from_bytes(self.codec.column(self.leaves, self.holds), "little")
+
 
 class WalkTable:
     """What a search, or an inference's run of searches, keeps about one instance.
 
-    ``verdicts`` holds each conjunct's ``Verdicts`` by identity, and
-    ``good(conjuncts)`` is their conjunction. ``enabled`` and ``successor``
-    work on a visited code's state, decoded once per visit through a
-    one-entry cache. Dense searches read per-code tables instead: ``ok``, the
-    verdicts of the last ind, recomputed for each new ind object, and the
-    enabled firings and successor codes, each computed once when first needed.
-    ``leaving`` is the one scan for a step out of ``good``, shared by
-    ``closed`` and ``check_induction``.
+    ``verdict(conjunct)`` is each conjunct's ``Verdicts``, by identity, and
+    ``good(conjuncts)`` is their conjunction. Each firing has a ``Verdicts``
+    of its guard and a table of deltas over the leaves its updates read or
+    may write, filled on a miss by applying it to the code's state; past
+    ``limit`` entries it has none, and applies on every call. Dense searches
+    also read per-code tables: ``ok``, the AND of the columns of the last
+    ind's conjuncts, and the enabled firings and successor codes, each
+    computed once when first needed. ``leaving`` is the one scan for a step
+    out of ``good``, shared by ``closed`` and ``check_induction``.
     """
 
     def __init__(self, protocol: Protocol, instance: Instance, limit: int = 1_000_000) -> None:
         self.space = (protocol, instance)
         self.limit = limit
-        self.codec = state_codec(protocol, instance)
+        codec = self.codec = state_codec(protocol, instance)
         self.fs = firings(protocol, instance)
-        self.guards = [(i, guard, env) for i, (guard, env, _) in enumerate(self.fs)]
+        self.guards = []  # each firing's Verdicts.holds
+        self.deltas: list = []  # each firing's (project, {projection: delta} or None)
+        for guard, env, (name, _, _, _) in self.fs:
+            decl = protocol.action(name)
+            self.guards.append(Verdicts(decl.guard, guard, env, codec, limit).holds)
+            key = set()
+            for u in decl.updates:
+                lhs = StateRef(u.target)
+                lhs = lhs if u.index is None else MapIndex(lhs, u.index)  # what it may write
+                key |= _leaves(lhs, codec, env) | _leaves(u.rhs, codec, env)
+            count, project = codec.projection(key)
+            self.deltas.append((project, {} if count <= limit else None))
         self.verdicts: dict[int, Verdicts] = {}
-        self.held: tuple = (None, None)  # (code, its state)
         self.ind: Expr | None = None
-        self.ok: bytearray | None = None
+        self.ok: bytes | None = None
         self.interned: dict = {}
         self.moves_at: dict[int, tuple[int, ...]] = {}
         self.succ: dict[int, int] = {}  # code * len(fs) + firing -> successor code
 
-    def holds_of(self, conjunct: Expr):
-        """The conjunct's ``Verdicts.holds``, made on first use."""
-        if id(conjunct) not in self.verdicts:
-            self.verdicts[id(conjunct)] = Verdicts(conjunct, self.codec, self.space[1], self.limit)
-        return self.verdicts[id(conjunct)].holds
+    def verdict(self, conjunct: Expr) -> Verdicts:
+        """The conjunct's ``Verdicts``, made on first use."""
+        v = self.verdicts.get(id(conjunct))
+        if v is None:
+            f = compile_expr(conjunct, self.space[1], self.codec.schema)
+            v = self.verdicts[id(conjunct)] = Verdicts(conjunct, f, {}, self.codec, self.limit)
+        return v
 
     def good(self, conjuncts: list[Expr]):
         """good(code): whether the code's state satisfies every conjunct."""
-        checks = [self.holds_of(c) for c in conjuncts]
+        checks = [self.verdict(c).holds for c in conjuncts]
 
         def good(code: int) -> bool:
             for holds in checks:
@@ -131,18 +173,19 @@ class WalkTable:
             return True
         return good
 
-    def state(self, code: int) -> State:
-        if self.held[0] != code:
-            self.held = (code, self.codec.decode(code))
-        return self.held[1]
-
     def enabled(self, code: int) -> list[int]:
-        s = self.state(code)
-        return [i for i, guard, env in self.guards if guard(s, env) is True]
+        return [i for i, holds in enumerate(self.guards) if holds(code)]
 
     def successor(self, code: int, i: int) -> int:
-        _, apply, _, env = self.fs[i][2]
-        return self.codec.encode(apply(self.state(code), env))
+        project, deltas = self.deltas[i]
+        p = project(code)
+        d = deltas.get(p) if deltas is not None else None
+        if d is None:
+            _, apply, _, env = self.fs[i][2]
+            d = self.codec.encode(apply(self.codec.build(code), env)) - code
+            if deltas is not None:
+                deltas[p] = d
+        return code + d
 
     def moves(self, c: int) -> tuple[int, ...]:
         m = self.moves_at.get(c)
@@ -159,32 +202,33 @@ class WalkTable:
         return d
 
     def narrow(self, ind: Expr) -> None:
-        """Make ``ok`` the verdicts of ind."""
+        """Make ``ok`` the verdicts of ind, one byte per code."""
         if ind is not self.ind:
             self.ind = ind
-            self.ok = bytearray(map(self.good(conjuncts_of(ind)), range(self.codec.size)))
+            ok = functools.reduce(operator.and_, [self.verdict(c).column for c in conjuncts_of(ind)])
+            self.ok = ok.to_bytes(self.codec.size, "little")
 
     @staticmethod
     def leaving(good, moves, step, codes):
-        """The first (code, firing, successor) over codes, then firings, of a
-        step from a good code to one that is not; None if there is none."""
+        """The first (code, firing, successor) over codes, which are all
+        good, then firings, of a step to a code that is not; None if none."""
         for c in codes:
-            if good(c):
-                for i in moves(c):
-                    d = step(c, i)
-                    if not good(d):
-                        return c, i, d
+            for i in moves(c):
+                d = step(c, i)
+                if not good(d):
+                    return c, i, d
         return None
 
     def closed(self, ind: Expr) -> bool:
         """Whether every enabled step from a state satisfying ind keeps it;
         then no walk can leave ind, and a search would find no CTI."""
         self.narrow(ind)
-        return self.leaving(self.ok.__getitem__, self.moves, self.step, range(len(self.ok))) is None
+        inside = itertools.compress(range(len(self.ok)), self.ok)
+        return self.leaving(self.ok.__getitem__, self.moves, self.step, inside) is None
 
     def walker(self, ind: Expr, dense: bool):
         """(start, good, moves, step) over state codes: dense reads the
-        per-code tables, else each visit works on its state."""
+        per-code tables, else the conjuncts' and firings' tables."""
         if dense:
             self.narrow(ind)
             good, moves, step = self.ok.__getitem__, self.moves, self.step

@@ -61,7 +61,6 @@ from .syntax import (
     SetLit,
     SetOp,
     StateRef,
-    children,
 )
 
 Env = dict[str, str]
@@ -88,13 +87,15 @@ class Transition:
 
 
 class _Ctx:
-    """What compiled closures may depend on besides their own node."""
+    """What compiled closures may depend on besides their own node; ``free``
+    collects the bound variables that the nodes compiled so far refer to."""
 
-    __slots__ = ("instance", "schema")
+    __slots__ = ("instance", "schema", "free")
 
     def __init__(self, instance: Instance, schema: StateSchema | None) -> None:
         self.instance = instance
         self.schema = schema
+        self.free: set[str] = set()
 
 
 def _const(value):
@@ -107,6 +108,7 @@ def _c_bool(e: BoolLit, ctx: _Ctx) -> Compiled:
 
 def _c_bound(e: BoundRef, ctx: _Ctx) -> Compiled:
     name = e.name
+    ctx.free.add(name)
     return lambda s, env: env[name]
 
 
@@ -211,29 +213,30 @@ def _c_implies(e: Implies, ctx: _Ctx) -> Compiled:
 
 
 def _c_quant(e: Quant, ctx: _Ctx) -> Compiled:
-    dom = ctx.instance.domain(e.sort)
-    var = e.var
+    var, outer, ctx.free = e.var, ctx.free, set()
     body = _compile(e.body, ctx)
-    if e.kind == "forall":
-        def forall(s, env):
-            for elem in dom:
-                env[var] = elem
-                if not body(s, env):
-                    del env[var]
-                    return False
-            env.pop(var, None)
-            return True
-        return forall
+    free, ctx.free = ctx.free, outer
+    outer |= free - {var}
+    if var not in free:
+        return body  # exact: a domain is never empty
+    dom = ctx.instance.domain(e.sort)
+    forall = e.kind == "forall"
 
-    def exists(s, env):
+    # The env is left as it was found: a binding that the quantifier shadows
+    # is restored, so a firing's env may be shared across calls.
+    def quant(s, env):
+        shadowed = env.get(var)
+        value = forall
         for elem in dom:
             env[var] = elem
-            if body(s, env):
-                del env[var]
-                return True
-        env.pop(var, None)
-        return False
-    return exists
+            if (not body(s, env)) is forall:
+                value = not forall
+                break
+        del env[var]
+        if shadowed is not None:
+            env[var] = shadowed
+        return value
+    return quant
 
 
 def _c_maplit(e: MapLit, ctx: _Ctx) -> Compiled:
@@ -291,14 +294,9 @@ def compile_expr(
 
     The closure is specific to the instance's domains and, when a schema is
     given, to states of that schema. Quantifiers bind their variables in the
-    env the call is given.
+    env the call is given, and leave it as they found it.
     """
     return _compile(expr, _Ctx(instance, schema))
-
-
-def _binds(e: Expr) -> bool:
-    """Whether evaluating e writes quantifier or map-constructor variables."""
-    return isinstance(e, (Quant, MapLit)) or any(map(_binds, children(e)))
 
 
 def evaluate(expr: Expr, state: State | None, env: Env, instance: Instance) -> Value:
@@ -328,26 +326,15 @@ Apply = Callable[[State, Env], State]  # post-state of an action under an env
 Firing = tuple[str, Apply, Binding, Env]  # (action name, apply, binding, env)
 
 
-def _private_env(f: Compiled) -> Compiled:
-    # Firings share their env dicts across calls, so an expression that
-    # writes variables into its env gets a copy.
-    return lambda s, env: f(s, dict(env))
-
-
-def _compile_part(e: Expr, instance: Instance, schema: StateSchema) -> Compiled:
-    f = compile_expr(e, instance, schema)
-    return _private_env(f) if _binds(e) else f
-
-
 def _compile_apply(action: ActionDecl, instance: Instance, schema: StateSchema) -> Apply:
     updates = []
     for u in action.updates:
         i = schema.index(u.target)
-        rhs = _compile_part(u.rhs, instance, schema)
+        rhs = compile_expr(u.rhs, instance, schema)
         if u.index is None:
             updates.append((i, rhs, None, None))
         else:
-            key = _compile_part(u.index, instance, schema)
+            key = compile_expr(u.index, instance, schema)
             index_sort = schema.types[i].index_sort
             pos = {k: p for p, k in enumerate(instance.domain(index_sort))}
             updates.append((i, rhs, key, pos))
@@ -380,7 +367,7 @@ def firings(protocol: Protocol, instance: Instance) -> tuple[tuple[Compiled, Env
     schema = state_schema(protocol)
     out = []
     for decl in protocol.actions:
-        guard = _compile_part(decl.guard, instance, schema)
+        guard = compile_expr(decl.guard, instance, schema)
         apply = _compile_apply(decl, instance, schema)
         names = [name for name, _ in decl.params]
         domains = [instance.domain(sort) for _, sort in decl.params]

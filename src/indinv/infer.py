@@ -7,17 +7,18 @@ lemma helps, it resamples the repository at the next term size a bounded
 number of times before giving up; a failed run still returns the partial
 conjunction since its lemmas are invariants in their own right.
 
-One ``WalkTable`` serves every CTI search of the run. Its verdict tables,
-each of at most ``reach_limit`` entries, persist across rounds; when the
-instance has no more states than ``n_ctis`` a search is skipped when the
-table shows that no step leaves Ind. Success means no CTI was found by
-sampling, or that the table proved none exists. ``check_induction`` then
+One ``WalkTable`` serves every CTI search of the run. Its tables, each of at
+most ``reach_limit`` entries, and its conjunct columns persist across rounds;
+when the instance has no more states than ``n_ctis`` a search is skipped when
+the tables show that no step leaves Ind. Success means no CTI was found by
+sampling, or that the tables proved none exists. ``check_induction`` then
 validates the result on the instance, exhaustively when the state space fits
 its limit and by sampling otherwise, with a ``WalkTable`` of its own and the
 same scan for a step that leaves the conjunction as the table's closure test.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -221,36 +222,36 @@ def check_induction(
 
     structural = canonical_text(conjuncts[0]) == canonical_text(protocol.safety)
 
+    # Each condition gets a complete verdict over every checked code, with the
+    # first witness in code order, then firing order. A fresh table, never an
+    # inference's, judges codes; the scan is the one ``WalkTable.closed`` runs.
     table = WalkTable(protocol, instance, limit)
     codec = table.codec
     if codec.size <= limit:
-        mode, codes = "exhaustive", range(codec.size)
+        table.narrow(conjunction(conjuncts))
+        mode, checked, good = "exhaustive", codec.size, table.ok.__getitem__
+        inside = list(itertools.compress(range(codec.size), table.ok))
     else:
         rng = random.Random(seed)
-        mode, codes = "sampled", [codec.random_code(rng) for _ in range(n_samples)]
-
-    # Each condition gets a complete verdict over every code, with the first
-    # witness in code order, then firing order. A fresh table, never an
-    # inference's, judges codes; the scan is the one ``WalkTable.closed`` runs.
-    good = table.good(conjuncts)
-    inside = [c for c in codes if good(c)]
+        mode, checked, good = "sampled", n_samples, table.good(conjuncts)
+        inside = [c for c in [codec.random_code(rng) for _ in range(n_samples)] if good(c)]
     step = table.leaving(good, table.enabled, table.successor, inside)
     consecution_witness: tuple[State, Transition, int] | None = None
     if step is not None:
         code, i, post = step
         name, _, binding, _ = table.fs[i][2]
-        bad = next(k for k, c in enumerate(conjuncts) if not table.holds_of(c)(post))
+        bad = next(k for k, c in enumerate(conjuncts) if not table.verdict(c).holds(post))
         t = Transition(name, binding, code, codec.decode(post))
         consecution_witness = (codec.decode(code), t, bad)
     weak = None
     if not structural:
-        safe = table.holds_of(protocol.safety)
+        safe = table.verdict(protocol.safety).holds
         weak = next((c for c in inside if not safe(c)), None)
 
     return InductionReport(
         initiation_witness, consecution_witness,
         structural, None if weak is None else codec.decode(weak),
-        len(codes), len(inside), mode,
+        checked, len(inside), mode,
     )
 
 

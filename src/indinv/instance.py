@@ -159,15 +159,17 @@ class StateCodec:
 
     A leaf is a scalar variable or one map entry. A code is the mixed-radix
     number of the leaves' digits in declaration order, the last leaf least
-    significant. ``random_code`` draws each leaf's digit with one rng call,
-    and ``random_state`` builds the drawn code's state. ``decode`` interns
-    each variable's value by its digits, so decoded states share them, while
-    ``build`` interns none. Both share map entry values by leaf digit.
-    ``projection`` numbers the codes by the digits of some variables. Equal
-    states have equal codes, so a code is a state's identity: reachability
-    dedups by ``encode``, and CTIs and witness steps carry codes. CTI walks
-    and ``check_induction`` run over codes alike: the check shares
-    ``WalkTable``'s closure scan and uses a table of its own.
+    significant: leaf j's digit is ``code // leaf_weights[j] % radix``, and
+    ``var_leaves`` numbers each variable's leaves. ``random_code`` draws
+    each leaf's digit with one rng call, and ``random_state`` builds the
+    drawn code's state. ``decode`` interns each variable's value by its
+    digits, so decoded states share them, while ``build`` interns none. Both
+    share map entry values by leaf digit. ``projection`` numbers the codes
+    by the digits of a set of leaves, and ``column`` tabulates a function of
+    those digits over every code. Equal states have equal codes, so a code
+    is a state's identity: reachability dedups by ``encode``, and CTIs and
+    witness steps carry codes. CTI walks and ``check_induction`` work on
+    codes alone, through projections.
     """
 
     def __init__(self, protocol: Protocol, instance: Instance) -> None:
@@ -177,8 +179,14 @@ class StateCodec:
             keys = instance.domain(t.index_sort) if isinstance(t, MapType) else None
             self.vars.append((keys, *_leaf(t.elem if keys else t, instance)))
         self.leaves = [(r, bits) for keys, r, bits, *_ in self.vars for _ in keys or "."]
+        self.var_leaves: dict[str, dict] = {}  # {map key, or None for a scalar: leaf}
+        for name, (keys, *_) in zip(self.schema.names, self.vars):
+            n = sum(map(len, self.var_leaves.values()))
+            self.var_leaves[name] = {k: n + p for p, k in enumerate(keys or [None])}
+        self.leaf_weights = [math.prod(r for r, _ in self.leaves[j + 1:])
+                             for j in range(len(self.leaves))]
         self.radices = [r ** len(keys) if keys else r for keys, r, *_ in self.vars]
-        self.weights = [math.prod(self.radices[i + 1:]) for i in range(len(self.vars))]
+        self.weights = [self.leaf_weights[max(v.values())] for v in self.var_leaves.values()]
         self.size = math.prod(self.radices)
         self.entry_values: list[dict[int, Value]] = [{} for _ in self.vars]  # by leaf digit
         self.interned: list[dict[int, Value]] = [{} for _ in self.vars]
@@ -215,18 +223,44 @@ class StateCodec:
             values[i] = self._value(i, code // self.weights[i] % self.radices[i])
         return State(self.schema, tuple(values))
 
-    def projection(self, names: frozenset[str]) -> tuple[int, Callable[[int], int]]:
+    def _runs(self, leaves: Iterable[int]) -> tuple[list[list[int]], int]:
+        """[weight in code, radix, weight in projection] per run of adjacent
+        leaves (no leaves: one of radix 1), least significant first, and the
+        product of their radices."""
+        runs: list[list[int]] = []
+        count, last = 1, None
+        for j in sorted(set(leaves), reverse=True):
+            r = self.leaves[j][0]
+            if j + 1 == last:
+                runs[-1][1] *= r
+            else:
+                runs.append([self.leaf_weights[j], r, count])
+            count, last = count * r, j
+        return runs or [[1, 1, 1]], count
+
+    def projection(self, leaves: Iterable[int]) -> tuple[int, Callable[[int], int]]:
         """(count, project): ``project(code)`` is the mixed-radix number, below
-        count, of the named variables' digits in declaration order."""
-        terms, count = [], 1  # (weight in code, radix, weight in projection)
-        for i in reversed(range(len(self.vars))):
-            if self.schema.names[i] in names:
-                terms.append((self.weights[i], self.radices[i], count))
-                count *= self.radices[i]
-        if len(terms) == 1:
-            (w, r, _), = terms
+        count, of the given leaves' digits in leaf order; all of a variable's
+        leaves number its values as its code digit does."""
+        runs, count = self._runs(leaves)
+        if len(runs) == 1:
+            (w, r, _), = runs
             return count, lambda code: code // w % r
-        return count, lambda code: sum([code // w % r * k for w, r, k in terms])
+        return count, lambda code: sum([code // w % r * k for w, r, k in runs])
+
+    def column(self, leaves: Iterable[int], f: Callable[[int], bool]) -> bytes:
+        """``bytes(map(f, range(size)))`` for an f that reads only the given
+        leaves' digits of its code, calling f once per projection."""
+        runs, _ = self._runs(leaves)
+
+        def block(t: int, base: int) -> bytes:  # codes base .. base + w * r - 1 of run t
+            if t < 0:
+                return bytes([f(base)])
+            w, r, _ = runs[t]
+            repeat = w // (runs[t - 1][0] * runs[t - 1][1]) if t else w
+            return b"".join([block(t - 1, base + d * w) * repeat for d in range(r)])
+        w, r, _ = runs[-1]
+        return block(len(runs) - 1, 0) * (self.size // (w * r))
 
     def _value(self, i: int, d: int) -> Value:
         keys, radix, _, value, _ = self.vars[i]

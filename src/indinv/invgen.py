@@ -17,7 +17,7 @@ import itertools
 import operator
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import EngineError
 from .evaluator import compile_expr
@@ -201,15 +201,12 @@ def generate_lemma_invariants(
     n_lemmas: int,
     nterms: int,
     rng: random.Random,
-    *,
-    on_reject: Callable[[CandidateInvariant, State], None] | None = None,
 ) -> LemmaRepository:
     """Draw n_lemmas candidates and keep those true on every reachable state.
 
     Duplicate draws are discarded, not re-drawn; n_lemmas counts draws. Each
     fresh candidate is checked as it is drawn, so the repository's contents
-    and order are a pure function of the rng stream. ``on_reject`` gets the
-    first reachable state, in reach order, that falsifies the candidate.
+    and order are a pure function of the rng stream.
     """
     global _reach_rows
     if not reach.states:
@@ -223,11 +220,8 @@ def generate_lemma_invariants(
         rows = _reach_rows
         if rows is None or rows.states is not reach.states or rows.grammar is not grammar:
             rows = _reach_rows = Rows(reach.states, grammar, reach.instance)
-        miss = rows.full ^ rows.clause(cand.literals)
-        if not miss:
+        if rows.clause(cand.literals) == rows.full:
             repo.add(cand)
-        elif on_reject is not None:
-            on_reject(cand, reach.states[(miss & -miss).bit_length() - 1])
     return repo
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from indinv import benchmarks
 from indinv.instance import parse_instance
+from indinv.invgen import sample_candidate
 from indinv.parser import parse_protocol
 
 # Small instances keep exhaustive oracles fast; defaults stay desk scale.
@@ -65,3 +66,17 @@ safety S: true
 @pytest.fixture(scope="session")
 def enum_protocol():
     return parse_protocol(ENUM_PROTO)
+
+
+def fresh_draws(grammar, n, nterms, rng, exclude=frozenset()):
+    """The candidates ``generate_lemma_invariants`` judges when it makes n
+    draws from rng: the first draw of each id not in exclude, in draw order.
+    The filter draws through ``sample_candidate`` alone, so an rng seeded
+    alike replays its draws exactly."""
+    seen, out = set(exclude), []
+    for _ in range(n):
+        cand = sample_candidate(grammar, nterms, rng)
+        if cand.id not in seen:
+            seen.add(cand.id)
+            out.append(cand)
+    return out

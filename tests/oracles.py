@@ -100,6 +100,11 @@ def o_holds(e: Expr, assign: Assign, inst: Instance) -> bool:
     return o_eval(e, assign, {}, inst) is True
 
 
+def o_first_falsifier(e: Expr, states: list[State], inst: Instance) -> State | None:
+    """The first of the states on which e does not hold, or None."""
+    return next((s for s in states if not o_holds(e, assign_from_state(s), inst)), None)
+
+
 def _o_values(vtype, inst: Instance):
     if isinstance(vtype, BoolType):
         return [False, True]

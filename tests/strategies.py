@@ -2,7 +2,10 @@
 
 Expressions are built over the lock-service vocabulary with a fixed pool of
 bound variables (s, s2: Server; c, c2: Client), so any generated body can be
-closed by quantifying over the full pool.
+closed by quantifying over the full pool. ``quantified_exprs`` also nests
+quantifiers over the pool anywhere in the body, so a quantifier may bind a
+variable its body never reads, or shadow an enclosing one of the same name:
+the parser admits neither, but the evaluator must get both right.
 """
 from __future__ import annotations
 
@@ -78,3 +81,16 @@ def close(body: Expr) -> Expr:
 
 
 closed_bool_exprs = bool_bodies.map(close)
+
+
+_quantified = st.recursive(
+    _atoms,
+    lambda children: st.one_of(
+        _bool_exprs(children),
+        st.tuples(st.sampled_from(["forall", "exists"]), st.sampled_from(BOUND_POOL), children)
+        .map(lambda t: Quant(t[0], t[1][0], t[1][1], t[2])),
+    ),
+    max_leaves=8,
+)
+
+quantified_exprs = _quantified.map(close)

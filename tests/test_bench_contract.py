@@ -10,7 +10,9 @@ makes bench/run.py fail outright; each is run once here as well.
 from __future__ import annotations
 
 import ast
+import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -47,13 +49,28 @@ def test_setup_mode_prints_ready():
     assert proc.stdout.strip() == "ready"
 
 
+MICRO_RATES = ("evaluator.holds_per_s", "evaluator.successors_per_s")
+
+
 def test_micro_mode_writes_both_rates(tmp_path):
     out = tmp_path / "micro.json"
     proc = _child("micro", str(out), "lockserver", LOCKSERVER_2X2)
     assert proc.returncode == 0, proc.stderr[-2000:]
     rates = json.loads(out.read_text(encoding="utf-8"))
-    for key in ("evaluator.holds_per_s", "evaluator.successors_per_s"):
+    for key in MICRO_RATES:
         assert rates[key] > 0
+
+
+def _layer_metrics(trace: dict) -> dict[str, float]:
+    """bench/run.py's per-layer metrics of a trace, imported as the benchmark runs it."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+    finally:
+        sys.path.remove(str(BENCH))
+    return run.layer_metrics(trace)
 
 
 def test_traced_run_records_every_span(tmp_path):
@@ -70,3 +87,13 @@ def test_traced_run_records_every_span(tmp_path):
     names = _span_names()
     assert len(names) == 10
     assert [n for n in names if n not in recorded] == []
+    # the micro run and the benchmark's own timings give the metrics that the
+    # trace does not, so with them every declared per-layer metric is there
+    metrics = _layer_metrics(trace)
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
+    outside = [m["name"] for m in declared
+               if m["name"] in MICRO_RATES or m["name"].startswith(("host.", "trace."))]
+    missing = [m["name"] for m in declared if m["name"] not in metrics and m["name"] not in outside]
+    assert missing == []
+    assert [k for k, v in metrics.items() if not math.isfinite(v)] == []
+    assert len(declared) == 30 and len(outside) == 5

@@ -2,20 +2,21 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from indinv import ctigen
 from indinv.ctigen import generate_ctis, replay_witness, replay_witness_diagnosis
-from indinv.evaluator import Transition, compile_expr, firings, holds
+from indinv.evaluator import Transition, compile_expr, firings, holds, successors
 from indinv.infer import check_induction, conjunction
 from indinv.instance import (
     MapV, State, fingerprint, parse_instance, random_state, state_codec, state_schema,
     state_space_size,
 )
 from indinv.parser import parse_expression, parse_protocol
-from indinv.syntax import And, to_str
+from indinv.syntax import And, BoundRef, MapIndex, Not, Quant, StateRef, Update, to_str
 
 from . import oracles
 
@@ -206,9 +207,9 @@ def _stream_digest(batch, rng) -> str:
 # reads per-code tables, and declock (8192), election (32768) and lockserver
 # 4x4 (1,048,576) the sparse walker, which rejects draws by the safety's
 # verdict table (8 entries over declock's has_lock, 8 over election's leader,
-# 65,536 over lockserver 4x4's held) and decodes each visited code. Consensus
-# and twophase find no CTI, so their digests pin the number of walks and the
-# rng's next draw.
+# 65,536 over lockserver 4x4's held) and steps by each firing's guard and
+# delta tables. Consensus and twophase find no CTI, so their digests pin the
+# number of walks and the rng's next draw.
 PINNED_STREAMS = {
     "lockserver": (None, "3f2c680b37576330"),
     "election": (None, "7248c6f1ed21b25e"),
@@ -450,6 +451,138 @@ def test_closure_agrees_with_the_induction_checks(all_benchmarks, small_benchmar
         assert closed, name  # each seed-7 result is inductive on its instance
 
 
+def test_each_conjunct_column_is_computed_once_per_table(all_benchmarks, monkeypatch):
+    # a new ind costs the columns of its new conjuncts alone: across a
+    # sequence of narrows, closure tests and dense searches, each conjunct is
+    # evaluated at most once per projection of its leaves, with or without a
+    # verdict table
+    calls = Counter()
+    evaluate = ctigen.Verdicts.evaluate
+    monkeypatch.setattr(ctigen.Verdicts, "evaluate",
+                        lambda v, code: calls.update([v.expr]) or evaluate(v, code))
+    for name, (protocol, _, instance) in all_benchmarks.items():
+        codec = state_codec(protocol, instance)
+        for limit in (1_000_000, 1):
+            calls.clear()
+            table = ctigen.WalkTable(protocol, instance, limit)
+            for ind in _ind_sequence(name, protocol):
+                table.closed(ind)
+                _walk(protocol, instance, table.walker(ind, True), 300, 3, 10000, 0)
+                if codec.size <= 8192:
+                    assert bytes(table.ok) == _verdicts(protocol, instance, ind), name
+            for c in _conjuncts(name, protocol):
+                v = table.verdict(c)
+                assert 0 < calls[c] <= codec.projection(v.leaves)[0], (name, limit, to_str(c))
+
+
+# -- firing tables --------------------------------------------------------------
+
+
+def _assert_firing_tables_equal_successors(protocol, instance, codes, limit=1_000_000):
+    table = ctigen.WalkTable(protocol, instance, limit)
+    codec, fs = table.codec, table.fs
+    for k in codes:
+        expected = [(t.action, t.binding, codec.encode(t.post))
+                    for t in successors(codec.decode(k), protocol, instance)]
+        got = [(fs[i][2][0], fs[i][2][2], table.successor(k, i)) for i in table.enabled(k)]
+        assert got == expected, k
+    return table
+
+
+def test_firing_tables_equal_successors_on_every_code(all_benchmarks, small_benchmarks):
+    lock_p = all_benchmarks["lockserver"][0]
+    cases = {name: (p, inst) for name, (p, _, inst) in all_benchmarks.items()}
+    cases["lockserver-3x3"] = (lock_p, parse_instance("Server=s1,s2,s3 Client=c1,c2,c3", lock_p))
+    for name, (protocol, instance) in cases.items():
+        table = _assert_firing_tables_equal_successors(
+            protocol, instance, range(state_space_size(protocol, instance)))
+        # a firing's tables are over the few leaves it touches, never a whole map
+        assert all(deltas is not None and len(deltas) <= 64 for _, deltas in table.deltas), name
+    for name, (protocol, _, instance) in small_benchmarks.items():
+        # past the limit, a firing is computed directly
+        table = _assert_firing_tables_equal_successors(
+            protocol, instance, range(state_space_size(protocol, instance)), limit=1)
+        assert [deltas for _, deltas in table.deltas] == [None] * len(table.fs), name
+
+
+# An element-valued map entry as a map key in a guard and an update index,
+# and a 3-label enum. After parsing, since the parser rejects both, Copy gets
+# the whole-map update ``mark := flag``, and Scan's guard a quantifier that
+# rebinds the parameter's name: inside it, ``flag[p]`` reads every entry of
+# flag, not Scan's own.
+LEAF_PROTO = """
+sort Node
+
+var flag : map<Node> -> bool
+var mark : map<Node> -> bool
+var ptr : map<Node> -> Node
+var mode : enum {idle, wait, done}
+
+init flag = [forall n: Node. false]
+init mark = [forall n: Node. false]
+init ptr = [forall n: Node. n]
+init mode = idle
+
+action Point(p: Node, q: Node) {
+    require ~flag[ptr[p]] /\\ mode != done;
+    flag[ptr[p]] := true;
+    ptr[p] := q;
+    mode := wait;
+}
+
+action Copy() {
+    require mode = wait;
+    mode := done;
+}
+
+action Scan(p: Node) {
+    require mark[p];
+    flag[p] := false;
+    mode := idle;
+}
+
+safety S: forall n: Node. mark[n] -> flag[n]
+"""
+
+
+def _leaf_protocol():
+    protocol = parse_protocol(LEAF_PROTO)
+    point, copy, scan = protocol.actions
+    copy = replace(copy, updates=(Update("mark", None, StateRef("flag")),) + copy.updates)
+    some_unflagged = Quant("exists", "p", "Node", Not(MapIndex(StateRef("flag"), BoundRef("p"))))
+    scan = replace(scan, guard=And((scan.guard, some_unflagged)))
+    return replace(protocol, actions=(point, copy, scan))
+
+
+def test_firing_tables_follow_leaves_keys_and_shadowing():
+    protocol = _leaf_protocol()
+    found = 0
+    for inst_text in ("Node=n1,n2", "Node=n1,n2,n3"):
+        instance = parse_instance(inst_text, protocol)
+        codec = state_codec(protocol, instance)
+        table = _assert_firing_tables_equal_successors(protocol, instance, range(codec.size))
+        fired = set()
+        for k in range(0, codec.size, 1 if codec.size < 1000 else 7):
+            # the oracle's successors, written apart from the engine
+            state = codec.decode(k)
+            assert sorted(
+                (fs[2][0], tuple(el for _, el in fs[2][2]), table.successor(k, i))
+                for i, fs in ((i, table.fs[i]) for i in table.enabled(k))
+            ) == sorted(
+                (name, combo, codec.encode(oracles.state_from_assign(protocol, instance, post)))
+                for name, combo, post in oracles.o_successors(
+                    protocol, instance, oracles.assign_from_state(state))
+            ), k
+            fired.update(table.fs[i][2][0] for i in table.enabled(k))
+        assert fired == {"Point", "Copy", "Scan"}
+        for seed in range(4):
+            reference, by_state, by_code = _walkers(
+                protocol, instance, protocol.safety, 600, 3, 10000, seed)
+            assert by_code == by_state == reference, (inst_text, seed)
+            found += len(reference[0])
+    assert found > 0
+
+
 # -- verdict tables -----------------------------------------------------------
 
 LOCKSERVER_4X4 = "Server=s1,s2,s3,s4 Client=c1,c2,c3,c4"
@@ -464,7 +597,7 @@ def _check_verdicts(protocol, instance, conjunct, codes, limit=1_000_000):
     it equals the compiled conjunct on the decoded state, and on every 97th
     that this equals the oracle."""
     codec = state_codec(protocol, instance)
-    verdicts = ctigen.Verdicts(conjunct, codec, instance, limit)
+    verdicts = ctigen.WalkTable(protocol, instance, limit).verdict(conjunct)
     f = compile_expr(conjunct, instance, codec.schema)
     for n, k in enumerate(codes):
         expected = f(codec.decode(k), {}) is True
@@ -496,8 +629,8 @@ def test_verdict_tables_equal_direct_evaluation_on_random_codes(lockserver):
         # limit, so the limit here is raised to give it a table as well. Each
         # code is asked twice, so that filled entries are read back.
         assert _check_verdicts(protocol, instance, c, codes * 2, limit=2**20).table is not None
-    safe, lemma = [ctigen.Verdicts(c, state_codec(protocol, instance), instance, 1_000_000)
-                   for c in _conjuncts("lockserver", protocol)]
+    table = ctigen.WalkTable(protocol, instance)
+    safe, lemma = [table.verdict(c) for c in _conjuncts("lockserver", protocol)]
     assert len(safe.table) == 2**16 and lemma.table is None
 
 
@@ -536,9 +669,9 @@ def test_a_conjunct_over_the_limit_is_evaluated_directly(small_benchmarks):
 
 
 def test_a_sparse_search_builds_rejected_draws_without_interning(lockserver, monkeypatch):
-    # a sparse search decodes the codes it visits and the last post-states of
-    # its CTIs' witnesses; a draw that fails safety is rejected by the
-    # verdict table and never decoded
+    # a sparse search decodes only the states of its CTIs and of their
+    # witnesses; a draw that fails safety is rejected by the verdict table
+    # and never decoded
     protocol = lockserver[0]
     instance = parse_instance(LOCKSERVER_4X4, protocol)
     codec = state_codec(protocol, instance)
@@ -552,3 +685,5 @@ def test_a_sparse_search_builds_rejected_draws_without_interning(lockserver, mon
     last_posts = {codec.encode(c.witness[-1].post) for c in batch.ctis}
     unsafe = {k for k in decoded if safe(decode(k), {}) is not True}
     assert unsafe and unsafe <= last_posts
+    on_witnesses = {codec.encode(t.post) for c in batch.ctis for t in c.witness}
+    assert set(decoded) <= {c.code for c in batch.ctis} | on_witnesses

@@ -2,16 +2,16 @@ from __future__ import annotations
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from indinv.evaluator import evaluate, holds, initial_state, successors
 from indinv.instance import MapV, State, enumerate_states, random_state, state_schema
 from indinv.parser import parse_expression, parse_protocol
 from indinv.reachability import compute_reach
-from indinv.syntax import Not, Quant
+from indinv.syntax import And, BoundRef, MapIndex, Not, Quant, StateRef
 
 from . import oracles
-from .strategies import BOUND_POOL, bool_bodies, closed_bool_exprs
+from .strategies import BOUND_POOL, bool_bodies, close, closed_bool_exprs, quantified_exprs
 
 A1_TEXT = "forall s: Server. forall c: Client. locked[s] -> ~(s in held[c])"
 
@@ -206,6 +206,30 @@ def test_holds_agrees_with_oracle_on_random_expressions(expr):
     rng = random.Random(17)
     for _ in range(8):
         s = random_state(protocol, instance, rng)
+        assign = oracles.assign_from_state(s)
+        assert holds(expr, s, instance) == oracles.o_holds(expr, assign, instance)
+
+
+_LOCKED_S = MapIndex(StateRef("locked"), BoundRef("s"))
+
+
+@given(quantified_exprs)
+@example(close(Quant("forall", "s", "Server", Quant("forall", "s", "Server", _LOCKED_S))))
+@example(close(Quant("forall", "s", "Server", Quant("forall", "s", "Server", Not(_LOCKED_S)))))
+@example(close(Quant("exists", "s", "Server", Quant("exists", "s", "Server", Not(_LOCKED_S)))))
+@example(close(Quant("forall", "s", "Server",
+                     And((Quant("exists", "s", "Server", Not(_LOCKED_S)), _LOCKED_S)))))
+@example(close(Quant("exists", "c", "Client", _LOCKED_S)))
+@settings(max_examples=150, deadline=None)
+def test_holds_agrees_with_oracle_under_vacuous_and_shadowing_quantifiers(expr):
+    # the compiler drops a quantifier whose body never reads its variable,
+    # and one that shadows an enclosing variable restores it on exit
+    from indinv import benchmarks
+    from indinv.instance import parse_instance
+
+    protocol = parse_protocol(benchmarks.protocol_path("lockserver").read_text())
+    instance = parse_instance("Server=s1,s2 Client=c1,c2", protocol)
+    for s in list(enumerate_states(protocol, instance))[::5]:
         assign = oracles.assign_from_state(s)
         assert holds(expr, s, instance) == oracles.o_holds(expr, assign, instance)
 

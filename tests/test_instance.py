@@ -185,7 +185,8 @@ def test_projection_is_the_number_of_the_named_digits(small_benchmarks):
         stride = 1 if len(digits) <= 4096 else 13  # every code of the small cases
         for r in range(len(names) + 1):
             for subset in itertools.combinations(range(len(names)), r):
-                count, project = codec.projection(frozenset(names[i] for i in subset))
+                leaves = [j for i in subset for j in codec.var_leaves[names[i]].values()]
+                count, project = codec.projection(leaves)
                 assert count == math.prod(codec.radices[i] for i in subset), (name, subset)
                 for k, ds in enumerate(digits):
                     if k % stride:
@@ -194,6 +195,30 @@ def test_projection_is_the_number_of_the_named_digits(small_benchmarks):
                     for i in subset:
                         expected = expected * codec.radices[i] + ds[i]
                     assert project(k) == expected, (name, subset, k)
+
+
+def test_leaf_projection_and_column_follow_the_leaf_digits(small_benchmarks):
+    rng = random.Random(3)
+    for name, (protocol, instance) in _codec_cases(small_benchmarks).items():
+        codec = state_codec(protocol, instance)
+        radices = [r for r, _ in codec.leaves]
+        # code order counts through the leaves' digits, the last fastest
+        digits = list(itertools.product(*map(range, radices)))
+        assert len(digits) == codec.size
+        for _ in range(12):
+            subset = sorted(rng.sample(range(len(radices)), rng.randint(0, len(radices))))
+            count, project = codec.projection(subset)
+            assert count == math.prod(radices[j] for j in subset)
+            for k, ds in enumerate(digits):
+                expected = 0
+                for j in subset:
+                    expected = expected * radices[j] + ds[j]
+                assert project(k) == expected, (name, subset, k)
+            values = [rng.random() < 0.5 for _ in range(count)]
+            calls = []
+            f = lambda k: calls.append(k) or values[project(k)]  # noqa: E731
+            assert codec.column(subset, f) == bytes(values[project(k)] for k in range(codec.size))
+            assert sorted(map(project, calls)) == list(range(count)), (name, subset)
 
 
 def test_built_states_equal_decoded_ones_and_intern_nothing(small_benchmarks):

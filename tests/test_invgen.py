@@ -19,6 +19,7 @@ from indinv.reachability import compute_reach
 from indinv.syntax import BoundRef, GrammarConfig, canonical_text, reads, to_str
 
 from . import oracles
+from .conftest import fresh_draws
 
 A1_ID_BODY = "forall s: Server. forall c: Client. ~(s in held[c]) \\/ ~locked[s]"
 
@@ -101,21 +102,17 @@ def test_falsified_candidate_excluded_with_reachable_witness(lockserver):
     protocol, grammar, instance = lockserver
     reach = compute_reach(protocol, instance)
     repo = LemmaRepository()
-    rejected = []
-    generate_lemma_invariants(
-        reach, grammar, repo, 500, 1, random.Random(0),
-        on_reject=lambda cand, state: rejected.append((cand, state)),
-    )
-    # no single-term candidate is an invariant of the lock service
+    generate_lemma_invariants(reach, grammar, repo, 500, 1, random.Random(0))
+    # no single-term candidate is an invariant of the lock service: each one
+    # drawn is rejected, and has a reachable state that falsifies it
     assert len(repo) == 0
+    rejected = [(cand, oracles.o_first_falsifier(cand.closed, reach.states, instance))
+                for cand in fresh_draws(grammar, 500, 1, random.Random(0))]
     assert rejected
-    from indinv.instance import fingerprint
-    reach_fps = {fingerprint(s) for s in reach.states}
-    from indinv.evaluator import holds
-
+    oracle_reach = oracles.o_reach(protocol, instance)
     for cand, state in rejected:
-        assert fingerprint(state) in reach_fps
-        assert not holds(cand.closed, state, instance)
+        assert state is not None, cand.id
+        assert oracles.freeze_state(state) in oracle_reach
 
 
 def test_all_in_held_candidate_is_falsified_by_init(lockserver):
@@ -124,13 +121,11 @@ def test_all_in_held_candidate_is_falsified_by_init(lockserver):
     # seed index 1 is 's in held[c]'; un-negated it fails at the initial state
     cand = build_candidate(grammar, ((1, False),))
     repo = LemmaRepository()
-    hits = []
-    generate_lemma_invariants(
-        reach, grammar, repo, 200, 1, random.Random(0),
-        on_reject=lambda c, s: hits.append((c.id, s)),
-    )
-    falsifiers = {cid for cid, _ in hits}
-    assert cand.id in falsifiers
+    generate_lemma_invariants(reach, grammar, repo, 200, 1, random.Random(0))
+    assert cand.id in {c.id for c in fresh_draws(grammar, 200, 1, random.Random(0))}
+    assert cand.id not in repo
+    init = oracles.state_from_assign(protocol, instance, oracles.o_initial(protocol, instance))
+    assert oracles.o_first_falsifier(cand.closed, reach.states, instance) == init
 
 
 def test_zero_draws_leave_repo_unchanged(lockserver):
