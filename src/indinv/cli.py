@@ -93,7 +93,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_infer.add_argument("--n-ctis", type=_at_least(1), default=InferenceConfig.n_ctis)
     p_infer.add_argument("--cti-cap", type=_at_least(1), default=InferenceConfig.cti_cap)
     p_infer.add_argument("--depth", type=_at_least(1), default=InferenceConfig.walk_depth,
-                         help="CTI walk depth")
+                         help="most steps from a CTI to a state outside the candidate")
     p_infer.add_argument("--max-regen", type=_at_least(0), default=InferenceConfig.max_regen_rounds,
                          help="lemma regeneration rounds before giving up")
     p_infer.add_argument("--out", help="result file (default: standard output)")

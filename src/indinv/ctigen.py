@@ -1,21 +1,21 @@
-"""Counterexample-to-induction generation by randomized simulation.
+"""Counterexample-to-induction generation, exact or by randomized simulation.
 
-A sampled start state that satisfies the current candidate is walked forward
-by uniformly random enabled transitions. If the walk hits a violating state
-at step k, every earlier state on the walk satisfies the candidate by
-construction, so all of them are counterexamples to induction; each is
-recorded by its code, a state's identity, with its witness suffix, whose
-steps carry their pre-states' codes.
+A CTI of the candidate Ind is a state of Ind with a path of at most
+``depth`` steps through Ind to a state outside it, recorded by its code, a
+state's identity, with such a path as its witness, whose steps carry their
+pre-states' codes. When the instance has no more states than the call has
+walks, the batch is exact: every CTI at its shortest depth, found from
+Ind's verdict on every code, with no rng draw. Otherwise a sampled start
+state that satisfies Ind is walked forward by uniformly random enabled
+transitions; if the walk leaves Ind at step k, all k earlier states are CTIs.
 
-Every walk runs over state codes, made with exactly ``random_state``'s rng
-calls, and builds a state only to report a CTI. A conjunct's verdict, a
-firing's guard and the change a firing makes to a code (a successor is code
-plus delta) each depend on a few leaves, scalar variables or map entries, so
-each is kept in a table over their digits, filled on first use. When the
-instance has no more states than the call has walks, a walk also reads
-per-code tables of verdicts, enabled firings and successors. Both give the
-same batch. An inference keeps one ``WalkTable`` for its searches;
-``check_induction`` makes one of its own and shares its scan.
+Both run over state codes, drawn with exactly ``random_state``'s rng calls,
+and build a state only to report a CTI. A conjunct's verdict, a firing's
+guard and the change a firing makes to a code (a successor is code plus
+delta) each depend on a few leaves, scalar variables or map entries, so
+each is kept in a table over their digits, filled on first use. An
+inference keeps one ``WalkTable`` for its searches; ``check_induction``
+makes one of its own.
 """
 from __future__ import annotations
 
@@ -46,6 +46,9 @@ class CTI:
 
 @dataclass
 class CtiBatch:
+    """The CTIs found, and the walks started; for an exact batch, the Ind
+    codes examined."""
+
     ctis: list[CTI]
     samples_attempted: int
 
@@ -123,11 +126,8 @@ class WalkTable:
     ``good(conjuncts)`` is their conjunction. Each firing has a ``Verdicts``
     of its guard and a table of deltas over the leaves its updates read or
     may write, filled on a miss by applying it to the code's state; past
-    ``limit`` entries it has none, and applies on every call. Dense searches
-    also read per-code tables: ``ok``, the AND of the columns of the last
-    ind's conjuncts, and the enabled firings and successor codes, each
-    computed once when first needed. ``leaving`` is the one scan for a step
-    out of ``good``, shared by ``closed`` and ``check_induction``.
+    ``limit`` entries it has none, and applies on every call. ``narrow``
+    ANDs the columns of an ind's conjuncts into its verdict on every code.
     """
 
     def __init__(self, protocol: Protocol, instance: Instance, limit: int = 1_000_000) -> None:
@@ -148,11 +148,6 @@ class WalkTable:
             count, project = codec.projection(key)
             self.deltas.append((project, {} if count <= limit else None))
         self.verdicts: dict[int, Verdicts] = {}
-        self.ind: Expr | None = None
-        self.ok: bytes | None = None
-        self.interned: dict = {}
-        self.moves_at: dict[int, tuple[int, ...]] = {}
-        self.succ: dict[int, int] = {}  # code * len(fs) + firing -> successor code
 
     def verdict(self, conjunct: Expr) -> Verdicts:
         """The conjunct's ``Verdicts``, made on first use."""
@@ -187,64 +182,55 @@ class WalkTable:
                 deltas[p] = d
         return code + d
 
-    def moves(self, c: int) -> tuple[int, ...]:
-        m = self.moves_at.get(c)
-        if m is None:
-            m = tuple(self.enabled(c))
-            m = self.moves_at[c] = self.interned.setdefault(m, m)
-        return m
-
-    def step(self, c: int, i: int) -> int:
-        key = c * len(self.fs) + i
-        d = self.succ.get(key)
-        if d is None:
-            d = self.succ[key] = self.successor(c, i)
-        return d
-
-    def narrow(self, ind: Expr) -> None:
-        """Make ``ok`` the verdicts of ind, one byte per code."""
-        if ind is not self.ind:
-            self.ind = ind
-            ok = functools.reduce(operator.and_, [self.verdict(c).column for c in conjuncts_of(ind)])
-            self.ok = ok.to_bytes(self.codec.size, "little")
-
-    @staticmethod
-    def leaving(good, moves, step, codes):
-        """The first (code, firing, successor) over codes, which are all
-        good, then firings, of a step to a code that is not; None if none."""
-        for c in codes:
-            for i in moves(c):
-                d = step(c, i)
-                if not good(d):
-                    return c, i, d
-        return None
-
-    def closed(self, ind: Expr) -> bool:
-        """Whether every enabled step from a state satisfying ind keeps it;
-        then no walk can leave ind, and a search would find no CTI."""
-        self.narrow(ind)
-        inside = itertools.compress(range(len(self.ok)), self.ok)
-        return self.leaving(self.ok.__getitem__, self.moves, self.step, inside) is None
-
-    def walker(self, ind: Expr, dense: bool):
-        """(start, good, moves, step) over state codes: dense reads the
-        per-code tables, else the conjuncts' and firings' tables."""
-        if dense:
-            self.narrow(ind)
-            good, moves, step = self.ok.__getitem__, self.moves, self.step
-        else:
-            good, moves, step = self.good(conjuncts_of(ind)), self.enabled, self.successor
-        random_code = self.codec.random_code
-
-        def start(rng):
-            c = random_code(rng)
-            return c if good(c) else None
-        return start, good, moves, step
+    def narrow(self, ind: Expr) -> bytes:
+        """The verdicts of ind, one byte per code."""
+        ok = functools.reduce(operator.and_, [self.verdict(c).column for c in conjuncts_of(ind)])
+        return ok.to_bytes(self.codec.size, "little")
 
 
-def _sample_walks(fs, codec: StateCodec, walker, budget: int, depth: int, cap: int,
+def _exact_ctis(table: WalkTable, ind: Expr, depth: int, cap: int) -> tuple[list[CTI], int]:
+    """The first cap, in code order, of the codes of ind with a path of at
+    most depth steps through ind to a code outside it; and ind's size.
+
+    Pass k finds the codes whose shortest such path has k steps, each by its
+    first firing out of ind (k = 1), else into a code found before; the
+    passes stop at depth or at the first that finds none.
+    """
+    ok = table.narrow(ind)
+    inside = list(itertools.compress(range(len(ok)), ok))
+    enabled, successor = table.enabled, table.successor
+    found: dict[int, tuple[int, int, int]] = {}  # code -> (depth, firing, successor)
+    rest = inside
+    for k in range(1, depth + 1):
+        hits = (lambda d: not ok[d]) if k == 1 else found.__contains__
+        added = {}
+        for c in rest:
+            for i in enabled(c):
+                d = successor(c, i)
+                if hits(d):
+                    added[c] = (k, i, d)
+                    break
+        if not added:
+            break
+        found.update(added)
+        rest = [c for c in rest if c not in added]
+
+    fs, state = table.fs, functools.cache(table.codec.decode)
+
+    def witness(c: int) -> tuple[Transition, ...]:
+        steps = []
+        while c in found:
+            _, i, d = found[c]
+            steps.append(Transition(fs[i][2][0], fs[i][2][2], c, state(d)))
+            c = d
+        return tuple(steps)
+    return [CTI(state(c), c, witness(c), found[c][0]) for c in sorted(found)[:cap]], len(inside)
+
+
+def _sample_walks(table: WalkTable, good, budget: int, depth: int, cap: int,
                   rng: random.Random) -> tuple[list[CTI], int]:
-    start, good, moves, step = walker
+    fs, codec, random_code = table.fs, table.codec, table.codec.random_code
+    moves, step = table.enabled, table.successor
     ctis: list[CTI] = []
     seen: set = set()
     attempts = 0
@@ -252,8 +238,8 @@ def _sample_walks(fs, codec: StateCodec, walker, budget: int, depth: int, cap: i
         if len(ctis) >= cap:
             break
         attempts += 1
-        key = start(rng)
-        if key is None:  # the draw does not satisfy ind
+        key = random_code(rng)
+        if not good(key):  # the draw does not satisfy ind
             continue
         path = [key]
         taken: list[int] = []
@@ -298,11 +284,14 @@ def generate_ctis(
     rng: random.Random,
     table: WalkTable | None = None,
 ) -> CtiBatch:
-    """Sample up to n_ctis start states and collect at most cap distinct CTIs.
+    """At most cap distinct CTIs of ind, each with a witness of at most depth
+    steps: the exact set in code order when the instance has at most n_ctis
+    states, else those of up to n_ctis sampled walks.
 
     Deterministic given the rng: the batch and the rng's next draw depend only
-    on its state on entry. ``table`` is an inference's table for this protocol
-    and instance; without one, a fresh table serves this call alone.
+    on its state on entry, and an exact batch draws nothing. ``table`` is an
+    inference's table for this protocol and instance; without one, a fresh
+    table serves this call alone.
     """
     if depth < 1:
         raise ValueError("walk depth must be at least 1")
@@ -310,9 +299,10 @@ def generate_ctis(
         raise ValueError("CTI cap must be at least 1")
     if table is None or table.space != (protocol, instance):
         table = WalkTable(protocol, instance)
-    walker = table.walker(ind, table.codec.size <= n_ctis)
-    ctis, attempts = _sample_walks(table.fs, table.codec, walker, n_ctis, depth, cap, rng)
-    return CtiBatch(ctis, attempts)
+    if table.codec.size <= n_ctis:
+        return CtiBatch(*_exact_ctis(table, ind, depth, cap))
+    good = table.good(conjuncts_of(ind))
+    return CtiBatch(*_sample_walks(table, good, n_ctis, depth, cap, rng))
 
 
 def replay_witness_diagnosis(

@@ -8,13 +8,12 @@ number of times before giving up; a failed run still returns the partial
 conjunction since its lemmas are invariants in their own right.
 
 One ``WalkTable`` serves every CTI search of the run. Its tables, each of at
-most ``reach_limit`` entries, and its conjunct columns persist across rounds;
-when the instance has no more states than ``n_ctis`` a search is skipped when
-the tables show that no step leaves Ind. Success means no CTI was found by
-sampling, or that the tables proved none exists. ``check_induction`` then
+most ``reach_limit`` entries, and its conjunct columns persist across rounds.
+When the instance has no more states than ``n_ctis`` each search returns
+the exact CTI set, so success means no step leaves Ind on the instance;
+otherwise it means no CTI was found by sampling. ``check_induction`` then
 validates the result on the instance, exhaustively when the state space fits
-its limit and by sampling otherwise, with a ``WalkTable`` of its own and the
-same scan for a step that leaves the conjunction as the table's closure test.
+its limit and by sampling otherwise, with a ``WalkTable`` of its own.
 """
 from __future__ import annotations
 
@@ -105,11 +104,8 @@ def infer_inductive_invariant(
     reach: ReachSet | None = None
     rounds = regens = eliminated_total = 0
     table = WalkTable(protocol, instance, config.reach_limit)
-    small = table.codec.size <= config.n_ctis
 
     def ctis_for(current: Expr) -> list[CTI]:
-        if small and table.closed(current):
-            return []  # no walk can leave current: the search would be empty
         return generate_ctis(
             protocol, instance, current, config.n_ctis, config.walk_depth,
             config.cti_cap, rng, table=table,
@@ -224,18 +220,19 @@ def check_induction(
 
     # Each condition gets a complete verdict over every checked code, with the
     # first witness in code order, then firing order. A fresh table, never an
-    # inference's, judges codes; the scan is the one ``WalkTable.closed`` runs.
+    # inference's, judges codes.
     table = WalkTable(protocol, instance, limit)
     codec = table.codec
     if codec.size <= limit:
-        table.narrow(conjunction(conjuncts))
-        mode, checked, good = "exhaustive", codec.size, table.ok.__getitem__
-        inside = list(itertools.compress(range(codec.size), table.ok))
+        ok = table.narrow(conjunction(conjuncts))
+        mode, checked, good = "exhaustive", codec.size, ok.__getitem__
+        inside = list(itertools.compress(range(codec.size), ok))
     else:
         rng = random.Random(seed)
         mode, checked, good = "sampled", n_samples, table.good(conjuncts)
         inside = [c for c in [codec.random_code(rng) for _ in range(n_samples)] if good(c)]
-    step = table.leaving(good, table.enabled, table.successor, inside)
+    step = next(((c, i, d) for c in inside for i in table.enabled(c)
+                 if not good(d := table.successor(c, i))), None)
     consecution_witness: tuple[State, Transition, int] | None = None
     if step is not None:
         code, i, post = step

@@ -217,6 +217,26 @@ def o_cti_depth1(protocol: Protocol, inst: Instance, pred: Expr):
     return found
 
 
+def o_ctis(protocol: Protocol, inst: Instance, pred: Expr, depth: int):
+    """{frozen state: k} of each state satisfying pred whose shortest path
+    through pred-states to a state violating pred has k <= depth steps:
+    layer k holds the pred-states not in an earlier layer with a successor
+    in layer k - 1, layer 0 being the states that violate pred."""
+    inside = {}
+    for assign in o_enumerate(protocol, inst):
+        if o_holds(pred, assign, inst):
+            inside[o_freeze(assign)] = [o_freeze(post)
+                                        for _, _, post in o_successors(protocol, inst, assign)]
+    layers = {}
+    for k in range(1, depth + 1):
+        for s, posts in inside.items():
+            if s in layers:
+                continue
+            if any((layers.get(p) == k - 1) if p in inside else k == 1 for p in posts):
+                layers[s] = k
+    return layers
+
+
 def o_transition_count(protocol: Protocol, inst: Instance) -> int:
     return sum(
         len(o_successors(protocol, inst, a)) for a in o_enumerate(protocol, inst)

@@ -54,6 +54,13 @@ def test_infer_different_seeds_still_succeed(tmp_path):
     assert main(_infer_args(out, seed=5)) == 0
 
 
+def test_infer_at_any_depth_exit_zero(tmp_path):
+    # lockserver's 64 states get exact CTI sets, whatever the depth
+    out = tmp_path / "r.txt"
+    assert main([*_infer_args(out, seed=7), "--depth", "300"]) == 0
+    assert "walk_depth=300" in out.read_text()
+
+
 def test_infer_fail_exit_two(tmp_path):
     grammar = tmp_path / "useless.grammar"
     grammar.write_text("template forall s: Server.\nseed true\nmax_terms 1\n")

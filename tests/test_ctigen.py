@@ -35,8 +35,24 @@ def _state(protocol, locked, held):
 
 
 def _batch(lockserver, ind, n=4000, depth=3, cap=10000, seed=0):
+    """A batch on lockserver 2x2: with n at least its 64 states, the exact set."""
     protocol, _, instance = lockserver
     return generate_ctis(protocol, instance, ind, n, depth, cap, random.Random(seed))
+
+
+LOCKSERVER_4X4 = "Server=s1,s2,s3,s4 Client=c1,c2,c3,c4"
+
+
+def _walk_batch(lockserver, ind, n=4000, depth=3, cap=10000, seed=0):
+    """n sampled walks on lockserver 4x4, whose 2^20 states exceed any n here."""
+    protocol = lockserver[0]
+    instance = parse_instance(LOCKSERVER_4X4, protocol)
+    return generate_ctis(protocol, instance, ind, n, depth, cap, random.Random(seed))
+
+
+def _o_size(protocol, instance, ind):
+    """The oracle's count of the states satisfying ind."""
+    return sum(oracles.o_holds(ind, a, instance) for a in oracles.o_enumerate(protocol, instance))
 
 
 def test_known_one_step_cti_is_recorded(lockserver):
@@ -50,9 +66,13 @@ def test_known_one_step_cti_is_recorded(lockserver):
 def test_inductive_candidate_yields_empty_batch(lockserver):
     protocol, _, instance = lockserver
     ind = And((protocol.safety, parse_expression(A1_TEXT, protocol)))
-    batch = _batch(lockserver, ind, n=5000)
-    assert len(batch) == 0
-    assert batch.samples_attempted == 5000
+    walked = _walk_batch(lockserver, ind, n=5000)
+    assert len(walked) == 0
+    assert walked.samples_attempted == 5000
+    exact = _batch(lockserver, ind, n=5000)
+    assert len(exact) == 0
+    # an exact batch counts the codes of ind it examined
+    assert exact.samples_attempted == _o_size(protocol, instance, ind) == 16
 
 
 def test_zero_budget(lockserver):
@@ -73,20 +93,31 @@ def test_all_ctis_satisfy_ind_and_replay(lockserver):
 
 
 def test_no_duplicate_codes(lockserver):
-    batch = _batch(lockserver, lockserver[0].safety, n=5000)
-    codes = [c.code for c in batch.ctis]
-    assert len(codes) == len(set(codes))
+    for make in (_batch, _walk_batch):
+        batch = make(lockserver, lockserver[0].safety, n=5000)
+        codes = [c.code for c in batch.ctis]
+        assert len(codes) == len(set(codes)) > 0, make
 
 
 def test_cap_bounds_batch_size(lockserver):
-    batch = _batch(lockserver, lockserver[0].safety, n=20000, cap=3)
-    assert len(batch) == 3
+    for make in (_batch, _walk_batch):
+        batch = make(lockserver, lockserver[0].safety, n=20000, cap=3)
+        assert len(batch) == 3, make
+
+
+def test_exact_cap_keeps_the_first_ctis_in_code_order(lockserver):
+    whole = _batch(lockserver, lockserver[0].safety, n=64)
+    capped = _batch(lockserver, lockserver[0].safety, n=64, cap=3)
+    assert [c.code for c in whole.ctis] == sorted(c.code for c in whole.ctis)
+    assert capped.ctis == whole.ctis[:3] and len(whole) > 3
+    assert capped.samples_attempted == whole.samples_attempted
 
 
 def test_witness_depths_within_walk_depth(lockserver):
-    batch = _batch(lockserver, lockserver[0].safety, n=3000, depth=3)
-    assert all(1 <= c.depth_to_violation <= 3 for c in batch.ctis)
-    assert all(len(c.witness) == c.depth_to_violation for c in batch.ctis)
+    for make in (_batch, _walk_batch):
+        batch = make(lockserver, lockserver[0].safety, n=3000, depth=3)
+        assert all(1 <= c.depth_to_violation <= 3 for c in batch.ctis)
+        assert all(len(c.witness) == c.depth_to_violation for c in batch.ctis)
 
 
 def test_tampered_witness_post_state_detected(lockserver):
@@ -116,16 +147,18 @@ def test_start_state_violating_ind_detected(lockserver):
 
 
 def _deep_cti(lockserver):
-    """A CTI of safety whose witness has at least two steps, and its replay."""
-    protocol, _, instance = lockserver
-    batch = _batch(lockserver, protocol.safety, n=20000, seed=4)
+    """A walk's CTI of safety whose witness has at least two steps, and its
+    replay; on lockserver every exact CTI of safety is one step deep."""
+    protocol = lockserver[0]
+    instance = parse_instance(LOCKSERVER_4X4, protocol)
+    batch = _walk_batch(lockserver, protocol.safety, n=20000, seed=4)
     cti = next(c for c in batch.ctis if c.depth_to_violation >= 2)
     return cti, lambda c: replay_witness_diagnosis(c, protocol, instance, protocol.safety)
 
 
 def test_witness_steps_carry_their_pre_state_codes(lockserver):
-    protocol, _, instance = lockserver
-    encode = state_codec(protocol, instance).encode
+    protocol = lockserver[0]
+    encode = state_codec(protocol, parse_instance(LOCKSERVER_4X4, protocol)).encode
     cti, replay = _deep_cti(lockserver)
     pres = [cti.state] + [t.post for t in cti.witness[:-1]]
     assert cti.code == encode(cti.state)
@@ -147,31 +180,37 @@ def test_tampered_pre_code_at_step_one_detected(lockserver):
 
 
 def test_deterministic_at_one_worker(lockserver):
-    a = _batch(lockserver, lockserver[0].safety, seed=9)
-    b = _batch(lockserver, lockserver[0].safety, seed=9)
-    assert [c.code for c in a.ctis] == [c.code for c in b.ctis]
-    assert a.samples_attempted == b.samples_attempted
+    for make in (_batch, _walk_batch):
+        a = make(lockserver, lockserver[0].safety, seed=9)
+        b = make(lockserver, lockserver[0].safety, seed=9)
+        assert [c.code for c in a.ctis] == [c.code for c in b.ctis]
+        assert a.samples_attempted == b.samples_attempted
 
 
 def test_worker_batches_are_valid(lockserver):
-    # every CTI of a larger batch, at every depth, replays exactly
-    protocol, _, instance = lockserver
+    # every CTI of a larger batch of walks, at every depth, replays exactly
+    protocol = lockserver[0]
+    instance = parse_instance(LOCKSERVER_4X4, protocol)
     safe = protocol.safety
-    batch = _batch(lockserver, safe, n=20000, seed=4)
+    batch = _walk_batch(lockserver, safe, n=20000, seed=4)
     assert {c.depth_to_violation for c in batch.ctis} == {1, 2, 3}
     for cti in batch.ctis:
         assert replay_witness(cti, protocol, instance, safe)
 
 
 def test_depth1_batch_matches_exhaustive_oracle_at_modest_budget(lockserver):
-    # the full 50k-budget equality runs in the acceptance suite
+    # the exact batch is the oracle's set; walks at a modest budget miss at
+    # most one of its CTIs
     protocol, _, instance = lockserver
     safe = protocol.safety
-    batch = _batch(lockserver, safe, n=20000, depth=1)
     oracle = oracles.o_cti_depth1(protocol, instance, safe)
-    generated = {oracles.freeze_state(c.state) for c in batch.ctis}
+    exact = _batch(lockserver, safe, n=20000, depth=1)
+    assert {oracles.freeze_state(c.state) for c in exact.ctis} == oracle
+    ctis, _, _ = _walk(protocol, instance, ctigen.WalkTable(protocol, instance), safe,
+                       20000, 1, 10000, 0)
+    generated = {oracles.freeze_state(c.state) for c in ctis}
     assert generated <= oracle
-    assert len(oracle - generated) <= 1  # tiny budget slack; equality at 50k
+    assert len(oracle - generated) <= 1  # tiny budget slack
 
 
 def test_invalid_depth_and_cap_rejected(lockserver):
@@ -198,23 +237,24 @@ def _stream_digest(batch, rng) -> str:
 
 
 # A change here means CTI generation consumes the random stream differently,
-# and every result file changes with it. The lockserver and election digests
-# were computed at commit 3859043, with the tree-walking interpreter that
-# preceded the closure compiler and built every successor of a walk state; the
-# other four at commit ecc8221, before walks ran over state codes or verdict
-# tables. Every walk runs over codes. At a budget of 3000 walks, consensus
-# (8 states), twophase (64) and lockserver (64) take the dense walker, which
-# reads per-code tables, and declock (8192), election (32768) and lockserver
-# 4x4 (1,048,576) the sparse walker, which rejects draws by the safety's
-# verdict table (8 entries over declock's has_lock, 8 over election's leader,
-# 65,536 over lockserver 4x4's held) and steps by each firing's guard and
-# delta tables. Consensus and twophase find no CTI, so their digests pin the
-# number of walks and the rng's next draw.
+# or finds other CTIs, and result files change with it. At a budget of 3000
+# walks, consensus (8 states), twophase (64) and lockserver (64) get the
+# exact CTI set, which draws nothing: their digests pin the set in code
+# order, its count of safety's codes and the untouched rng's next draw, and
+# were recomputed when the exact set replaced the dense walker's walks.
+# Consensus and twophase have no CTI. Declock (8192), election (32768) and
+# lockserver 4x4 (1,048,576) take the sparse walker, which rejects draws by
+# the safety's verdict table (8 entries over declock's has_lock, 8 over
+# election's leader, 65,536 over lockserver 4x4's held) and steps by each
+# firing's guard and delta tables. The election digest was computed at
+# commit 3859043, with the tree-walking interpreter that preceded the
+# closure compiler; the declock and lockserver 4x4 digests at commit
+# ecc8221, before walks ran over state codes or verdict tables.
 PINNED_STREAMS = {
-    "lockserver": (None, "3f2c680b37576330"),
+    "lockserver": (None, "7545b10bfb6f5017"),
     "election": (None, "7248c6f1ed21b25e"),
-    "consensus": (None, "34a60a51c16a5452"),
-    "twophase": (None, "fcbe53ca23a3cd39"),
+    "consensus": (None, "a6d45c882e03b3e8"),
+    "twophase": (None, "e60058a1be939d4b"),
     "declock": (None, "70c24f6d811f00a9"),
     "lockserver-4x4": ("Server=s1,s2,s3,s4 Client=c1,c2,c3,c4", "e6fe1b34f9c623a9"),
 }
@@ -229,16 +269,17 @@ def test_cti_stream_is_pinned(all_benchmarks, name):
     rng = random.Random(2024)
     batch = generate_ctis(protocol, instance, protocol.safety, 3000, 3, 10000, rng)
     assert len(batch) > 0 or name in ("consensus", "twophase")
+    if state_space_size(protocol, instance) <= 3000:  # an exact batch draws nothing
+        assert rng.getstate() == random.Random(2024).getstate()
     assert _stream_digest(batch, rng) == digest
 
 
-def _walk(protocol, instance, walker, budget, depth, cap, seed):
-    """(ctis, attempts, rng's next draw) of one walker."""
+def _walk(protocol, instance, table, ind, budget, depth, cap, seed):
+    """(ctis, attempts, rng's next draw) of the sparse walker on a table,
+    whatever the instance's size."""
     rng = random.Random(seed)
-    ctis, attempts = ctigen._sample_walks(
-        firings(protocol, instance), state_codec(protocol, instance), walker, budget, depth, cap,
-        rng,
-    )
+    good = table.good(ctigen.conjuncts_of(ind))
+    ctis, attempts = ctigen._sample_walks(table, good, budget, depth, cap, rng)
     return ctis, attempts, rng.getrandbits(64)
 
 
@@ -284,16 +325,12 @@ def _reference_walks(protocol, instance, ind, budget, depth, cap, rng):
 
 def _walkers(protocol, instance, ind, budget, depth, cap, seed, limit=1_000_000):
     """(ctis, attempts, rng's next draw) of the reference walk, then of a
-    fresh table's sparse walker (each visit works on its decoded state) and
-    dense walker (per-code tables)."""
+    fresh table's sparse walker."""
     rng = random.Random(seed)
     reference = (*_reference_walks(protocol, instance, ind, budget, depth, cap, rng),
                  rng.getrandbits(64))
-    tables = [ctigen.WalkTable(protocol, instance, limit) for _ in range(2)]
-    return [reference] + [
-        _walk(protocol, instance, w, budget, depth, cap, seed)
-        for w in (tables[0].walker(ind, False), tables[1].walker(ind, True))
-    ]
+    table = ctigen.WalkTable(protocol, instance, limit)
+    return reference, _walk(protocol, instance, table, ind, budget, depth, cap, seed)
 
 
 @pytest.mark.parametrize("cap", [5, 10000])
@@ -301,10 +338,8 @@ def test_code_walker_matches_state_walker(small_benchmarks, cap):
     found = 0
     for name, (protocol, _, instance) in small_benchmarks.items():
         for seed in (0, 1, 2):
-            reference, by_state, by_code = _walkers(
-                protocol, instance, protocol.safety, 600, 3, cap, seed
-            )
-            assert by_code == by_state == reference, (name, seed)
+            reference, by_code = _walkers(protocol, instance, protocol.safety, 600, 3, cap, seed)
+            assert by_code == reference, (name, seed)
             found += len(by_code[0])
     assert found > 0
 
@@ -328,10 +363,8 @@ def test_walk_that_revisits_a_state_records_it_once():
     instance = parse_instance("", protocol)
     revisits = 0
     for seed in range(20):
-        reference, by_state, by_code = _walkers(
-            protocol, instance, protocol.safety, 40, 3, 100, seed
-        )
-        assert by_code == by_state == reference
+        reference, by_code = _walkers(protocol, instance, protocol.safety, 40, 3, 100, seed)
+        assert by_code == reference
         ctis = by_code[0]
         assert sorted(c.state.value("k") for c in ctis) == ["a", "b"]
         for c in ctis:
@@ -396,18 +429,19 @@ def test_shared_table_matches_fresh_table_and_state_walker(small_benchmarks, cap
         for seed in (0, 1, 2):
             shared = ctigen.WalkTable(protocol, instance)
             for ind in inds:
-                by_shared = _walk(protocol, instance, shared.walker(ind, True), 600, 3, cap, seed)
-                assert bytes(shared.ok) == _verdicts(protocol, instance, ind), (name, seed)
-                by_shared_state = _walk(protocol, instance, shared.walker(ind, False),
-                                        600, 3, cap, seed)
-                reference, by_state, by_fresh = _walkers(protocol, instance, ind, 600, 3, cap, seed)
-                assert by_shared == by_shared_state == by_fresh == by_state == reference, (
-                    name, seed, to_str(ind))
-                found += len(by_shared[0])
+                assert shared.narrow(ind) == _verdicts(protocol, instance, ind), (name, seed)
+                exact = generate_ctis(protocol, instance, ind, 600, 3, cap, random.Random(seed),
+                                      table=shared)
+                assert exact == generate_ctis(protocol, instance, ind, 600, 3, cap,
+                                              random.Random(seed))
+                by_shared = _walk(protocol, instance, shared, ind, 600, 3, cap, seed)
+                reference, by_fresh = _walkers(protocol, instance, ind, 600, 3, cap, seed)
+                assert by_shared == by_fresh == reference, (name, seed, to_str(ind))
+                found += len(by_shared[0]) + len(exact)
     assert found > 0
 
 
-def test_table_resets_on_an_ind_that_does_not_extend_the_last(lockserver):
+def test_narrow_follows_an_ind_that_does_not_extend_the_last(lockserver):
     protocol, _, instance = lockserver
     safety = protocol.safety
     a = parse_expression(A1_TEXT, protocol)
@@ -418,8 +452,7 @@ def test_table_resets_on_an_ind_that_does_not_extend_the_last(lockserver):
         safety, And((safety, a)), a, And((a, b)), b, And((safety, a)), And((safety, a_again)),
         And((safety, b)), And((And((safety, a)), b)), And((safety, a, b)), safety,
     ):
-        table.narrow(ind)
-        assert bytes(table.ok) == _verdicts(protocol, instance, ind), to_str(ind)
+        assert table.narrow(ind) == _verdicts(protocol, instance, ind), to_str(ind)
 
 
 def test_generate_ctis_builds_a_table_for_another_instance(small_benchmarks):
@@ -432,6 +465,15 @@ def test_generate_ctis_builds_a_table_for_another_instance(small_benchmarks):
     assert shared == fresh and len(fresh) > 0
 
 
+def _exact(protocol, instance, ind, depth, cap=10**6, table=None):
+    """The uncapped exact batch, after asserting that it drew nothing."""
+    rng = random.Random(0)
+    size = state_space_size(protocol, instance)
+    batch = generate_ctis(protocol, instance, ind, size, depth, cap, rng, table=table)
+    assert rng.getstate() == random.Random(0).getstate()
+    return batch
+
+
 def test_closure_agrees_with_the_induction_checks(all_benchmarks, small_benchmarks):
     # the oracle enumerates election and declock's default instances in
     # 4-12 s per conjunct set, so there it runs on the small instances
@@ -441,21 +483,101 @@ def test_closure_agrees_with_the_induction_checks(all_benchmarks, small_benchmar
         inds = _ind_sequence(name, protocol)
         for ind in (inds[0], inds[-1]):
             conjuncts = ctigen.conjuncts_of(ind)
-            closed = ctigen.WalkTable(protocol, instance).closed(ind)
+            # ind is closed under steps iff its depth-1 exact batch is empty
+            closed = len(_exact(protocol, instance, ind, 1)) == 0
             report = check_induction(protocol, instance, conjuncts)
             assert report.mode == "exhaustive"
             assert closed == report.consecution_ok, (name, to_str(ind))
             for inst in oracle_instances:
                 _, consecution, _ = oracles.o_check_induction(protocol, inst, conjuncts)
-                assert ctigen.WalkTable(protocol, inst).closed(ind) == consecution, name
+                assert (len(_exact(protocol, inst, ind, 1)) == 0) == consecution, name
         assert closed, name  # each seed-7 result is inductive on its instance
+
+
+# -- exact CTI sets -------------------------------------------------------------
+
+
+def _exact_pairs(batch):
+    return {oracles.freeze_state(c.state): c.depth_to_violation for c in batch.ctis}
+
+
+def _assert_first_firing_witnesses(protocol, instance, ind, batch, layers):
+    """Each CTI replays, and each step is the first firing, in firing order,
+    out of ind (last step) or into the oracle's previous layer."""
+    for cti in batch.ctis:
+        assert replay_witness(cti, protocol, instance, ind)
+        state = cti.state
+        for t in cti.witness:
+            k = layers[oracles.freeze_state(state)]
+            first = next((name, combo) for name, combo, post in oracles.o_successors(
+                protocol, instance, oracles.assign_from_state(state))
+                if layers.get(oracles.o_freeze(post), 0) == k - 1
+                and (k > 1 or not oracles.o_holds(ind, post, instance)))
+            assert (t.action, tuple(el for _, el in t.binding)) == first
+            state = t.post
+
+
+def test_exact_batches_equal_the_oracle(small_benchmarks):
+    found = 0
+    for name, (protocol, _, instance) in small_benchmarks.items():
+        for ind in _ind_sequence(name, protocol):
+            for depth in (1, 2, 3):
+                layers = oracles.o_ctis(protocol, instance, ind, depth)
+                batch = _exact(protocol, instance, ind, depth)
+                assert _exact_pairs(batch) == layers, (name, depth, to_str(ind))
+                assert batch.samples_attempted == _o_size(protocol, instance, ind)
+                _assert_first_firing_witnesses(protocol, instance, ind, batch, layers)
+                found += len(batch)
+    assert found > 0
+
+
+def test_sparse_walks_find_exact_ctis_at_no_smaller_depth(small_benchmarks):
+    # n_ctis one below the instance's size forces the sparse walker
+    found = 0
+    for name, (protocol, _, instance) in small_benchmarks.items():
+        size = state_space_size(protocol, instance)
+        for ind in _ind_sequence(name, protocol):
+            exact = _exact_pairs(_exact(protocol, instance, ind, 3))
+            for seed in (0, 1):
+                walked = generate_ctis(protocol, instance, ind, size - 1, 3, 10000,
+                                       random.Random(seed))
+                assert walked.samples_attempted == size - 1 or len(walked) == 10000
+                for cti in walked.ctis:
+                    assert exact[oracles.freeze_state(cti.state)] <= cti.depth_to_violation
+                found += len(walked)
+    assert found > 0
+
+
+def _counter_protocol(bits):
+    """A binary counter over bits b0..b{bits-1} whose safety fails at its top
+    bit: the state of value v is 2^(bits-1) - v increments from violating."""
+    lines = [f"var b{j} : bool" for j in range(bits)]
+    lines += [f"init b{j} = false" for j in range(bits)]
+    for j in range(bits):
+        guard = " /\\ ".join([f"b{m}" for m in range(j)] + [f"~b{j}"])
+        updates = " ".join([f"b{m} := false;" for m in range(j)] + [f"b{j} := true;"])
+        lines.append(f"action Inc{j}() {{ require {guard}; {updates} }}")
+    lines.append(f"safety S: ~b{bits - 1}")
+    return parse_protocol("\n".join(lines))
+
+
+def test_exact_batch_holds_any_depth():
+    # past 255 steps: the top bit of 9 is 256 increments away from zero
+    protocol = _counter_protocol(9)
+    instance = parse_instance("", protocol)
+    layers = oracles.o_ctis(protocol, instance, protocol.safety, 300)
+    batch = _exact(protocol, instance, protocol.safety, 300)
+    assert _exact_pairs(batch) == layers
+    assert sorted(layers.values()) == list(range(1, 257))
+    _assert_first_firing_witnesses(protocol, instance, protocol.safety, batch, layers)
+    shallow = _exact(protocol, instance, protocol.safety, 255)
+    assert _exact_pairs(shallow) == {s: k for s, k in layers.items() if k <= 255}
 
 
 def test_each_conjunct_column_is_computed_once_per_table(all_benchmarks, monkeypatch):
     # a new ind costs the columns of its new conjuncts alone: across a
-    # sequence of narrows, closure tests and dense searches, each conjunct is
-    # evaluated at most once per projection of its leaves, with or without a
-    # verdict table
+    # sequence of exact searches and narrows, each conjunct is evaluated at
+    # most once per projection of its leaves, with or without a verdict table
     calls = Counter()
     evaluate = ctigen.Verdicts.evaluate
     monkeypatch.setattr(ctigen.Verdicts, "evaluate",
@@ -466,10 +588,11 @@ def test_each_conjunct_column_is_computed_once_per_table(all_benchmarks, monkeyp
             calls.clear()
             table = ctigen.WalkTable(protocol, instance, limit)
             for ind in _ind_sequence(name, protocol):
-                table.closed(ind)
-                _walk(protocol, instance, table.walker(ind, True), 300, 3, 10000, 0)
+                if limit > 1:  # a search evaluates conjuncts only through narrow
+                    _exact(protocol, instance, ind, 3, table=table)
+                ok = table.narrow(ind)
                 if codec.size <= 8192:
-                    assert bytes(table.ok) == _verdicts(protocol, instance, ind), name
+                    assert ok == _verdicts(protocol, instance, ind), name
             for c in _conjuncts(name, protocol):
                 v = table.verdict(c)
                 assert 0 < calls[c] <= codec.projection(v.leaves)[0], (name, limit, to_str(c))
@@ -576,16 +699,14 @@ def test_firing_tables_follow_leaves_keys_and_shadowing():
             fired.update(table.fs[i][2][0] for i in table.enabled(k))
         assert fired == {"Point", "Copy", "Scan"}
         for seed in range(4):
-            reference, by_state, by_code = _walkers(
+            reference, by_code = _walkers(
                 protocol, instance, protocol.safety, 600, 3, 10000, seed)
-            assert by_code == by_state == reference, (inst_text, seed)
+            assert by_code == reference, (inst_text, seed)
             found += len(reference[0])
     assert found > 0
 
 
 # -- verdict tables -----------------------------------------------------------
-
-LOCKSERVER_4X4 = "Server=s1,s2,s3,s4 Client=c1,c2,c3,c4"
 
 
 def _conjuncts(name, protocol):
@@ -638,7 +759,7 @@ def test_a_table_of_another_instance_is_never_used(lockserver):
     protocol, _, small = lockserver
     big = parse_instance(LOCKSERVER_4X4, protocol)
     table = ctigen.WalkTable(protocol, small)
-    for n in (3000, 30):  # the dense walker, then the sparse one, on 2x2
+    for n in (3000, 30):  # the exact set, then the sparse walker, on 2x2
         generate_ctis(protocol, small, protocol.safety, n, 3, 10000, random.Random(1),
                       table=table)
     assert table.verdicts[id(protocol.safety)].table is not None
@@ -656,14 +777,15 @@ def test_a_conjunct_over_the_limit_is_evaluated_directly(small_benchmarks):
     for name, (protocol, _, instance) in small_benchmarks.items():
         table = ctigen.WalkTable(protocol, instance, limit=1)
         for ind in _ind_sequence(name, protocol):
-            table.narrow(ind)
-            assert bytes(table.ok) == _verdicts(protocol, instance, ind), name
+            assert table.narrow(ind) == _verdicts(protocol, instance, ind), name
+            exact = _exact(protocol, instance, ind, 3, table=table)
+            assert exact == _exact(protocol, instance, ind, 3), name
             for seed in (0, 1):
-                reference, by_state, by_code = _walkers(
+                reference, by_code = _walkers(
                     protocol, instance, ind, 600, 3, 10000, seed, limit=1
                 )
-                assert by_code == by_state == reference, (name, seed, to_str(ind))
-                found += len(reference[0])
+                assert by_code == reference, (name, seed, to_str(ind))
+                found += len(reference[0]) + len(exact)
         assert [v.table for v in table.verdicts.values()] == [None] * len(table.verdicts)
     assert found > 0
 
