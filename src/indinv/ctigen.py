@@ -30,7 +30,8 @@ from .evaluator import Compiled, Transition, apply_action, compile_expr, evaluat
 from .instance import (  # noqa: F401
     Instance, State, StateCodec, fingerprint, random_state, state_codec,
 )
-from .syntax import And, BoundRef, Expr, MapIndex, MapLit, Protocol, Quant, StateRef, children
+from .syntax import (And, BoundRef, Expr, MapIndex, MapLit, Protocol, Quant, StateRef,
+                     canonicalize, children)
 
 
 @dataclass(frozen=True)
@@ -128,6 +129,7 @@ class WalkTable:
     may write, filled on a miss by applying it to the code's state; past
     ``limit`` entries it has none, and applies on every call. ``narrow``
     ANDs the columns of an ind's conjuncts into its verdict on every code.
+    ``transition`` builds the witness step of a firing from a code to a state.
     """
 
     def __init__(self, protocol: Protocol, instance: Instance, limit: int = 1_000_000) -> None:
@@ -150,10 +152,10 @@ class WalkTable:
         self.verdicts: dict[int, Verdicts] = {}
 
     def verdict(self, conjunct: Expr) -> Verdicts:
-        """The conjunct's ``Verdicts``, made on first use."""
+        """The conjunct's ``Verdicts``, compiled from its canonical form on first use."""
         v = self.verdicts.get(id(conjunct))
         if v is None:
-            f = compile_expr(conjunct, self.space[1], self.codec.schema)
+            f = compile_expr(canonicalize(conjunct), self.space[1], self.codec.schema)
             v = self.verdicts[id(conjunct)] = Verdicts(conjunct, f, {}, self.codec, self.limit)
         return v
 
@@ -181,6 +183,10 @@ class WalkTable:
             if deltas is not None:
                 deltas[p] = d
         return code + d
+
+    def transition(self, pre: int, i: int, post: State) -> Transition:
+        name, _, binding, _ = self.fs[i][2]
+        return Transition(name, binding, pre, post)
 
     def narrow(self, ind: Expr) -> bytes:
         """The verdicts of ind, one byte per code."""
@@ -215,13 +221,13 @@ def _exact_ctis(table: WalkTable, ind: Expr, depth: int, cap: int) -> tuple[list
         found.update(added)
         rest = [c for c in rest if c not in added]
 
-    fs, state = table.fs, functools.cache(table.codec.decode)
+    state = functools.cache(table.codec.decode)
 
     def witness(c: int) -> tuple[Transition, ...]:
         steps = []
         while c in found:
             _, i, d = found[c]
-            steps.append(Transition(fs[i][2][0], fs[i][2][2], c, state(d)))
+            steps.append(table.transition(c, i, state(d)))
             c = d
         return tuple(steps)
     return [CTI(state(c), c, witness(c), found[c][0]) for c in sorted(found)[:cap]], len(inside)
@@ -229,7 +235,7 @@ def _exact_ctis(table: WalkTable, ind: Expr, depth: int, cap: int) -> tuple[list
 
 def _sample_walks(table: WalkTable, good, budget: int, depth: int, cap: int,
                   rng: random.Random) -> tuple[list[CTI], int]:
-    fs, codec, random_code = table.fs, table.codec, table.codec.random_code
+    codec, random_code = table.codec, table.codec.random_code
     moves, step = table.enabled, table.successor
     ctis: list[CTI] = []
     seen: set = set()
@@ -266,7 +272,7 @@ def _sample_walks(table: WalkTable, good, budget: int, depth: int, cap: int,
             if fresh:
                 first = fresh[0]
                 states = [codec.decode(key) for key in path[first:]]
-                walk = [Transition(fs[i][2][0], fs[i][2][2], pre, post)
+                walk = [table.transition(pre, i, post)
                         for i, pre, post in zip(taken[first:], path[first:-1], states[1:])]
                 for j in fresh:
                     ctis.append(CTI(states[j - first], path[j], tuple(walk[j - first:]), k - j))

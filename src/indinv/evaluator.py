@@ -61,6 +61,7 @@ from .syntax import (
     SetLit,
     SetOp,
     StateRef,
+    canonicalize,
 )
 
 Env = dict[str, str]
@@ -87,15 +88,13 @@ class Transition:
 
 
 class _Ctx:
-    """What compiled closures may depend on besides their own node; ``free``
-    collects the bound variables that the nodes compiled so far refer to."""
+    """What compiled closures may depend on besides their own node."""
 
-    __slots__ = ("instance", "schema", "free")
+    __slots__ = ("instance", "schema")
 
     def __init__(self, instance: Instance, schema: StateSchema | None) -> None:
         self.instance = instance
         self.schema = schema
-        self.free: set[str] = set()
 
 
 def _const(value):
@@ -108,7 +107,6 @@ def _c_bool(e: BoolLit, ctx: _Ctx) -> Compiled:
 
 def _c_bound(e: BoundRef, ctx: _Ctx) -> Compiled:
     name = e.name
-    ctx.free.add(name)
     return lambda s, env: env[name]
 
 
@@ -213,12 +211,8 @@ def _c_implies(e: Implies, ctx: _Ctx) -> Compiled:
 
 
 def _c_quant(e: Quant, ctx: _Ctx) -> Compiled:
-    var, outer, ctx.free = e.var, ctx.free, set()
+    var = e.var
     body = _compile(e.body, ctx)
-    free, ctx.free = ctx.free, outer
-    outer |= free - {var}
-    if var not in free:
-        return body  # exact: a domain is never empty
     dom = ctx.instance.domain(e.sort)
     forall = e.kind == "forall"
 
@@ -367,7 +361,7 @@ def firings(protocol: Protocol, instance: Instance) -> tuple[tuple[Compiled, Env
     schema = state_schema(protocol)
     out = []
     for decl in protocol.actions:
-        guard = compile_expr(decl.guard, instance, schema)
+        guard = compile_expr(canonicalize(decl.guard), instance, schema)
         apply = _compile_apply(decl, instance, schema)
         names = [name for name, _ in decl.params]
         domains = [instance.domain(sort) for _, sort in decl.params]

@@ -99,7 +99,6 @@ def infer_inductive_invariant(
     rng = random.Random(config.seed)
     safety = protocol.safety
     conjuncts: list[Expr] = [safety]
-    chosen_ids = {canonical_text(safety)}
     repo = LemmaRepository()
     reach: ReachSet | None = None
     rounds = regens = eliminated_total = 0
@@ -130,7 +129,7 @@ def infer_inductive_invariant(
         sample_round()
     status = "success"
     while remaining:
-        choice = choose_greedy(repo, remaining, instance, exclude=frozenset(chosen_ids))
+        choice = choose_greedy(repo, remaining, instance)
         if choice is None:
             if regens >= config.max_regen_rounds:
                 status = "fail"
@@ -140,7 +139,6 @@ def infer_inductive_invariant(
             continue
         lemma, eliminated = choice
         conjuncts.append(lemma.closed)
-        chosen_ids.add(lemma.id)
         eliminated_total += len(eliminated)
         remaining = ctis_for(conjunction(conjuncts))
 
@@ -236,9 +234,8 @@ def check_induction(
     consecution_witness: tuple[State, Transition, int] | None = None
     if step is not None:
         code, i, post = step
-        name, _, binding, _ = table.fs[i][2]
         bad = next(k for k, c in enumerate(conjuncts) if not table.verdict(c).holds(post))
-        t = Transition(name, binding, code, codec.decode(post))
+        t = table.transition(code, i, codec.decode(post))
         consecution_witness = (codec.decode(code), t, bad)
     weak = None
     if not structural:

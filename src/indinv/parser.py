@@ -155,16 +155,20 @@ class _Parser:
         t = self.peek()
         raise ParseError(message, t.line, t.col)
 
+    def binder(self, what: str) -> tuple[str, str]:
+        """``<var> : <sort> .``, the variable named ``what`` in errors."""
+        var = self.expect_ident(what).text
+        self.expect(":")
+        sort = self.expect_ident("sort name").text
+        self.expect(".")
+        return var, sort
+
     # -- expressions --------------------------------------------------------
 
     def expr(self) -> Expr:
         if self.at("forall") or self.at("exists"):
             kind = self.advance().text
-            var = self.expect_ident("quantified variable").text
-            self.expect(":")
-            sort = self.expect_ident("sort name").text
-            self.expect(".")
-            return Quant(kind, var, sort, self.expr())
+            return Quant(kind, *self.binder("quantified variable"), self.expr())
         return self._implies()
 
     def _implies(self) -> Expr:
@@ -255,10 +259,7 @@ class _Parser:
             return Card(arg)
         if self.accept("["):
             self.expect("forall")
-            var = self.expect_ident("map index variable").text
-            self.expect(":")
-            sort = self.expect_ident("sort name").text
-            self.expect(".")
+            var, sort = self.binder("map index variable")
             body = self.expr()
             self.expect("]")
             return MapLit(var, sort, body)
@@ -390,11 +391,7 @@ class _Parser:
         template: list[tuple[str, str, str]] = []
         while self.at("forall") or self.at("exists"):
             kind = self.advance().text
-            var = self.expect_ident("template variable").text
-            self.expect(":")
-            sort = self.expect_ident("sort name").text
-            self.expect(".")
-            template.append((kind, var, sort))
+            template.append((kind, *self.binder("template variable")))
         seeds: list[Expr] = []
         while self.accept("seed"):
             seeds.append(self.expr())

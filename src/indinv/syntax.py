@@ -287,9 +287,14 @@ def canonicalize(e: Expr) -> Expr:
     """Deterministic normal form.
 
     Flattens nested conjunctions/disjunctions, orders their operands by
-    printed form, drops duplicate operands, and collapses double negation.
-    Idempotent.
+    printed form, drops duplicate operands, collapses double negation, and
+    drops each quantifier whose body does not read its variable, which is
+    exact since no domain is empty. Idempotent; no other code drops a
+    quantifier.
     """
+    if isinstance(e, Quant):
+        body = canonicalize(e.body)
+        return Quant(e.kind, e.var, e.sort, body) if e.var in reads(body, BoundRef) else body
     if isinstance(e, Not):
         arg = canonicalize(e.arg)
         if isinstance(arg, Not):

@@ -222,8 +222,9 @@ _LOCKED_S = MapIndex(StateRef("locked"), BoundRef("s"))
 @example(close(Quant("exists", "c", "Client", _LOCKED_S)))
 @settings(max_examples=150, deadline=None)
 def test_holds_agrees_with_oracle_under_vacuous_and_shadowing_quantifiers(expr):
-    # the compiler drops a quantifier whose body never reads its variable,
-    # and one that shadows an enclosing variable restores it on exit
+    # the compiler loops over every quantifier, even one whose body never
+    # reads its variable, and one that shadows an enclosing variable
+    # restores it on exit
     from indinv import benchmarks
     from indinv.instance import parse_instance
 

@@ -4,7 +4,9 @@ Each file under ``data/golden`` is the output of ``indinv infer`` on a
 bundled benchmark at its small test instance (for lockserver that is also
 its default instance) with CLI defaults. A refactor or a fast path that
 keeps the engine's semantics leaves every file unchanged; the files are
-never regenerated to make this test pass.
+never regenerated to make this test pass. A file changes only when the
+printed result changes on purpose, and CHANGES.md then lists every changed
+line.
 """
 from __future__ import annotations
 

@@ -4,6 +4,7 @@ import pytest
 
 import random
 
+from indinv.ctigen import generate_ctis
 from indinv.errors import ConfigError, UnsafeProtocolError
 from indinv.evaluator import Transition, compile_expr, enabled, holds, initial_state
 from indinv.infer import (
@@ -18,6 +19,7 @@ from indinv.instance import (
 )
 from indinv.parser import parse_expression, parse_grammar, parse_protocol
 from indinv.reachability import compute_reach
+from indinv.selection import choose_greedy
 from indinv.syntax import And, BoolLit, Not, canonical_text
 
 from . import oracles
@@ -89,6 +91,35 @@ def test_success_is_validated_by_exhaustive_induction(small_benchmarks):
             continue
         report = check_induction(protocol, instance, result.conjuncts)
         assert report.passed, name
+
+
+def test_every_cti_satisfies_every_earlier_pick(small_benchmarks, monkeypatch):
+    # so a pick eliminates nothing later, and the loop needs no exclusion set
+    checked = 0
+    for name, (protocol, grammar, instance) in small_benchmarks.items():
+        picks, batches = [], []
+
+        def spy_ctis(*args, **kwargs):
+            batch = generate_ctis(*args, **kwargs)
+            batches.append((len(picks), batch.ctis))
+            return batch
+
+        def spy_choose(*args, **kwargs):
+            choice = choose_greedy(*args, **kwargs)
+            if choice is not None:
+                picks.append(choice[0].closed)
+            return choice
+
+        monkeypatch.setattr("indinv.infer.generate_ctis", spy_ctis)
+        monkeypatch.setattr("indinv.infer.choose_greedy", spy_choose)
+        result = infer_inductive_invariant(protocol, instance, grammar, InferenceConfig(seed=7))
+        assert result.conjuncts[1:] == picks, name
+        for earlier, ctis in batches:
+            for cti in ctis:
+                assign = oracles.assign_from_state(cti.state)
+                assert all(oracles.o_holds(p, assign, instance) for p in picks[:earlier]), name
+                checked += earlier
+    assert checked > 0
 
 
 def test_determinism_of_conjunct_lists(lockserver):

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from indinv.parser import parse_expression
 from indinv.syntax import (
@@ -31,7 +31,8 @@ from indinv.syntax import (
     to_str,
 )
 
-from .strategies import bool_bodies
+from . import oracles
+from .strategies import bool_bodies, close, quantified_exprs
 
 P = BoolLit(True)
 
@@ -92,6 +93,25 @@ def _every_node(e: Expr):
     yield e
     for c in children(e):
         yield from _every_node(c)
+
+
+_LOCKED_S = MapIndex(StateRef("locked"), BoundRef("s"))
+
+
+@given(quantified_exprs)
+@example(close(Quant("exists", "s", "Server", Quant("forall", "s", "Server", Not(_LOCKED_S)))))
+@example(close(Quant("forall", "s", "Server",
+                     And((Quant("exists", "s", "Server", Not(_LOCKED_S)), _LOCKED_S)))))
+@example(close(Quant("exists", "c", "Client", _LOCKED_S)))
+@settings(max_examples=150, deadline=None)
+def test_canonicalize_keeps_meaning_and_only_the_quantifiers_read(lockserver, expr):
+    protocol, _, instance = lockserver
+    once = canonicalize(expr)
+    assert canonicalize(once) == once
+    for node in _every_node(once):
+        assert not isinstance(node, Quant) or node.var in reads(node.body, BoundRef)
+    for assign in oracles.o_enumerate(protocol, instance):
+        assert oracles.o_holds(once, assign, instance) == oracles.o_holds(expr, assign, instance)
 
 
 def test_map_children_rebuilds_every_node_kind():
