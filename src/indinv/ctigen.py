@@ -10,10 +10,13 @@ state that satisfies Ind is walked forward by uniformly random enabled
 transitions; if the walk leaves Ind at step k, all k earlier states are CTIs.
 
 Both run over state codes, drawn with exactly ``random_state``'s rng calls,
-and build a state only to report a CTI. A conjunct's verdict, a firing's
-guard and the change a firing makes to a code (a successor is code plus
-delta) each depend on a few leaves, scalar variables or map entries, so
-each is kept in a table over their digits, filled on first use. An
+and build a state only to report a CTI. A firing's guard, the change a
+firing makes to a code (a successor is code plus delta) and a conjunct's
+body under one binding of its leading ``forall`` prefix each depend on a
+few leaves, scalar variables or map entries, so each is kept in a table
+over their digits, filled on first use; a conjunct is the AND of its
+bindings' tables, or one table of its own where that is no larger or
+theirs would pass the limit together. An
 inference keeps one ``WalkTable`` for its searches; ``check_induction``
 makes one of its own.
 """
@@ -80,20 +83,23 @@ def _leaves(e: Expr, codec: StateCodec, binding: dict[str, str],
 
 
 class Verdicts:
-    """A predicate's verdict on each state code of one instance: a closed
-    conjunct's, or a firing's guard's under the firing's binding ``env``.
+    """A predicate's verdict on each state code of one instance under a binding
+    ``env`` of its free variables: a conjunct body's under one binding of the
+    conjunct's leading ``forall`` prefix, a whole closed conjunct's under none,
+    or a firing's guard's under the firing's binding.
 
-    The verdict depends only on the leaves the predicate reads, so it is kept
-    per projection of the code onto their digits: ``table[p]`` is 0 while
-    unknown, else 1 for false and 2 for true, filled the first time a code
-    with that projection is asked about by evaluating the predicate on the
-    code's state, of which only the variables it reads are built. With more
-    than ``limit`` projections there is no table, and each call evaluates.
-    ``column`` holds every code's verdict, computed once per projection.
+    The verdict depends only on the leaves the predicate reads under ``env``,
+    so it is kept per projection of the code onto their digits: ``table[p]``
+    is 0 while unknown, else 1 for false and 2 for true, filled the first
+    time a code with that projection is asked about by evaluating the
+    predicate on the code's state, of which only the variables it reads are
+    built. With more than ``limit`` projections there is no table, and each
+    call evaluates. ``column()`` computes every code's verdict, once per
+    projection.
     """
 
     def __init__(self, expr: Expr, f: Compiled, env: dict, codec: StateCodec, limit: int):
-        self.expr = expr  # kept alive, so its id names no other expression
+        self.expr = expr
         self.f, self.env = f, env
         self.codec, self.leaves = codec, _leaves(expr, codec, env)
         self.read = [i for i, leaves in enumerate(codec.var_leaves.values())
@@ -113,22 +119,51 @@ class Verdicts:
             v = self.table[p] = 2 if self.evaluate(code) else 1
         return v == 2
 
-    @functools.cached_property
     def column(self) -> int:
         """An int whose little-endian byte k is 1 if code k satisfies the
         predicate, else 0; so the AND of columns is their conjunction's."""
         return int.from_bytes(self.codec.column(self.leaves, self.holds), "little")
 
 
+def _all(checks: list):
+    """holds(code): whether every check holds of the code."""
+    def holds(code: int) -> bool:
+        for check in checks:
+            if not check(code):
+                return False
+        return True
+    return holds
+
+
+class Conjunct:
+    """A closed conjunct's verdict on each state code: the AND of ``parts``,
+    its canonical body's ``Verdicts`` per binding of its leading ``forall``
+    prefix, or the one ``Verdicts`` of the whole conjunct where those tables
+    would hold at least as many entries as its own, or more than the limit
+    together. Only ``column``, the AND of the parts' columns, is kept.
+    """
+
+    def __init__(self, expr: Expr, parts: list[Verdicts]):
+        self.expr = expr  # kept alive, so its id names no other expression
+        self.parts = parts
+        self.checks = [p.holds for p in parts]
+        self.holds = _all(self.checks)
+
+    @functools.cached_property
+    def column(self) -> int:
+        return functools.reduce(operator.and_, (p.column() for p in self.parts))
+
+
 class WalkTable:
     """What a search, or an inference's run of searches, keeps about one instance.
 
-    ``verdict(conjunct)`` is each conjunct's ``Verdicts``, by identity, and
-    ``good(conjuncts)`` is their conjunction. Each firing has a ``Verdicts``
-    of its guard and a table of deltas over the leaves its updates read or
-    may write, filled on a miss by applying it to the code's state; past
-    ``limit`` entries it has none, and applies on every call. ``narrow``
-    ANDs the columns of an ind's conjuncts into its verdict on every code.
+    ``verdict(conjunct)`` is each conjunct's ``Conjunct``, by identity, and
+    ``good(conjuncts)`` is their conjunction, the AND of all their parts.
+    Each firing has a ``Verdicts`` of its guard and a table of deltas over
+    the leaves its updates read or may write, filled on a miss by applying
+    it to the code's state; past ``limit`` entries it has none, and applies
+    on every call. ``narrow`` ANDs the columns of an ind's conjuncts into
+    its verdict on every code.
     ``transition`` builds the witness step of a firing from a code to a state.
     """
 
@@ -149,26 +184,39 @@ class WalkTable:
                 key |= _leaves(lhs, codec, env) | _leaves(u.rhs, codec, env)
             count, project = codec.projection(key)
             self.deltas.append((project, {} if count <= limit else None))
-        self.verdicts: dict[int, Verdicts] = {}
+        self.verdicts: dict[int, Conjunct] = {}
 
-    def verdict(self, conjunct: Expr) -> Verdicts:
-        """The conjunct's ``Verdicts``, compiled from its canonical form on first use."""
+    def verdict(self, conjunct: Expr) -> Conjunct:
+        """The conjunct's ``Conjunct``, compiled from its canonical form on first use."""
         v = self.verdicts.get(id(conjunct))
         if v is None:
-            f = compile_expr(canonicalize(conjunct), self.space[1], self.codec.schema)
-            v = self.verdicts[id(conjunct)] = Verdicts(conjunct, f, {}, self.codec, self.limit)
+            v = self.verdicts[id(conjunct)] = Conjunct(conjunct, self._parts(conjunct))
         return v
+
+    def _parts(self, conjunct: Expr) -> list[Verdicts]:
+        """Verdicts of the canonical body per binding of the leading forall
+        prefix, if their entries add up to less than the whole's and to at
+        most the limit; else the one Verdicts of the whole."""
+        instance, codec = self.space[1], self.codec
+        whole = body = canonicalize(conjunct)
+        names, domains = [], []
+        while isinstance(body, Quant) and body.kind == "forall":
+            names.append(body.var)
+            domains.append(instance.domain(body.sort))
+            body = body.body
+        envs = [dict(zip(names, combo)) for combo in itertools.product(*domains)]
+
+        def entries(e: Expr, env: dict) -> int:
+            return codec.projection(_leaves(e, codec, env))[0]
+        total = sum([entries(body, env) for env in envs])
+        if total >= entries(whole, {}) or total > self.limit:
+            body, envs = whole, [{}]
+        f = compile_expr(body, instance, codec.schema)
+        return [Verdicts(body, f, env, codec, self.limit) for env in envs]
 
     def good(self, conjuncts: list[Expr]):
         """good(code): whether the code's state satisfies every conjunct."""
-        checks = [self.verdict(c).holds for c in conjuncts]
-
-        def good(code: int) -> bool:
-            for holds in checks:
-                if not holds(code):
-                    return False
-            return True
-        return good
+        return _all([check for c in conjuncts for check in self.verdict(c).checks])
 
     def enabled(self, code: int) -> list[int]:
         return [i for i, holds in enumerate(self.guards) if holds(code)]

@@ -256,6 +256,10 @@ def check_protocol(raw: Protocol) -> Protocol:
     for v in raw.vars:
         claim(v.name, "variable")
         _check_value_type(v.type, sorts, f"variable {v.name}")
+        if isinstance(v.type, ElemType):  # no literal names an element, so no init fits
+            raise TypeCheckError(
+                f"variable {v.name}: a variable of sort {v.type.sort} cannot be initialized; "
+                f"declare it as map<Sort> -> {v.type.sort} instead")
         var_types[v.name] = v.type
         enum = v.type.elem if isinstance(v.type, MapType) else v.type
         if isinstance(enum, EnumType):

@@ -95,6 +95,15 @@ def test_parse_error_exit_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_sort_typed_variable_exit_one(tmp_path, capsys):
+    bad = tmp_path / "elem.proto"
+    bad.write_text("sort A\nvar x : A\ninit x = x\nsafety S: true\n")
+    code = main(["reach", str(bad), "--instance", "A=a1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "variable x" in err and "map<Sort> -> A" in err and "Traceback" not in err
+
+
 def test_reach_prints_count(capsys):
     assert main(["reach", "lockserver", "--instance", "Server=s1 Client=c1"]) == 0
     assert capsys.readouterr().out.strip() == "2"

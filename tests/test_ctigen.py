@@ -16,7 +16,8 @@ from indinv.instance import (
     state_space_size,
 )
 from indinv.parser import parse_expression, parse_protocol
-from indinv.syntax import And, BoundRef, MapIndex, Not, Quant, StateRef, Update, to_str
+from indinv.syntax import (And, BoundRef, MapIndex, Not, Quant, StateRef, Update, canonicalize,
+                           to_str)
 
 from . import oracles
 
@@ -576,28 +577,38 @@ def test_exact_batch_holds_any_depth():
     assert _exact_pairs(shallow) == {s: k for s, k in layers.items() if k <= 255}
 
 
-def test_each_conjunct_column_is_computed_once_per_table(all_benchmarks, monkeypatch):
-    # a new ind costs the columns of its new conjuncts alone: across a
-    # sequence of exact searches and narrows, each conjunct is evaluated at
-    # most once per projection of its leaves, with or without a verdict table
+def _count_evaluations(monkeypatch) -> Counter:
+    """Counts, by Verdicts object, the evaluations of its predicate from now on."""
     calls = Counter()
     evaluate = ctigen.Verdicts.evaluate
     monkeypatch.setattr(ctigen.Verdicts, "evaluate",
-                        lambda v, code: calls.update([v.expr]) or evaluate(v, code))
+                        lambda v, code: calls.update([v]) or evaluate(v, code))
+    return calls
+
+
+def test_each_conjunct_column_is_computed_once_per_table(all_benchmarks, monkeypatch):
+    # a new ind costs the columns of its new conjuncts alone: across a
+    # sequence of exact searches and narrows, each conjunct's body is
+    # evaluated at least once under each binding it is split by, and at most
+    # once per projection of the leaves it reads there, with or without a
+    # verdict table
+    calls = _count_evaluations(monkeypatch)
     for name, (protocol, _, instance) in all_benchmarks.items():
         codec = state_codec(protocol, instance)
         for limit in (1_000_000, 1):
             calls.clear()
             table = ctigen.WalkTable(protocol, instance, limit)
-            for ind in _ind_sequence(name, protocol):
+            inds = _ind_sequence(name, protocol)
+            for ind in inds:
                 if limit > 1:  # a search evaluates conjuncts only through narrow
                     _exact(protocol, instance, ind, 3, table=table)
                 ok = table.narrow(ind)
                 if codec.size <= 8192:
                     assert ok == _verdicts(protocol, instance, ind), name
-            for c in _conjuncts(name, protocol):
-                v = table.verdict(c)
-                assert 0 < calls[c] <= codec.projection(v.leaves)[0], (name, limit, to_str(c))
+            for c in ctigen.conjuncts_of(inds[-1]):
+                for v in table.verdict(c).parts:
+                    assert 0 < calls[v] <= codec.projection(v.leaves)[0], \
+                        (name, limit, to_str(c), v.env)
 
 
 # -- firing tables --------------------------------------------------------------
@@ -716,17 +727,22 @@ def _conjuncts(name, protocol):
 
 
 def _check_verdicts(protocol, instance, conjunct, codes, limit=1_000_000):
-    """A fresh Verdicts of conjunct, after asserting on each code in turn that
-    it equals the compiled conjunct on the decoded state, and on every 97th
-    that this equals the oracle."""
+    """A fresh Conjunct of conjunct, after asserting on each code in turn that
+    it equals the compiled conjunct on the decoded state, and each of its
+    parts the compiled part under the part's binding, and on every 97th that
+    the conjunct's verdict equals the oracle."""
     codec = state_codec(protocol, instance)
     verdicts = ctigen.WalkTable(protocol, instance, limit).verdict(conjunct)
     f = compile_expr(conjunct, instance, codec.schema)
+    parts = [(v, compile_expr(v.expr, instance, codec.schema)) for v in verdicts.parts]
     for n, k in enumerate(codes):
-        expected = f(codec.decode(k), {}) is True
+        state = codec.decode(k)
+        expected = f(state, {}) is True
         assert verdicts.holds(k) == expected, (to_str(conjunct), k)
+        for v, g in parts:
+            assert v.holds(k) == (g(state, v.env) is True), (to_str(conjunct), v.env, k)
         if n % 97 == 0:
-            assign = oracles.assign_from_state(codec.decode(k))
+            assign = oracles.assign_from_state(state)
             assert oracles.o_holds(conjunct, assign, instance) == expected
     return verdicts
 
@@ -737,9 +753,18 @@ def test_verdict_tables_equal_direct_evaluation(all_benchmarks):
         for c in _conjuncts(name, protocol):
             verdicts = _check_verdicts(protocol, instance, c, range(size))
             # every projection is some code's, so no entry is left unknown
-            assert verdicts.table is not None and all(verdicts.table), (name, to_str(c))
+            assert all(v.table is not None and all(v.table) for v in verdicts.parts), \
+                (name, to_str(c))
             if name == "election" and c is protocol.safety:
-                assert len(verdicts.table) == 8  # safety reads leader alone
+                # safety reads leader alone: one table of its 8 values, not
+                # 3 + 6 tables of 2 and 4 entries by binding of m and n
+                assert [len(v.table) for v in verdicts.parts] == [8]
+                assert verdicts.parts[0].expr == canonicalize(c)
+        if name == "election":
+            # the first two lemmas split by their bindings of u, v and of u
+            table = ctigen.WalkTable(protocol, instance)
+            assert [len(table.verdict(c).parts) for c in _conjuncts(name, protocol)] == \
+                [1, 9, 3, 1]
 
 
 def test_verdict_tables_equal_direct_evaluation_on_random_codes(lockserver):
@@ -747,14 +772,47 @@ def test_verdict_tables_equal_direct_evaluation_on_random_codes(lockserver):
     instance = parse_instance(LOCKSERVER_4X4, protocol)
     rng = random.Random(5)
     codes = [state_codec(protocol, instance).random_code(rng) for _ in range(5000)]
-    for c in _conjuncts("lockserver", protocol):
-        # the lemma reads both variables, 2^20 projections: over the default
-        # limit, so the limit here is raised to give it a table as well. Each
-        # code is asked twice, so that filled entries are read back.
-        assert _check_verdicts(protocol, instance, c, codes * 2, limit=2**20).table is not None
-    table = ctigen.WalkTable(protocol, instance)
-    safe, lemma = [table.verdict(c) for c in _conjuncts("lockserver", protocol)]
-    assert len(safe.table) == 2**16 and lemma.table is None
+    # Each code is asked twice, so that filled entries are read back.
+    safe, lemma = [_check_verdicts(protocol, instance, c, codes * 2)
+                   for c in _conjuncts("lockserver", protocol)]
+    # Whole, safety would have 2^16 entries and the lemma 2^20, over the
+    # default limit. By binding, both have tables at that limit: safety's
+    # are over held[ci] and held[cj], one leaf on the 4 diagonal bindings,
+    # and the lemma's over locked[s] and held[c].
+    sizes = sorted(len(v.table) for v in safe.parts)
+    assert sizes == [16] * 4 + [256] * 12 and sum(sizes) == 3136
+    assert [len(v.table) for v in lemma.parts] == [32] * 16
+
+
+def _body(conjunct):
+    """The conjunct's canonical form without its leading forall prefix."""
+    e = canonicalize(conjunct)
+    while isinstance(e, Quant) and e.kind == "forall":
+        e = e.body
+    return e
+
+
+def test_a_sampled_search_and_check_evaluate_each_body_once_per_entry(lockserver, monkeypatch):
+    # lockserver 4x4 is past the walk budget and the default limit, so the
+    # search walks and the check samples; each conjunct's body is evaluated
+    # at most once per entry of its table under each binding, in the search
+    # and in the check, each of which has tables of its own
+    protocol = lockserver[0]
+    instance = parse_instance(LOCKSERVER_4X4, protocol)
+    conjuncts = _conjuncts("lockserver", protocol)
+    calls = _count_evaluations(monkeypatch)
+    batch = generate_ctis(protocol, instance, conjunction(conjuncts), 20000, 3, 10000,
+                          random.Random(7))
+    assert len(batch) == 0 and batch.samples_attempted == 20000
+    searched = set(calls)
+    report = check_induction(protocol, instance, conjuncts)
+    assert report.mode == "sampled" and report.passed and report.inside > 0
+    bodies = {to_str(_body(c)) for c in conjuncts}
+    for verdicts in (searched, set(calls) - searched):
+        assert bodies <= {to_str(v.expr) for v in verdicts}
+    for v, n in calls.items():
+        assert v.table is not None and n <= len(v.table), (to_str(v.expr), v.env)
+    assert sum(n for v, n in calls.items() if to_str(v.expr) in bodies) <= 2 * (3136 + 512)
 
 
 def test_a_table_of_another_instance_is_never_used(lockserver):
@@ -764,7 +822,7 @@ def test_a_table_of_another_instance_is_never_used(lockserver):
     for n in (3000, 30):  # the exact set, then the sparse walker, on 2x2
         generate_ctis(protocol, small, protocol.safety, n, 3, 10000, random.Random(1),
                       table=table)
-    assert table.verdicts[id(protocol.safety)].table is not None
+    assert all(v.table is not None for v in table.verdicts[id(protocol.safety)].parts)
     shared = generate_ctis(protocol, big, protocol.safety, 3000, 3, 10000, random.Random(3),
                            table=table)
     fresh = generate_ctis(protocol, big, protocol.safety, 3000, 3, 10000, random.Random(3))
@@ -788,8 +846,30 @@ def test_a_conjunct_over_the_limit_is_evaluated_directly(small_benchmarks):
                 )
                 assert by_code == reference, (name, seed, to_str(ind))
                 found += len(reference[0]) + len(exact)
-        assert [v.table for v in table.verdicts.values()] == [None] * len(table.verdicts)
+        tables = [v.table for c in table.verdicts.values() for v in c.parts]
+        assert tables and tables == [None] * len(tables), name
     assert found > 0
+
+
+def test_parts_over_the_limit_together_keep_the_whole_conjunct(lockserver):
+    # the limit bounds a conjunct's parts together, not each part: at 100,
+    # each of the lemma's 16 tables of 32 entries fits but their 512 do not,
+    # so the lemma is one Verdicts of the whole, which has no table either
+    protocol = lockserver[0]
+    instance = parse_instance(LOCKSERVER_4X4, protocol)
+    rng = random.Random(11)
+    codes = [state_codec(protocol, instance).random_code(rng) for _ in range(2000)]
+    safe, lemma = _conjuncts("lockserver", protocol)
+    for limit, split in ((100, False), (512, True)):
+        verdicts = _check_verdicts(protocol, instance, lemma, codes, limit)
+        if split:
+            assert [len(v.table) for v in verdicts.parts] == [32] * 16
+        else:
+            assert len(verdicts.parts) == 1 and verdicts.parts[0].table is None
+            assert verdicts.parts[0].expr == canonicalize(lemma)
+        # safety's parts hold 3136 entries together, over both limits
+        verdicts = _check_verdicts(protocol, instance, safe, codes, limit)
+        assert len(verdicts.parts) == 1 and verdicts.parts[0].table is None
 
 
 def test_a_sparse_search_builds_rejected_draws_without_interning(lockserver, monkeypatch):

@@ -89,6 +89,13 @@ def test_map_of_map_rejected():
         parse_protocol(text)
 
 
+def test_sort_typed_variable_rejected():
+    # no init could type-check for it: the language has no element literal
+    text = "sort A\nvar x : A\ninit x = x\nsafety S: true"
+    with pytest.raises(TypeCheckError, match=r"variable x: .*map<Sort> -> A"):
+        parse_protocol(text)
+
+
 def test_guard_must_be_bool():
     text = (
         "sort A\nvar s : set<A>\ninit s = {}\n"
