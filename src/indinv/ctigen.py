@@ -16,9 +16,9 @@ body under one binding of its leading ``forall`` prefix each depend on a
 few leaves, scalar variables or map entries, so each is kept in a table
 over their digits, filled on first use; a conjunct is the AND of its
 bindings' tables, or one table of its own where that is no larger or
-theirs would pass the limit together. An
-inference keeps one ``WalkTable`` for its searches; ``check_induction``
-makes one of its own.
+theirs would pass the limit together. An inference keeps one ``WalkTable``
+for its searches; ``compute_reach`` and ``check_induction`` each make one
+of their own.
 """
 from __future__ import annotations
 
@@ -28,13 +28,15 @@ import operator
 import random
 from dataclasses import dataclass
 
-from .evaluator import Compiled, Transition, apply_action, compile_expr, evaluate, firings
+from .evaluator import Compiled, Transition, compile_expr, firings, successors
 # The engine calls neither fingerprint nor random_state; bench/child.py counts them here.
 from .instance import (  # noqa: F401
     Instance, State, StateCodec, fingerprint, random_state, state_codec,
 )
 from .syntax import (And, BoundRef, Expr, MapIndex, MapLit, Protocol, Quant, StateRef,
                      canonicalize, children)
+
+DEFAULT_LIMIT = 1_000_000  # default bound on states enumerated or reached and on a table's entries
 
 
 @dataclass(frozen=True)
@@ -50,11 +52,12 @@ class CTI:
 
 @dataclass
 class CtiBatch:
-    """The CTIs found, and the walks started; for an exact batch, the Ind
-    codes examined."""
+    """The CTIs found, the walks started (for an exact batch, the Ind codes
+    examined) and how many of those started inside Ind."""
 
     ctis: list[CTI]
     samples_attempted: int
+    starts: int
 
     def __len__(self) -> int:
         return len(self.ctis)
@@ -167,15 +170,16 @@ class WalkTable:
     ``transition`` builds the witness step of a firing from a code to a state.
     """
 
-    def __init__(self, protocol: Protocol, instance: Instance, limit: int = 1_000_000) -> None:
+    def __init__(self, protocol: Protocol, instance: Instance, limit: int = DEFAULT_LIMIT) -> None:
         self.space = (protocol, instance)
         self.limit = limit
         codec = self.codec = state_codec(protocol, instance)
         self.fs = firings(protocol, instance)
         self.guards = []  # each firing's Verdicts.holds
         self.deltas: list = []  # each firing's (project, {projection: delta} or None)
+        decls = {decl.name: decl for decl in protocol.actions}
         for guard, env, (name, _, _, _) in self.fs:
-            decl = protocol.action(name)
+            decl = decls[name]
             self.guards.append(Verdicts(decl.guard, guard, env, codec, limit).holds)
             key = set()
             for u in decl.updates:
@@ -242,9 +246,10 @@ class WalkTable:
         return ok.to_bytes(self.codec.size, "little")
 
 
-def _exact_ctis(table: WalkTable, ind: Expr, depth: int, cap: int) -> tuple[list[CTI], int]:
+def _exact_ctis(table: WalkTable, ind: Expr, depth: int, cap: int) -> CtiBatch:
     """The first cap, in code order, of the codes of ind with a path of at
-    most depth steps through ind to a code outside it; and ind's size.
+    most depth steps through ind to a code outside it, started from each of
+    ind's codes.
 
     Pass k finds the codes whose shortest such path has k steps, each by its
     first firing out of ind (k = 1), else into a code found before; the
@@ -278,16 +283,17 @@ def _exact_ctis(table: WalkTable, ind: Expr, depth: int, cap: int) -> tuple[list
             steps.append(table.transition(c, i, state(d)))
             c = d
         return tuple(steps)
-    return [CTI(state(c), c, witness(c), found[c][0]) for c in sorted(found)[:cap]], len(inside)
+    ctis = [CTI(state(c), c, witness(c), found[c][0]) for c in sorted(found)[:cap]]
+    return CtiBatch(ctis, len(inside), len(inside))
 
 
 def _sample_walks(table: WalkTable, good, budget: int, depth: int, cap: int,
-                  rng: random.Random) -> tuple[list[CTI], int]:
+                  rng: random.Random) -> CtiBatch:
     codec, random_code = table.codec, table.codec.random_code
     moves, step = table.enabled, table.successor
     ctis: list[CTI] = []
     seen: set = set()
-    attempts = 0
+    attempts = starts = 0
     for _ in range(budget):
         if len(ctis) >= cap:
             break
@@ -295,6 +301,7 @@ def _sample_walks(table: WalkTable, good, budget: int, depth: int, cap: int,
         key = random_code(rng)
         if not good(key):  # the draw does not satisfy ind
             continue
+        starts += 1
         path = [key]
         taken: list[int] = []
         for _step in range(depth):
@@ -325,7 +332,7 @@ def _sample_walks(table: WalkTable, good, budget: int, depth: int, cap: int,
                 for j in fresh:
                     ctis.append(CTI(states[j - first], path[j], tuple(walk[j - first:]), k - j))
             break
-    return ctis, attempts
+    return CtiBatch(ctis, attempts, starts)
 
 
 def generate_ctis(
@@ -354,15 +361,16 @@ def generate_ctis(
     if table is None or table.space != (protocol, instance):
         table = WalkTable(protocol, instance)
     if table.codec.size <= n_ctis:
-        return CtiBatch(*_exact_ctis(table, ind, depth, cap))
+        return _exact_ctis(table, ind, depth, cap)
     good = table.good(conjuncts_of(ind))
-    return CtiBatch(*_sample_walks(table, good, n_ctis, depth, cap, rng))
+    return _sample_walks(table, good, n_ctis, depth, cap, rng)
 
 
 def replay_witness_diagnosis(
     cti: CTI, protocol: Protocol, instance: Instance, ind: Expr
 ) -> str | None:
-    """None when the witness re-executes exactly; else names the failing step."""
+    """None when every witness step is one of ``successors`` of its pre-state
+    and only the last leaves the predicate; else names the failing step."""
     encode = state_codec(protocol, instance).encode
     if encode(cti.state) != cti.code:
         return "step 0: stored code does not match the start state"
@@ -372,27 +380,16 @@ def replay_witness_diagnosis(
     cur = cti.state
     last = len(cti.witness) - 1
     for i, t in enumerate(cti.witness):
-        try:
-            action = protocol.action(t.action)
-        except KeyError:
-            return f"step {i}: unknown action {t.action}"
-        if tuple(n for n, _ in t.binding) != tuple(n for n, _ in action.params):
-            return f"step {i}: binding does not match the parameters of {t.action}"
-        env = dict(t.binding)
         if encode(cur) != t.pre_code:
             return f"step {i}: pre-state code mismatch"
-        if evaluate(action.guard, cur, env, instance) is not True:
-            return f"step {i}: guard of {t.action} does not hold"
-        post = apply_action(cur, action, env, protocol, instance)
-        if post != t.post:
-            return f"step {i}: post-state mismatch"
+        if t not in successors(cur, protocol, instance):
+            return f"step {i}: not a transition of the protocol from the pre-state"
         if i == last:
-            if ind_f(post, {}) is True:
+            if ind_f(t.post, {}) is True:
                 return f"step {i}: final state still satisfies the predicate"
-        else:
-            if ind_f(post, {}) is not True:
-                return f"step {i}: intermediate state violates the predicate"
-        cur = post
+        elif ind_f(t.post, {}) is not True:
+            return f"step {i}: intermediate state violates the predicate"
+        cur = t.post
     return None
 
 

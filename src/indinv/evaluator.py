@@ -13,10 +13,10 @@ stay in domain order. Hot loops compile once and call the closure per state;
 
 An action's guard and updates are compiled once per (protocol, instance)
 pair, behind an identity check, into ``firings``: one per action and
-binding. ``enabled`` lists the firings whose guard holds in a state without
-building any post-state, so a random walk can pick one and apply only that;
-``successors`` applies all of them. Each cache here keeps one entry, read
-and replaced as a whole.
+binding. ``successors`` applies those whose guard holds in a state. It is
+the reference transition relation over whole states: the engine steps
+codes through tables built from ``firings``, and judges the witnesses of
+those steps against ``successors``. Each cache here keeps one entry.
 
 All functions here are pure over immutable inputs. Updates within an action
 are applied simultaneously: every right-hand side is evaluated in the
@@ -373,27 +373,11 @@ def firings(protocol: Protocol, instance: Instance) -> tuple[tuple[Compiled, Env
     return compiled
 
 
-def enabled(state: State, protocol: Protocol, instance: Instance) -> list[Firing]:
-    """Each firing whose guard holds, in action declaration then binding
-    order; builds no post-state."""
-    return [f for guard, env, f in firings(protocol, instance) if guard(state, env) is True]
-
-
-def apply_action(
-    state: State,
-    action: ActionDecl,
-    env: Env,
-    protocol: Protocol,
-    instance: Instance,
-) -> State:
-    """Post-state of one action firing; every rhs reads the pre-state."""
-    return _compile_apply(action, instance, state.schema)(state, env)
-
-
 def successors(state: State, protocol: Protocol, instance: Instance) -> list[Transition]:
     """All enabled transitions, in action declaration then binding order."""
     pre = state_codec(protocol, instance).encode(state)
     return [
         Transition(name, binding, pre, apply(state, env))
-        for name, apply, binding, env in enabled(state, protocol, instance)
+        for guard, env, (name, apply, binding, _) in firings(protocol, instance)
+        if guard(state, env) is True
     ]

@@ -11,9 +11,11 @@ One ``WalkTable`` serves every CTI search of the run. Its tables, each of at
 most ``reach_limit`` entries, and its conjunct columns persist across rounds.
 When the instance has no more states than ``n_ctis`` each search returns
 the exact CTI set, so success means no step leaves Ind on the instance;
-otherwise it means no CTI was found by sampling. ``check_induction`` then
-validates the result on the instance, exhaustively when the state space fits
-its limit and by sampling otherwise, with a ``WalkTable`` of its own.
+otherwise it means walks started inside Ind and none found a CTI, and a
+last batch with no start inside Ind ends the run with ``fail``.
+``check_induction`` then validates the result on the instance, exhaustively
+when the state space fits its limit and by sampling otherwise, with a
+``WalkTable`` of its own.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .ctigen import CTI, WalkTable, generate_ctis
+from .ctigen import DEFAULT_LIMIT, CtiBatch, WalkTable, generate_ctis
 from .errors import ConfigError, UnsafeProtocolError
 from .evaluator import Transition, compile_expr, holds, initial_state
 from .instance import Instance, State, format_state, state_schema
@@ -39,7 +41,7 @@ class InferenceConfig:
     walk_depth: int = 3
     max_regen_rounds: int = 3
     seed: int = 0
-    reach_limit: int = 1_000_000
+    reach_limit: int = DEFAULT_LIMIT
 
     def validate(self) -> None:
         positive = {
@@ -104,11 +106,11 @@ def infer_inductive_invariant(
     rounds = regens = eliminated_total = 0
     table = WalkTable(protocol, instance, config.reach_limit)
 
-    def ctis_for(current: Expr) -> list[CTI]:
+    def ctis_for(current: Expr) -> CtiBatch:
         return generate_ctis(
             protocol, instance, current, config.n_ctis, config.walk_depth,
             config.cti_cap, rng, table=table,
-        ).ctis
+        )
 
     def sample_round() -> None:
         nonlocal reach, rounds
@@ -124,12 +126,12 @@ def infer_inductive_invariant(
         nterms = min(term_size_schedule(grammar, rounds), len(grammar.seeds))
         generate_lemma_invariants(reach, grammar, repo, config.n_lemmas, nterms, rng)
 
-    remaining = ctis_for(safety)
-    if remaining:
+    batch = ctis_for(safety)
+    if batch.ctis:
         sample_round()
     status = "success"
-    while remaining:
-        choice = choose_greedy(repo, remaining, instance)
+    while batch.ctis:
+        choice = choose_greedy(repo, batch.ctis, instance)
         if choice is None:
             if regens >= config.max_regen_rounds:
                 status = "fail"
@@ -140,7 +142,9 @@ def infer_inductive_invariant(
         lemma, eliminated = choice
         conjuncts.append(lemma.closed)
         eliminated_total += len(eliminated)
-        remaining = ctis_for(conjunction(conjuncts))
+        batch = ctis_for(conjunction(conjuncts))
+    if not batch.starts:  # a batch with no start inside Ind shows nothing about Ind
+        status = "fail"
 
     return InferenceResult(
         status, conjuncts, eliminated_total, rounds, len(repo), config, instance.text()
@@ -193,7 +197,7 @@ def check_induction(
     instance: Instance,
     conjuncts: list[Expr],
     *,
-    limit: int = 1_000_000,
+    limit: int = DEFAULT_LIMIT,
     n_samples: int = 20000,
     seed: int = 0,
 ) -> InductionReport:

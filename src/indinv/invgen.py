@@ -133,6 +133,7 @@ class Rows:
     order, with bit k seed i's value on ``states[k]``; it is built on first
     use by evaluating the seed once per group of states that agree on the
     variables it reads and per binding of the template variables it mentions.
+    The groups are dropped once every seed has its rows.
     """
 
     def __init__(self, states: Sequence[State], grammar: GrammarConfig, instance: Instance) -> None:
@@ -170,6 +171,8 @@ class Rows:
                     by_env[env] = sum(mask for s, mask in groups if f(s, dict(env)))
                 rows.append(by_env[env])
             self._seeds[idx] = rows
+            if len(self._seeds) == len(self.grammar.seeds):
+                self._groups.clear()  # every row is built; the masks would only hold memory
         return self._seeds[idx]
 
     def clause(self, literals: tuple[tuple[int, bool], ...]) -> int:

@@ -1,14 +1,17 @@
 """Breadth-first reachable-state computation.
 
 BFS keeps discovery order deterministic and surfaces shallow states first.
+It steps codes through a ``WalkTable`` of its own, in ``successors``' firing
+order, and decodes each discovered code once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .ctigen import DEFAULT_LIMIT, WalkTable
 from .errors import ReachLimitError
-from .evaluator import initial_state, successors
-from .instance import Instance, State, state_codec
+from .evaluator import initial_state
+from .instance import Instance, State
 from .syntax import Protocol
 
 
@@ -23,32 +26,31 @@ class ReachSet:
         return len(self.states)
 
 
-def compute_reach(protocol: Protocol, instance: Instance, limit: int = 1_000_000) -> ReachSet:
+def compute_reach(protocol: Protocol, instance: Instance, limit: int = DEFAULT_LIMIT) -> ReachSet:
     """BFS closure from the initial state, deduped by code; errors out past ``limit`` states."""
     if limit <= 0:
         raise ValueError("reach limit must be positive")
-    encode = state_codec(protocol, instance).encode
-    init = initial_state(protocol, instance)
-    states = [init]
-    index = {encode(init)}
-    frontier = [init]
+    table = WalkTable(protocol, instance, limit)
+    enabled, successor = table.enabled, table.successor
+    start = table.codec.encode(initial_state(protocol, instance))
+    found = {start: None}  # every code discovered, in discovery order
+    frontier = [start]
     depth = 0
     while frontier:
         depth += 1
-        nxt: list[State] = []
-        for s in frontier:
-            for t in successors(s, protocol, instance):
-                code = encode(t.post)
-                if code not in index:
-                    if len(states) + 1 > limit:
+        nxt: list[int] = []
+        for c in frontier:
+            for i in enabled(c):
+                code = successor(c, i)
+                if code not in found:
+                    if len(found) + 1 > limit:
                         raise ReachLimitError(
                             f"reachable set exceeds limit {limit} "
-                            f"at frontier depth {depth} with {len(states) + 1} states",
+                            f"at frontier depth {depth} with {len(found) + 1} states",
                             depth,
-                            len(states) + 1,
+                            len(found) + 1,
                         )
-                    index.add(code)
-                    states.append(t.post)
-                    nxt.append(t.post)
+                    found[code] = None
+                    nxt.append(code)
         frontier = nxt
-    return ReachSet(states, instance)
+    return ReachSet(list(map(table.codec.decode, found)), instance)

@@ -368,12 +368,6 @@ class Protocol:
     safety_name: str
     safety: Expr
 
-    def __post_init__(self):
-        object.__setattr__(self, "_actions", {a.name: a for a in self.actions})
-
-    def action(self, name: str) -> ActionDecl:
-        return self._actions[name]
-
     def sort_names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.sorts)
 

@@ -119,10 +119,14 @@ quantified_exprs = _quantified.map(close)
 # One sort S. The language has no element literal, so a scalar variable of
 # sort S could not be initialized; element values live in ``map<S> -> S``
 # entries, which serve as map keys and update indices next to the action's
-# parameter p (the safety's bound variable n).
+# parameters p and q (the safety's bound variable n). An action without
+# parameters has no key, so it reads and writes only KEYLESS variables. The
+# oracles step every state by every firing, so states x firings is bounded.
 
 MAX_STATES = 1 << 12
+MAX_STEPS = 6 * MAX_STATES
 KINDS = ("bool", "elem", "enum", "set", "flags", "sets")
+KEYLESS = ("bool", "enum", "set")
 
 
 def _kind_type(kind: str, name: str) -> ValueType:
@@ -154,7 +158,7 @@ def _atom(draw, name: str, kind: str, keys: list[Expr]) -> Expr:
     elif kind == "enum":
         atom = Eq(v, EnumLit(name + draw(st.sampled_from("abc"))))
     elif kind == "set":
-        atom = InSet(key(), v) if draw(st.booleans()) else Eq(v, SetLit(()))
+        atom = InSet(key(), v) if keys and draw(st.booleans()) else Eq(v, SetLit(()))
     elif kind == "flags":
         atom = MapIndex(v, key())
     else:
@@ -179,22 +183,28 @@ def _update(draw, name: str, kind: str, kinds: dict, keys: list[Expr]) -> Update
     index = key() if kind == "sets" else None
     old = v if index is None else MapIndex(v, index)
     rhs = draw(st.sampled_from([SetOp("+", old, SetLit((key(),))),
-                                SetOp("-", old, SetLit((key(),))), SetLit(())]))
+                                SetOp("-", old, SetLit((key(),))), SetLit(())]
+                               if keys else [SetLit(())]))
     return Update(name, index, rhs)
 
 
 @st.composite
 def protocols(draw):
-    """(protocol, instance): a sort of 2-3 elements; 2-3 variables of at
-    most MAX_STATES states in all; 1-2 actions of one parameter p, whose
-    guards and updates index maps by p or by an element-valued entry; and a
-    safety predicate over two variables. The protocol is printed and parsed
-    back, so it is type-checked."""
+    """(protocol, instance): a sort of 2-3 elements; 1-2 actions of 0-2
+    parameters p and q, whose guards and updates index maps by a parameter
+    or by an element-valued entry at one; 2-3 variables of at most
+    MAX_STATES states in all, and fewer where states x firings would pass
+    MAX_STEPS; and a safety predicate over two variables. The protocol is
+    printed and parsed back, so it is type-checked."""
     n = draw(st.integers(2, 3))
+    arities = draw(st.lists(st.integers(0, 2), min_size=1, max_size=2))
+    budget = min(MAX_STATES, MAX_STEPS // sum(n ** k for k in arities))
     kinds: dict[str, str] = {}
     size = 1
     for i in range(draw(st.integers(2, 3))):
-        fits = [k for k in KINDS if size * _values(k, n) <= MAX_STATES]
+        # an action without parameters needs a KEYLESS variable: the first
+        fits = [k for k in KINDS if size * _values(k, n) <= budget
+                and (i or 0 not in arities or k in KEYLESS)]
         if not fits:  # the first two variables always fit
             break
         kind = draw(st.sampled_from(fits))
@@ -205,17 +215,21 @@ def protocols(draw):
     def keys(var: str) -> list[Expr]:
         return [BoundRef(var)] + [MapIndex(StateRef(e), BoundRef(var)) for e in elems]
 
+    keyless = {name: kind for name, kind in kinds.items() if kind in KEYLESS}
     actions = []
-    for a in range(draw(st.integers(1, 2))):
-        atoms = [_atom(draw, name, kinds[name], keys("p"))
-                 for name in draw(st.lists(st.sampled_from(sorted(kinds)), max_size=2))]
+    for a, arity in enumerate(arities):
+        params = ("p", "q")[:arity]
+        ks = [k for p in params for k in keys(p)]
+        usable = kinds if params else keyless
+        atoms = [_atom(draw, name, kinds[name], ks)
+                 for name in draw(st.lists(st.sampled_from(sorted(usable)), max_size=2))]
         if len(atoms) == 2:
             atoms = [draw(st.sampled_from([And, Or]))(tuple(atoms))]
         guard = atoms[0] if atoms else BoolLit(True)
-        targets = draw(st.lists(st.sampled_from(sorted(kinds)), min_size=1, max_size=2,
+        targets = draw(st.lists(st.sampled_from(sorted(usable)), min_size=1, max_size=2,
                                 unique=True))
-        updates = tuple(_update(draw, t, kinds[t], kinds, keys("p")) for t in targets)
-        actions.append(ActionDecl(f"A{a}", (("p", "S"),), guard, updates))
+        updates = tuple(_update(draw, t, kinds[t], usable, ks) for t in targets)
+        actions.append(ActionDecl(f"A{a}", tuple((p, "S") for p in params), guard, updates))
     pair = draw(st.lists(st.sampled_from(sorted(kinds)), min_size=2, max_size=2, unique=True))
     safety = Quant("forall", "n", "S", Or(tuple(
         _atom(draw, name, kinds[name], keys("n")) for name in pair)))

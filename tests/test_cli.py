@@ -10,6 +10,7 @@ import pytest
 
 from indinv import benchmarks
 from indinv.cli import build_arg_parser, main
+from indinv.ctigen import DEFAULT_LIMIT
 from indinv.infer import InferenceConfig
 from indinv.syntax import to_str
 
@@ -307,6 +308,8 @@ def test_cli_defaults_are_the_library_defaults():
         config.seed, config.n_lemmas, config.n_ctis, config.cti_cap, config.walk_depth,
         config.max_regen_rounds, config.reach_limit,
     )
+    assert config.reach_limit == DEFAULT_LIMIT
+    assert f"(default {DEFAULT_LIMIT})" in README.read_text()
 
 
 def test_readme_config_line_is_the_default_config():

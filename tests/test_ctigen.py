@@ -70,10 +70,11 @@ def test_inductive_candidate_yields_empty_batch(lockserver):
     walked = _walk_batch(lockserver, ind, n=5000)
     assert len(walked) == 0
     assert walked.samples_attempted == 5000
+    assert 0 < walked.starts < 5000  # a quarter of the codes are in ind
     exact = _batch(lockserver, ind, n=5000)
     assert len(exact) == 0
-    # an exact batch counts the codes of ind it examined
-    assert exact.samples_attempted == _o_size(protocol, instance, ind) == 16
+    # an exact batch counts the codes of ind it examined, and starts from each
+    assert exact.samples_attempted == exact.starts == _o_size(protocol, instance, ind) == 16
 
 
 def test_zero_budget(lockserver):
@@ -280,8 +281,8 @@ def _walk(protocol, instance, table, ind, budget, depth, cap, seed):
     whatever the instance's size."""
     rng = random.Random(seed)
     good = table.good(ctigen.conjuncts_of(ind))
-    ctis, attempts = ctigen._sample_walks(table, good, budget, depth, cap, rng)
-    return ctis, attempts, rng.getrandbits(64)
+    batch = ctigen._sample_walks(table, good, budget, depth, cap, rng)
+    return batch.ctis, batch.samples_attempted, rng.getrandbits(64)
 
 
 def _reference_walks(protocol, instance, ind, budget, depth, cap, rng):

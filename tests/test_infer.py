@@ -6,7 +6,7 @@ import random
 
 from indinv.ctigen import generate_ctis
 from indinv.errors import ConfigError, UnsafeProtocolError
-from indinv.evaluator import Transition, compile_expr, enabled, holds, initial_state
+from indinv.evaluator import compile_expr, holds, initial_state, successors
 from indinv.infer import (
     InductionReport,
     InferenceConfig,
@@ -15,7 +15,7 @@ from indinv.infer import (
     render_result,
 )
 from indinv.instance import (
-    enumerate_states, parse_instance, random_state, state_codec, state_schema, state_space_size,
+    enumerate_states, parse_instance, random_state, state_schema, state_space_size,
 )
 from indinv.parser import parse_expression, parse_grammar, parse_protocol
 from indinv.reachability import compute_reach
@@ -23,7 +23,7 @@ from indinv.selection import choose_greedy
 from indinv.syntax import And, BoolLit, Not, canonical_text
 
 from . import oracles
-from .test_ctigen import SEED7_CONJUNCTS
+from .test_ctigen import LOCKSERVER_4X4, SEED7_CONJUNCTS
 
 A1_TEXT = "forall s: Server. forall c: Client. locked[s] -> ~(s in held[c])"
 
@@ -65,6 +65,26 @@ def test_useless_grammar_fails_with_partial_ind(lockserver):
     )
     assert result.status == "fail"
     assert result.conjuncts == [protocol.safety]
+
+
+def test_walks_that_never_start_inside_ind_do_not_end_in_success(lockserver, monkeypatch):
+    # 200 walks over 2^20 codes: the last batch draws no code of Ind, so it
+    # finds no CTI from no evidence
+    protocol, grammar, _ = lockserver
+    instance = parse_instance(LOCKSERVER_4X4, protocol)
+    batches = []
+
+    def spy_ctis(*args, **kwargs):
+        batches.append(generate_ctis(*args, **kwargs))
+        return batches[-1]
+
+    monkeypatch.setattr("indinv.infer.generate_ctis", spy_ctis)
+    result = infer_inductive_invariant(
+        protocol, instance, grammar, InferenceConfig(seed=7, n_lemmas=300, n_ctis=200)
+    )
+    assert (len(batches[-1]), batches[-1].samples_attempted, batches[-1].starts) == (0, 200, 0)
+    assert result.status == "fail"
+    assert batches[0].starts > 0 and len(result.conjuncts) == 2
 
 
 def test_every_conjunct_is_an_invariant_even_on_failure(lockserver):
@@ -261,16 +281,14 @@ def _scan_induction(protocol, instance, conjuncts, limit=1_000_000, n_samples=20
         rng = random.Random(seed)
         mode, states = "sampled", [random_state(protocol, instance, rng) for _ in range(n_samples)]
     schema = state_schema(protocol)
-    encode = state_codec(protocol, instance).encode
     fs = [compile_expr(c, instance, schema) for c in conjuncts]
     safe = compile_expr(protocol.safety, instance, schema)
     inside = [s for s in states if all(f(s, {}) is True for f in fs)]
     weak = [s for s in inside if safe(s, {}) is not True]
     steps = [
-        (s, Transition(name, binding, encode(s), post), bad[0])
-        for s in inside for name, apply, binding, env in enabled(s, protocol, instance)
-        for post in [apply(s, env)]
-        for bad in [[i for i, f in enumerate(fs) if f(post, {}) is not True]] if bad
+        (s, t, bad[0])
+        for s in inside for t in successors(s, protocol, instance)
+        for bad in [[i for i, f in enumerate(fs) if f(t.post, {}) is not True]] if bad
     ]
     return InductionReport(
         (init, failing[0]) if failing else None, steps[0] if steps else None,

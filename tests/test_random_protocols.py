@@ -7,16 +7,20 @@ the firing tables, the safety's verdict tables and column (by binding, or
 whole where an entry is read by an element-valued key and a table by
 binding would be no smaller), the exhaustive induction check, the exact
 CTI sets and the reachable states must equal the oracles' plain
-re-implementations on every state.
+re-implementations on every state. Every exact and walked CTI's witness
+replays against ``successors``, and one with a step's post-state or
+binding swapped does not.
 """
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from hypothesis import given, settings
 
-from indinv.ctigen import WalkTable, generate_ctis
+from indinv.ctigen import WalkTable, generate_ctis, replay_witness
 from indinv.infer import check_induction
+from indinv.instance import state_codec
 from indinv.reachability import compute_reach
 from indinv.parser import parse_protocol
 from indinv.syntax import print_protocol
@@ -66,3 +70,32 @@ def test_random_protocols_agree_with_the_oracles(case):
     batch = generate_ctis(protocol, instance, safety, codec.size, 2, 10**6, random.Random(0))
     assert {oracles.freeze_state(c.state): c.depth_to_violation for c in batch.ctis} == \
         oracles.o_ctis(protocol, instance, safety, 2), text
+
+    walked = generate_ctis(protocol, instance, safety, codec.size - 1, 2, 10**6, random.Random(0))
+    for ctis in (batch.ctis, walked.ctis):
+        for cti in ctis:
+            assert replay_witness(cti, protocol, instance, safety), text
+        for cti in ctis[:3]:
+            _assert_tampered_steps_rejected(cti, protocol, instance, text)
+
+
+def _assert_tampered_steps_rejected(cti, protocol, instance, text):
+    """Each step with its post-state or its binding swapped fails the replay,
+    unless the swapped binding makes another transition of the protocol."""
+    codec = state_codec(protocol, instance)
+    pres = [cti.state] + [t.post for t in cti.witness[:-1]]
+    for j, (pre, t) in enumerate(zip(pres, cti.witness)):
+        other = codec.decode((codec.encode(t.post) + 1) % codec.size)
+        swapped = [replace(t, post=other)]
+        if t.binding:
+            dom = instance.domain("S")
+            swapped.append(replace(t, binding=tuple(
+                (name, dom[(dom.index(el) + 1) % len(dom)]) for name, el in t.binding)))
+        real = {(name, combo, oracles.o_freeze(post)) for name, combo, post in
+                oracles.o_successors(protocol, instance, oracles.assign_from_state(pre))}
+        for step in swapped:
+            key = (step.action, tuple(el for _, el in step.binding),
+                   oracles.freeze_state(step.post))
+            tampered = replace(cti, witness=cti.witness[:j] + (step,) + cti.witness[j + 1:])
+            if key not in real:
+                assert not replay_witness(tampered, protocol, instance, protocol.safety), text

@@ -85,6 +85,18 @@ def test_exists_template_and_stateless_seed_rows(lockserver):
     assert set(rows.seed(2)) == {0, rows.full}
 
 
+def test_groups_are_released_once_every_seed_has_its_rows(lockserver):
+    protocol, grammar, instance = lockserver
+    states = compute_reach(protocol, instance).states
+    n = len(grammar.seeds)
+    expected = [Rows(states, grammar, instance).seed(i) for i in range(n)]
+    rows = Rows(states, grammar, instance)
+    for i in range(n):
+        assert rows.seed(i) == expected[i]
+        assert bool(rows._groups) == (i < n - 1)
+    assert [rows.seed(i) for i in range(n)] == expected
+
+
 @pytest.mark.parametrize("name", ["lockserver", "declock", "election"])
 def test_kept_set_and_rejections_equal_a_plain_recount(name, small_benchmarks):
     protocol, grammar, instance = small_benchmarks[name]
