@@ -5,9 +5,9 @@ A CTI of the candidate Ind is a state of Ind with a path of at most
 state's identity, with such a path as its witness, whose steps carry their
 pre-states' codes. When the instance has no more states than the call has
 walks, the batch is exact: every CTI at its shortest depth, found from
-Ind's verdict on every code, with no rng draw. Otherwise a sampled start
-state that satisfies Ind is walked forward by uniformly random enabled
-transitions; if the walk leaves Ind at step k, all k earlier states are CTIs.
+Ind's codes, with no rng draw. Otherwise a sampled start state that
+satisfies Ind is walked forward by uniformly random enabled transitions;
+if the walk leaves Ind at step k, all k earlier states are CTIs.
 
 Both run over state codes, drawn with exactly ``random_state``'s rng calls,
 and build a state only to report a CTI. A firing's guard, the change a
@@ -16,15 +16,16 @@ body under one binding of its leading ``forall`` prefix each depend on a
 few leaves, scalar variables or map entries, so each is kept in a table
 over their digits, filled on first use; a conjunct is the AND of its
 bindings' tables, or one table of its own where that is no larger or
-theirs would pass the limit together. An inference keeps one ``WalkTable``
-for its searches; ``compute_reach`` and ``check_induction`` each make one
-of their own.
+theirs would pass the limit together. Ind's codes are found by a search
+over leaf digits that cuts a branch at the first such table to fail, so
+its cost follows Ind, not the whole space. An inference keeps one
+``WalkTable`` for its searches; ``compute_reach`` and ``check_induction``
+each make one of their own.
 """
 from __future__ import annotations
 
 import functools
 import itertools
-import operator
 import random
 from dataclasses import dataclass
 
@@ -97,8 +98,7 @@ class Verdicts:
     time a code with that projection is asked about by evaluating the
     predicate on the code's state, of which only the variables it reads are
     built. With more than ``limit`` projections there is no table, and each
-    call evaluates. ``column()`` computes every code's verdict, once per
-    projection.
+    call evaluates.
     """
 
     def __init__(self, expr: Expr, f: Compiled, env: dict, codec: StateCodec, limit: int):
@@ -122,11 +122,6 @@ class Verdicts:
             v = self.table[p] = 2 if self.evaluate(code) else 1
         return v == 2
 
-    def column(self) -> int:
-        """An int whose little-endian byte k is 1 if code k satisfies the
-        predicate, else 0; so the AND of columns is their conjunction's."""
-        return int.from_bytes(self.codec.column(self.leaves, self.holds), "little")
-
 
 def _all(checks: list):
     """holds(code): whether every check holds of the code."""
@@ -143,7 +138,7 @@ class Conjunct:
     its canonical body's ``Verdicts`` per binding of its leading ``forall``
     prefix, or the one ``Verdicts`` of the whole conjunct where those tables
     would hold at least as many entries as its own, or more than the limit
-    together. Only ``column``, the AND of the parts' columns, is kept.
+    together.
     """
 
     def __init__(self, expr: Expr, parts: list[Verdicts]):
@@ -151,10 +146,6 @@ class Conjunct:
         self.parts = parts
         self.checks = [p.holds for p in parts]
         self.holds = _all(self.checks)
-
-    @functools.cached_property
-    def column(self) -> int:
-        return functools.reduce(operator.and_, (p.column() for p in self.parts))
 
 
 class WalkTable:
@@ -165,8 +156,8 @@ class WalkTable:
     Each firing has a ``Verdicts`` of its guard and a table of deltas over
     the leaves its updates read or may write, filled on a miss by applying
     it to the code's state; past ``limit`` entries it has none, and applies
-    on every call. ``narrow`` ANDs the columns of an ind's conjuncts into
-    its verdict on every code.
+    on every call. ``inside(conjuncts)`` lists the codes of their
+    conjunction by a search over leaf digits, pruned by the parts' tables.
     ``transition`` builds the witness step of a firing from a code to a state.
     """
 
@@ -240,28 +231,52 @@ class WalkTable:
         name, _, binding, _ = self.fs[i][2]
         return Transition(name, binding, pre, post)
 
-    def narrow(self, ind: Expr) -> bytes:
-        """The verdicts of ind, one byte per code."""
-        ok = functools.reduce(operator.and_, [self.verdict(c).column for c in conjuncts_of(ind)])
-        return ok.to_bytes(self.codec.size, "little")
+    def inside(self, conjuncts: list[Expr]) -> list[int]:
+        """The codes that satisfy every conjunct, ascending, by a depth-first
+        search that sets leaves most significant first, digits ascending, and
+        cuts a branch at the first part to fail once its leaves, all it reads,
+        are set. The leaves up to each place a part is due are set as one run."""
+        leaves, weights = self.codec.leaves, self.codec.leaf_weights
+        parts = [p for c in conjuncts for p in self.verdict(c).parts]
+        due = [[p.holds for p in parts if max(p.leaves, default=-1) == j]
+               for j in range(-1, len(leaves))]  # due[j + 1]: once leaf j is set
+        runs, count = [(1, 1, _all(due[0]))], 1  # (weight of its last leaf, codes, check)
+        for j, (r, _) in enumerate(leaves):
+            count *= r
+            if due[j + 1] or j + 1 == len(leaves):
+                runs.append((weights[j], count, _all(due[j + 1])))
+                count = 1
+        found, stack = [], [iter([0])]  # per run set so far, the codes yet to try
+        while stack:
+            code = next(stack[-1], None)
+            if code is None:
+                stack.pop()
+                continue
+            w, n, check = runs[len(stack) - 1]
+            codes = filter(check, range(code, code + n * w, w))
+            if len(stack) == len(runs):
+                found += codes
+            else:
+                stack.append(codes)
+        return found
 
 
 def _exact_ctis(table: WalkTable, ind: Expr, depth: int, cap: int) -> CtiBatch:
     """The first cap, in code order, of the codes of ind with a path of at
     most depth steps through ind to a code outside it, started from each of
-    ind's codes.
+    ind's codes, as the table's leaf search lists them.
 
     Pass k finds the codes whose shortest such path has k steps, each by its
     first firing out of ind (k = 1), else into a code found before; the
     passes stop at depth or at the first that finds none.
     """
-    ok = table.narrow(ind)
-    inside = list(itertools.compress(range(len(ok)), ok))
+    inside = table.inside(conjuncts_of(ind))
+    ok = set(inside)
     enabled, successor = table.enabled, table.successor
     found: dict[int, tuple[int, int, int]] = {}  # code -> (depth, firing, successor)
     rest = inside
     for k in range(1, depth + 1):
-        hits = (lambda d: not ok[d]) if k == 1 else found.__contains__
+        hits = (lambda d: d not in ok) if k == 1 else found.__contains__
         added = {}
         for c in rest:
             for i in enabled(c):

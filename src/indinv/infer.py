@@ -8,7 +8,7 @@ number of times before giving up; a failed run still returns the partial
 conjunction since its lemmas are invariants in their own right.
 
 One ``WalkTable`` serves every CTI search of the run. Its tables, each of at
-most ``reach_limit`` entries, and its conjunct columns persist across rounds.
+most ``reach_limit`` entries, persist across rounds.
 When the instance has no more states than ``n_ctis`` each search returns
 the exact CTI set, so success means no step leaves Ind on the instance;
 otherwise it means walks started inside Ind and none found a CTI, and a
@@ -19,7 +19,6 @@ when the state space fits its limit and by sampling otherwise, with a
 """
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
@@ -203,9 +202,10 @@ def check_induction(
 ) -> InductionReport:
     """Initiation, consecution, and strengthening on one finite instance.
 
-    When the state space has at most ``limit`` states the check enumerates
-    every type-correct state (consecution over unreachable states included,
-    as induction requires) and is exhaustive; otherwise it draws
+    When the state space has at most ``limit`` states the check is
+    exhaustive: the table's leaf search lists every type-correct state that
+    satisfies the conjunction (unreachable ones included, as induction
+    requires), and consecution is tested from each; otherwise it draws
     ``n_samples`` random states, and a pass is evidence, not proof. The
     report's ``mode`` says which. Strengthening passes structurally when the
     first conjunct is the safety predicate, else it is checked code by code
@@ -226,9 +226,8 @@ def check_induction(
     table = WalkTable(protocol, instance, limit)
     codec = table.codec
     if codec.size <= limit:
-        ok = table.narrow(conjunction(conjuncts))
-        mode, checked, good = "exhaustive", codec.size, ok.__getitem__
-        inside = list(itertools.compress(range(codec.size), ok))
+        inside = table.inside(conjuncts)
+        mode, checked, good = "exhaustive", codec.size, set(inside).__contains__
     else:
         rng = random.Random(seed)
         mode, checked, good = "sampled", n_samples, table.good(conjuncts)

@@ -165,8 +165,7 @@ class StateCodec:
     drawn code's state. ``decode`` interns each variable's value by its
     digits, so decoded states share them, while ``build`` interns none. Both
     share map entry values by leaf digit. ``projection`` numbers the codes
-    by the digits of a set of leaves, and ``column`` tabulates a function of
-    those digits over every code. Equal states have equal codes, so a code
+    by the digits of a set of leaves. Equal states have equal codes, so a code
     is a state's identity: reachability dedups by ``encode``, and CTIs and
     witness steps carry codes. CTI walks and ``check_induction`` work on
     codes alone, through projections.
@@ -247,20 +246,6 @@ class StateCodec:
             (w, r, _), = runs
             return count, lambda code: code // w % r
         return count, lambda code: sum([code // w % r * k for w, r, k in runs])
-
-    def column(self, leaves: Iterable[int], f: Callable[[int], bool]) -> bytes:
-        """``bytes(map(f, range(size)))`` for an f that reads only the given
-        leaves' digits of its code, calling f once per projection."""
-        runs, _ = self._runs(leaves)
-
-        def block(t: int, base: int) -> bytes:  # codes base .. base + w * r - 1 of run t
-            if t < 0:
-                return bytes([f(base)])
-            w, r, _ = runs[t]
-            repeat = w // (runs[t - 1][0] * runs[t - 1][1]) if t else w
-            return b"".join([block(t - 1, base + d * w) * repeat for d in range(r)])
-        w, r, _ = runs[-1]
-        return block(len(runs) - 1, 0) * (self.size // (w * r))
 
     def _value(self, i: int, d: int) -> Value:
         keys, radix, _, value, _ = self.vars[i]

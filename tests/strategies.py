@@ -6,7 +6,8 @@ closed by quantifying over the full pool. ``quantified_exprs`` also nests
 quantifiers over the pool anywhere in the body, so a quantifier may bind a
 variable its body never reads, or shadow an enclosing one of the same name:
 the parser rejects the shadowing, but the evaluator and ``canonicalize``
-must get both right. ``protocols`` draws small whole protocols.
+must get both right. ``protocols`` draws small whole protocols, and
+``predicates`` closed predicates over one's variables.
 """
 from __future__ import annotations
 
@@ -167,6 +168,12 @@ def _atom(draw, name: str, kind: str, keys: list[Expr]) -> Expr:
     return Not(atom) if draw(st.booleans()) else atom
 
 
+def _keys(var: str, elems: list[str]) -> list[Expr]:
+    """The element keys at a bound variable: itself, and each element-valued
+    map's entry at it."""
+    return [BoundRef(var)] + [MapIndex(StateRef(e), BoundRef(var)) for e in elems]
+
+
 def _update(draw, name: str, kind: str, kinds: dict, keys: list[Expr]) -> Update:
     v, key = StateRef(name), (lambda: draw(st.sampled_from(keys)))
     if kind in ("bool", "flags"):
@@ -211,15 +218,11 @@ def protocols(draw):
         kinds[f"v{i}"] = kind
         size *= _values(kind, n)
     elems = [name for name, kind in kinds.items() if kind == "elem"]
-
-    def keys(var: str) -> list[Expr]:
-        return [BoundRef(var)] + [MapIndex(StateRef(e), BoundRef(var)) for e in elems]
-
     keyless = {name: kind for name, kind in kinds.items() if kind in KEYLESS}
     actions = []
     for a, arity in enumerate(arities):
         params = ("p", "q")[:arity]
-        ks = [k for p in params for k in keys(p)]
+        ks = [k for p in params for k in _keys(p, elems)]
         usable = kinds if params else keyless
         atoms = [_atom(draw, name, kinds[name], ks)
                  for name in draw(st.lists(st.sampled_from(sorted(usable)), max_size=2))]
@@ -232,7 +235,7 @@ def protocols(draw):
         actions.append(ActionDecl(f"A{a}", tuple((p, "S") for p in params), guard, updates))
     pair = draw(st.lists(st.sampled_from(sorted(kinds)), min_size=2, max_size=2, unique=True))
     safety = Quant("forall", "n", "S", Or(tuple(
-        _atom(draw, name, kinds[name], keys("n")) for name in pair)))
+        _atom(draw, name, kinds[name], _keys("n", elems)) for name in pair)))
     protocol = Protocol(
         (SortDecl("S"),),
         tuple(VarDecl(name, _kind_type(kind, name)) for name, kind in kinds.items()),
@@ -242,3 +245,16 @@ def protocols(draw):
     )
     parsed = parse_protocol(print_protocol(protocol))
     return parsed, parse_instance("S=" + ",".join(f"e{i}" for i in range(n)), parsed)
+
+
+@st.composite
+def predicates(draw, protocol: Protocol):
+    """A closed predicate over a drawn protocol's variables, like its safety:
+    ``forall n: S.`` of one atom, or of the And or Or of two."""
+    kinds = {v.name: next(k for k in KINDS if _kind_type(k, v.name) == v.type)
+             for v in protocol.vars}
+    elems = [name for name, kind in kinds.items() if kind == "elem"]
+    names = draw(st.lists(st.sampled_from(sorted(kinds)), min_size=1, max_size=2))
+    atoms = tuple(_atom(draw, name, kinds[name], _keys("n", elems)) for name in names)
+    body = atoms[0] if len(atoms) == 1 else draw(st.sampled_from([And, Or]))(atoms)
+    return Quant("forall", "n", "S", body)

@@ -20,6 +20,7 @@ A1_TEXT = "forall s: Server. forall c: Client. locked[s] -> ~(s in held[c])"
 SAFE_TEXT = "forall ci: Client. forall cj: Client. held[ci] & held[cj] != {} -> ci = cj"
 LOCKSERVER_4X4 = "Server=s1,s2,s3,s4 Client=c1,c2,c3,c4"
 README = Path(__file__).resolve().parent.parent / "README.md"
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 FAST = ["--n-lemmas", "1500", "--n-ctis", "4000"]
 
@@ -130,6 +131,26 @@ def test_check_known_invariant_exit_zero(tmp_path, capsys):
     assert "initiation: pass" in out
     assert "consecution: pass" in out
     assert "states checked: 64 mode=exhaustive" in out
+
+
+@pytest.mark.parametrize("name, instance, size, ind", [
+    ("election", "Node=n1,n2,n3,n4", 2 ** 24, 1380),
+    ("declock", "Node=n1,n2,n3,n4", 2 ** 21, 22),
+    ("lockserver", LOCKSERVER_4X4, 2 ** 20, 1296),
+])
+def test_seed7_invariants_pass_exhaustively_on_four_nodes(name, instance, size, ind, tmp_path,
+                                                          capsys):
+    # the leaf search lists Ind's codes alone, so a raised limit checks
+    # every one of 2^20 to 2^24 states at a cost that follows Ind
+    golden = (GOLDEN / f"{name}-small-7.txt").read_text()
+    inv = tmp_path / "ind.txt"
+    inv.write_text("".join(line.split(": ", 1)[1] + "\n" for line in golden.splitlines()
+                           if line.startswith("conjunct ")))
+    args = ["check", name, str(inv), "--instance", instance, "--reach-limit", "40000000"]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert "consecution: pass" in out and "strengthening: pass" in out
+    assert f"states checked: {size} mode=exhaustive ind={ind}" in out
 
 
 def test_check_past_the_limit_samples_like_infer(tmp_path, capsys):

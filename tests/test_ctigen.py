@@ -417,11 +417,16 @@ def _ind_sequence(name, protocol):
     return inds
 
 
-def _verdicts(protocol, instance, ind):
+def _filter(protocol, instance, ind):
+    """The codes of ind by a plain filter over every code."""
     codec = state_codec(protocol, instance)
     f = compile_expr(ind, instance, state_schema(protocol))
     size = state_space_size(protocol, instance)
-    return bytes(f(codec.decode(k), {}) is True for k in range(size))
+    return [k for k in range(size) if f(codec.decode(k), {}) is True]
+
+
+def _inside(table, ind):
+    return table.inside(ctigen.conjuncts_of(ind))
 
 
 @pytest.mark.parametrize("cap", [5, 10000])
@@ -433,7 +438,7 @@ def test_shared_table_matches_fresh_table_and_state_walker(small_benchmarks, cap
         for seed in (0, 1, 2):
             shared = ctigen.WalkTable(protocol, instance)
             for ind in inds:
-                assert shared.narrow(ind) == _verdicts(protocol, instance, ind), (name, seed)
+                assert _inside(shared, ind) == _filter(protocol, instance, ind), (name, seed)
                 exact = generate_ctis(protocol, instance, ind, 600, 3, cap, random.Random(seed),
                                       table=shared)
                 assert exact == generate_ctis(protocol, instance, ind, 600, 3, cap,
@@ -445,7 +450,7 @@ def test_shared_table_matches_fresh_table_and_state_walker(small_benchmarks, cap
     assert found > 0
 
 
-def test_narrow_follows_an_ind_that_does_not_extend_the_last(lockserver):
+def test_search_follows_an_ind_that_does_not_extend_the_last(lockserver):
     protocol, _, instance = lockserver
     safety = protocol.safety
     a = parse_expression(A1_TEXT, protocol)
@@ -456,7 +461,7 @@ def test_narrow_follows_an_ind_that_does_not_extend_the_last(lockserver):
         safety, And((safety, a)), a, And((a, b)), b, And((safety, a)), And((safety, a_again)),
         And((safety, b)), And((And((safety, a)), b)), And((safety, a, b)), safety,
     ):
-        assert table.narrow(ind) == _verdicts(protocol, instance, ind), to_str(ind)
+        assert _inside(table, ind) == _filter(protocol, instance, ind), to_str(ind)
 
 
 def test_generate_ctis_builds_a_table_for_another_instance(small_benchmarks):
@@ -587,25 +592,26 @@ def _count_evaluations(monkeypatch) -> Counter:
     return calls
 
 
-def test_each_conjunct_column_is_computed_once_per_table(all_benchmarks, monkeypatch):
-    # a new ind costs the columns of its new conjuncts alone: across a
-    # sequence of exact searches and narrows, each conjunct's body is
+def test_each_conjunct_part_is_evaluated_once_per_projection(all_benchmarks, monkeypatch):
+    # a new ind costs the tables of its new conjuncts alone: across a
+    # sequence of exact searches and leaf searches, each conjunct's body is
     # evaluated at least once under each binding it is split by, and at most
-    # once per projection of the leaves it reads there, with or without a
-    # verdict table
+    # once per projection of the leaves it reads there; with or without
+    # verdict tables, the leaf search lists the codes a plain filter does
     calls = _count_evaluations(monkeypatch)
     for name, (protocol, _, instance) in all_benchmarks.items():
         codec = state_codec(protocol, instance)
+        inds = _ind_sequence(name, protocol)
+        filtered = [_filter(protocol, instance, ind) for ind in inds]
         for limit in (1_000_000, 1):
             calls.clear()
             table = ctigen.WalkTable(protocol, instance, limit)
-            inds = _ind_sequence(name, protocol)
-            for ind in inds:
-                if limit > 1:  # a search evaluates conjuncts only through narrow
+            for ind, codes in zip(inds, filtered):
+                if limit > 1:
                     _exact(protocol, instance, ind, 3, table=table)
-                ok = table.narrow(ind)
-                if codec.size <= 8192:
-                    assert ok == _verdicts(protocol, instance, ind), name
+                assert _inside(table, ind) == codes, (name, limit)
+            if limit == 1:
+                continue
             for c in ctigen.conjuncts_of(inds[-1]):
                 for v in table.verdict(c).parts:
                     assert 0 < calls[v] <= codec.projection(v.leaves)[0], \
@@ -838,7 +844,7 @@ def test_a_conjunct_over_the_limit_is_evaluated_directly(small_benchmarks):
     for name, (protocol, _, instance) in small_benchmarks.items():
         table = ctigen.WalkTable(protocol, instance, limit=1)
         for ind in _ind_sequence(name, protocol):
-            assert table.narrow(ind) == _verdicts(protocol, instance, ind), name
+            assert _inside(table, ind) == _filter(protocol, instance, ind), name
             exact = _exact(protocol, instance, ind, 3, table=table)
             assert exact == _exact(protocol, instance, ind, 3), name
             for seed in (0, 1):

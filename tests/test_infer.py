@@ -4,7 +4,7 @@ import pytest
 
 import random
 
-from indinv.ctigen import generate_ctis
+from indinv.ctigen import WalkTable, generate_ctis
 from indinv.errors import ConfigError, UnsafeProtocolError
 from indinv.evaluator import compile_expr, holds, initial_state, successors
 from indinv.infer import (
@@ -326,6 +326,41 @@ def test_check_induction_equals_a_plain_scan(all_benchmarks, small_benchmarks):
         assert report == _scan_induction(protocol, instance, conjuncts, n_samples=2000, seed=11)
         verdicts.add((report.consecution_ok, report.strengthening_ok))
     assert verdicts == {(True, True), (False, True), (True, False), (False, False)}
+
+
+NO_VARIABLES = """
+sort S
+action A() { require true; }
+safety T: true
+"""
+
+
+def test_leaf_search_with_no_leaves_or_parts_that_read_none(lockserver):
+    # a protocol without variables has one code and no leaf, and a part
+    # that reads no leaf, such as the whole of forall m. forall n. m = n, is
+    # judged before the first leaf; both agree with a plain filter, the
+    # plain scan and the oracle
+    empty = parse_protocol(NO_VARIABLES)
+    cases = [(empty, "S=a,b", text) for text in
+             ("true", "false", "forall m: S. forall n: S. m = n")]
+    lock = lockserver[0]
+    cases += [(lock, domains, "forall m: Server. forall n: Server. m = n")
+              for domains in ("Server=s1 Client=c1,c2", "Server=s1,s2 Client=c1")]
+    for protocol, domains, text in cases:
+        instance = parse_instance(domains, protocol)
+        conjuncts = [protocol.safety, parse_expression(text, protocol)]
+        schema = state_schema(protocol)
+        fs = [compile_expr(c, instance, schema) for c in conjuncts]
+        expected = [k for k, s in enumerate(enumerate_states(protocol, instance))
+                    if all(f(s, {}) is True for f in fs)]
+        table = WalkTable(protocol, instance)
+        assert table.inside(conjuncts) == expected, (domains, text)
+        assert not table.verdict(conjuncts[1]).parts[0].leaves
+        report = check_induction(protocol, instance, conjuncts)
+        assert report == _scan_induction(protocol, instance, conjuncts), (domains, text)
+        assert (report.initiation_ok, report.consecution_ok, report.strengthening_ok) == \
+            oracles.o_check_induction(protocol, instance, conjuncts), (domains, text)
+    assert state_space_size(empty, parse_instance("S=a,b", empty)) == 1
 
 
 # -- reporting ----------------------------------------------------------------

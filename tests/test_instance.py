@@ -197,7 +197,7 @@ def test_projection_is_the_number_of_the_named_digits(small_benchmarks):
                     assert project(k) == expected, (name, subset, k)
 
 
-def test_leaf_projection_and_column_follow_the_leaf_digits(small_benchmarks):
+def test_leaf_projection_follows_the_leaf_digits(small_benchmarks):
     rng = random.Random(3)
     for name, (protocol, instance) in _codec_cases(small_benchmarks).items():
         codec = state_codec(protocol, instance)
@@ -214,11 +214,6 @@ def test_leaf_projection_and_column_follow_the_leaf_digits(small_benchmarks):
                 for j in subset:
                     expected = expected * radices[j] + ds[j]
                 assert project(k) == expected, (name, subset, k)
-            values = [rng.random() < 0.5 for _ in range(count)]
-            calls = []
-            f = lambda k: calls.append(k) or values[project(k)]  # noqa: E731
-            assert codec.column(subset, f) == bytes(values[project(k)] for k in range(codec.size))
-            assert sorted(map(project, calls)) == list(range(count)), (name, subset)
 
 
 def test_built_states_equal_decoded_ones_and_intern_nothing(small_benchmarks):

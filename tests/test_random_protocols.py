@@ -3,9 +3,10 @@
 ``strategies.protocols`` covers what the bundled benchmarks barely do:
 element-valued map entries as keys of guard reads and of updates, whole
 scalar and set updates, a 3-label enum and maps of sets. On each protocol
-the firing tables, the safety's verdict tables and column (by binding, or
-whole where an entry is read by an element-valued key and a table by
-binding would be no smaller), the exhaustive induction check, the exact
+the firing tables, the safety's verdict tables (by binding, or whole where
+an entry is read by an element-valued key and a table by binding would be
+no smaller), the leaf search's codes of the safety and of the safety and a
+second drawn predicate, the exhaustive induction check of both, the exact
 CTI sets and the reachable states must equal the oracles' plain
 re-implementations on every state. Every exact and walked CTI's witness
 replays against ``successors``, and one with a step's post-state or
@@ -17,21 +18,22 @@ import random
 from dataclasses import replace
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indinv.ctigen import WalkTable, generate_ctis, replay_witness
 from indinv.infer import check_induction
 from indinv.instance import state_codec
 from indinv.reachability import compute_reach
-from indinv.parser import parse_protocol
-from indinv.syntax import print_protocol
+from indinv.parser import parse_expression, parse_protocol
+from indinv.syntax import print_protocol, to_str
 
 from . import oracles
-from .strategies import protocols
+from .strategies import predicates, protocols
 
 
-@given(protocols())
+@given(protocols(), st.data())
 @settings(max_examples=40, deadline=None)
-def test_random_protocols_agree_with_the_oracles(case):
+def test_random_protocols_agree_with_the_oracles(case, data):
     protocol, instance = case
     text = print_protocol(protocol)
     assert print_protocol(parse_protocol(text)) == text
@@ -40,11 +42,14 @@ def test_random_protocols_agree_with_the_oracles(case):
     table = WalkTable(protocol, instance)
     codec = table.codec
     holds = table.verdict(safety).holds
-    safe = bytearray()
+    other = parse_expression(to_str(data.draw(predicates(protocol))), protocol)
+    safe, both = [], []  # the codes of the safety, and of the safety and other
     for code in range(codec.size):
         assign = oracles.assign_from_state(codec.decode(code))
-        safe.append(oracles.o_holds(safety, assign, instance))
-        assert holds(code) == safe[-1], (text, code)
+        ok = oracles.o_holds(safety, assign, instance)
+        assert holds(code) == ok, (text, code)
+        safe += [code] if ok else []
+        both += [code] if ok and oracles.o_holds(other, assign, instance) else []
         got = []
         for i in table.enabled(code):
             post = table.successor(code, i)
@@ -55,17 +60,19 @@ def test_random_protocols_agree_with_the_oracles(case):
             for name, combo, post in oracles.o_successors(protocol, instance, assign)
         ]
         assert got == expected, (text, code)
-    assert WalkTable(protocol, instance).narrow(safety) == safe, text
+    for conjuncts, expected in (([safety], safe), ([safety, other], both)):
+        assert WalkTable(protocol, instance).inside(conjuncts) == expected, (text, other)
 
     reach = compute_reach(protocol, instance).states
     expected_reach = oracles.o_reach(protocol, instance)
     assert len(reach) == len(expected_reach), text
     assert {oracles.freeze_state(s) for s in reach} == set(expected_reach), text
 
-    report = check_induction(protocol, instance, [safety])
-    assert report.mode == "exhaustive"
-    assert (report.initiation_ok, report.consecution_ok, report.strengthening_ok) == \
-        oracles.o_check_induction(protocol, instance, [safety]), text
+    for conjuncts in ([safety], [safety, other]):
+        report = check_induction(protocol, instance, conjuncts)
+        assert report.mode == "exhaustive"
+        assert (report.initiation_ok, report.consecution_ok, report.strengthening_ok) == \
+            oracles.o_check_induction(protocol, instance, conjuncts), (text, other)
 
     batch = generate_ctis(protocol, instance, safety, codec.size, 2, 10**6, random.Random(0))
     assert {oracles.freeze_state(c.state): c.depth_to_violation for c in batch.ctis} == \
