@@ -46,4 +46,5 @@ class ConfigError(EngineError):
 
 
 class DuplicateSeedWarning(UserWarning):
-    """A grammar listed the same seed predicate twice; one copy is kept."""
+    """A grammar listed a seed predicate twice, or beside its negation; the
+    first is kept."""

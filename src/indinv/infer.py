@@ -69,13 +69,10 @@ class InferenceResult:
     conjuncts: list[Expr]  # safety first, then lemmas in selection order
     ctis_eliminated: int
     rounds: int  # lemma sampling rounds executed
+    lemmas_sampled: int  # literal sets drawn, summed over rounds
     lemmas_kept: int
     config: InferenceConfig
     instance_text: str
-
-    @property
-    def lemmas_sampled(self) -> int:
-        return self.rounds * self.config.n_lemmas
 
     @property
     def succeeded(self) -> bool:
@@ -102,7 +99,7 @@ def infer_inductive_invariant(
     conjuncts: list[Expr] = [safety]
     repo = LemmaRepository()
     reach: ReachSet | None = None
-    rounds = regens = eliminated_total = 0
+    rounds = regens = eliminated_total = sampled = 0
     table = WalkTable(protocol, instance, config.reach_limit)
 
     def ctis_for(current: Expr) -> CtiBatch:
@@ -112,7 +109,7 @@ def infer_inductive_invariant(
         )
 
     def sample_round() -> None:
-        nonlocal reach, rounds
+        nonlocal reach, rounds, sampled
         if reach is None:
             reach = compute_reach(protocol, instance, config.reach_limit)
             safe = compile_expr(safety, instance, state_schema(protocol))
@@ -123,7 +120,7 @@ def infer_inductive_invariant(
                     )
         rounds += 1
         nterms = min(term_size_schedule(grammar, rounds), len(grammar.seeds))
-        generate_lemma_invariants(reach, grammar, repo, config.n_lemmas, nterms, rng)
+        sampled += generate_lemma_invariants(reach, grammar, repo, config.n_lemmas, nterms, rng)
 
     batch = ctis_for(safety)
     if batch.ctis:
@@ -146,7 +143,8 @@ def infer_inductive_invariant(
         status = "fail"
 
     return InferenceResult(
-        status, conjuncts, eliminated_total, rounds, len(repo), config, instance.text()
+        status, conjuncts, eliminated_total, rounds, sampled, len(repo), config,
+        instance.text(),
     )
 
 

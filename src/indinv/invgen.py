@@ -1,8 +1,10 @@
 """Candidate lemma sampling and filtering against the reachable states.
 
-A candidate is a disjunction of distinct seed predicates, each negated with
-probability one half, placed under the grammar's quantifier template. A
-candidate survives only if it holds on every reachable state.
+A candidate is a disjunction of distinct seed predicates, each negated or
+not, placed under the grammar's quantifier template. A round draws up to
+``n_lemmas`` distinct literal sets uniformly without replacement, so a grammar
+with at most ``n_lemmas`` of them is listed whole. A candidate survives only
+if it holds on every reachable state.
 
 Both filtering and selection judge candidates by ``Rows``: one Python int per
 seed and template binding whose bit i is the seed's value on state i of a
@@ -14,12 +16,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import random
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .errors import EngineError
 from .evaluator import compile_expr
 from .instance import Instance, State
 from .reachability import ReachSet
@@ -30,7 +32,6 @@ from .syntax import (
     Not,
     Or,
     Quant,
-    canonical_text,
     canonicalize,
     reads,
     to_str,
@@ -60,48 +61,32 @@ def build_candidate(
     return CandidateInvariant(tuple(sorted(literals)), closed, to_str(closed), grammar)
 
 
-def _is_tautological(grammar: GrammarConfig, literals) -> bool:
-    # Seeds are stored canonicalized, so a literal cancels another exactly
-    # when its canonical negation prints identically.
-    texts = set()
-    negated_texts = set()
-    for idx, negated in literals:
-        lit = Not(grammar.seeds[idx]) if negated else grammar.seeds[idx]
-        texts.add(canonical_text(lit))
-        negated_texts.add(canonical_text(Not(lit)))
-    return bool(texts & negated_texts)
-
-
-# Candidates by sorted literal set, for the last grammar drawn from; None
-# marks a tautology. A grammar has few literal sets, but a round draws
-# thousands of candidates.
-_drawn: tuple[GrammarConfig | None, dict] = (None, {})
-
-
-def sample_candidate(
-    grammar: GrammarConfig, nterms: int, rng: random.Random
-) -> CandidateInvariant:
-    """Uniform draw of nterms distinct seeds, each negated with probability 1/2."""
-    global _drawn
+def literal_sets(grammar: GrammarConfig, nterms: int) -> int:
+    """How many ways there are to pick nterms distinct seeds, each negated or not."""
     nseeds = len(grammar.seeds)
     if not 1 <= nterms <= nseeds:
         raise ValueError(f"nterms {nterms} out of range 1..{nseeds}")
-    drawn_grammar, memo = _drawn
-    if drawn_grammar is not grammar:
-        memo = {}
-        _drawn = (grammar, memo)
-    for _ in range(100):
-        idxs = rng.sample(range(nseeds), nterms)
-        literals = tuple((i, rng.random() < 0.5) for i in idxs)
-        key = tuple(sorted(literals))
-        if key not in memo:
-            memo[key] = (
-                None if _is_tautological(grammar, key) else build_candidate(grammar, key)
-            )
-        cand = memo[key]
-        if cand is not None:
-            return cand
-    raise EngineError("grammar admits only tautological candidates at this size")
+    return math.comb(nseeds, nterms) << nterms
+
+
+def sample_candidate(grammar: GrammarConfig, nterms: int, rank: int) -> CandidateInvariant:
+    """The candidate numbered rank among the literal sets of nterms seeds.
+
+    The rank's high part numbers the seed combination in lexicographic order;
+    its low nterms bits are the negations, bit j for the j-th chosen seed.
+    """
+    if not 0 <= rank < literal_sets(grammar, nterms):
+        raise ValueError(f"rank {rank} out of range")
+    combo, idxs, i = rank >> nterms, [], 0
+    for left in range(nterms, 0, -1):
+        # `after` combinations pick seed i next; the rank lies past them
+        while combo >= (after := math.comb(len(grammar.seeds) - i - 1, left - 1)):
+            combo -= after
+            i += 1
+        idxs.append(i)
+        i += 1
+    literals = tuple((idx, bool(rank >> j & 1)) for j, idx in enumerate(idxs))
+    return build_candidate(grammar, literals)
 
 
 class LemmaRepository:
@@ -204,28 +189,31 @@ def generate_lemma_invariants(
     n_lemmas: int,
     nterms: int,
     rng: random.Random,
-) -> LemmaRepository:
-    """Draw n_lemmas candidates and keep those true on every reachable state.
+) -> int:
+    """Draw min(n_lemmas, P) distinct literal sets and keep the candidates
+    true on every reachable state; return how many sets were drawn.
 
-    Duplicate draws are discarded, not re-drawn; n_lemmas counts draws. Each
-    fresh candidate is checked as it is drawn, so the repository's contents
-    and order are a pure function of the rng stream.
+    P is ``literal_sets(grammar, nterms)``: with P <= n_lemmas every literal
+    set is drawn once, otherwise a uniform sample without replacement, so
+    n_lemmas caps the distinct draws. The ranks come from one ``rng.sample``
+    call and are judged in draw order, so the repository's contents and
+    order are a pure function of the rng stream.
     """
     global _reach_rows
     if not reach.states:
         raise ValueError("reachable set is empty")
-    batch_ids: set[str] = set()
-    for _ in range(n_lemmas):
-        cand = sample_candidate(grammar, nterms, rng)
-        if cand.id in repo or cand.id in batch_ids:
+    population = literal_sets(grammar, nterms)
+    ranks = rng.sample(range(population), min(n_lemmas, population))
+    for rank in ranks:
+        cand = sample_candidate(grammar, nterms, rank)
+        if cand.id in repo:
             continue
-        batch_ids.add(cand.id)
         rows = _reach_rows
         if rows is None or rows.states is not reach.states or rows.grammar is not grammar:
             rows = _reach_rows = Rows(reach.states, grammar, reach.instance)
         if rows.clause(cand.literals) == rows.full:
             repo.add(cand)
-    return repo
+    return len(ranks)
 
 
 def term_size_schedule(grammar: GrammarConfig, round_no: int) -> int:

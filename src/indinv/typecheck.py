@@ -43,6 +43,7 @@ from .syntax import (
     StateRef,
     Update,
     ValueType,
+    canonical_text,
     canonicalize,
     to_str,
     type_str,
@@ -416,11 +417,11 @@ def check_grammar(raw: GrammarConfig, protocol: Protocol) -> GrammarConfig:
     for i, seed in enumerate(raw.seeds):
         scope = _protocol_scope(protocol, bound, f"seed {i + 1}")
         checked = canonicalize(_check_closed_bool(seed, scope))
-        key = to_str(checked)
-        if key in seen:
-            warnings.warn(
-                f"duplicate seed {key!r} dropped", DuplicateSeedWarning, stacklevel=3
-            )
+        key, negation = to_str(checked), canonical_text(Not(checked))
+        # a seed beside its negation adds only tautologies and 1-literal duplicates
+        if key in seen or negation in seen:
+            what = "a duplicate" if key in seen else f"the negation of seed {negation!r}"
+            warnings.warn(f"seed {key!r} dropped: it is {what}", DuplicateSeedWarning, stacklevel=3)
             continue
         seen.add(key)
         seeds.append(checked)

@@ -4,7 +4,7 @@ import pytest
 
 from indinv import benchmarks
 from indinv.instance import parse_instance
-from indinv.invgen import sample_candidate
+from indinv.invgen import literal_sets, sample_candidate
 from indinv.parser import parse_protocol
 
 # Small instances keep exhaustive oracles fast; defaults stay desk scale.
@@ -69,14 +69,11 @@ def enum_protocol():
 
 
 def fresh_draws(grammar, n, nterms, rng, exclude=frozenset()):
-    """The candidates ``generate_lemma_invariants`` judges when it makes n
-    draws from rng: the first draw of each id not in exclude, in draw order.
-    The filter draws through ``sample_candidate`` alone, so an rng seeded
-    alike replays its draws exactly."""
-    seen, out = set(exclude), []
-    for _ in range(n):
-        cand = sample_candidate(grammar, nterms, rng)
-        if cand.id not in seen:
-            seen.add(cand.id)
-            out.append(cand)
-    return out
+    """The candidates ``generate_lemma_invariants`` judges in a round of n
+    draws from rng: each drawn rank's candidate whose id is not in exclude,
+    in draw order. The round draws its ranks with one ``rng.sample`` call, so
+    an rng seeded alike replays them exactly."""
+    population = literal_sets(grammar, nterms)
+    ranks = rng.sample(range(population), min(n, population))
+    return [cand for cand in (sample_candidate(grammar, nterms, r) for r in ranks)
+            if cand.id not in exclude]

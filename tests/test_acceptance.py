@@ -22,7 +22,7 @@ from indinv.invgen import (
     LemmaRepository,
     build_candidate,
     generate_lemma_invariants,
-    sample_candidate,
+    literal_sets,
 )
 from indinv.parser import parse_expression
 from indinv.reachability import compute_reach
@@ -138,8 +138,7 @@ def test_criterion_3_induction_oracle_equivalence(small_benchmarks):
             )
         rng = random.Random(31)
         nterms = min(2, len(grammar.seeds))
-        for _ in range(10):
-            cand = sample_candidate(grammar, nterms, rng)
+        for cand in fresh_draws(grammar, 10, nterms, rng):
             conjunct_sets.append([protocol.safety, cand.closed])
             conjunct_sets.append([cand.closed])
         for conjuncts in conjunct_sets:
@@ -168,7 +167,7 @@ def test_criterion_3_induction_oracle_equivalence(small_benchmarks):
 
 
 def test_criterion_4_lemma_soundness(small_benchmarks):
-    sampled_total = 0
+    sampled_total = expected_total = 0
     admitted_violations = 0
     rejection_defects = 0
     per_benchmark = 2000
@@ -180,14 +179,15 @@ def test_criterion_4_lemma_soundness(small_benchmarks):
         repo = LemmaRepository()
         for nterms in (1, min(2, len(grammar.seeds))):
             before = {lemma.id for lemma in repo}
-            generate_lemma_invariants(reach, grammar, repo, per_benchmark // 2, nterms, rng)
+            sampled_total += generate_lemma_invariants(
+                reach, grammar, repo, per_benchmark // 2, nterms, rng)
+            expected_total += min(per_benchmark // 2, literal_sets(grammar, nterms))
             # each candidate the filter judged and did not keep, with the
             # first reachable state that falsifies it
             for cand in fresh_draws(grammar, per_benchmark // 2, nterms, replay, before):
                 if cand.id not in repo:
                     rejected.append(
                         (cand, oracles.o_first_falsifier(cand.closed, reach.states, instance)))
-        sampled_total += per_benchmark
         for lemma in repo:
             for assign in oracle_reach.values():
                 if not oracles.o_holds(lemma.closed, assign, instance):
@@ -198,9 +198,9 @@ def test_criterion_4_lemma_soundness(small_benchmarks):
                 rejection_defects += 1
     _report(
         "4 (lemma soundness)",
-        sampled_total == 10000 and admitted_violations == 0 and rejection_defects == 0,
-        f"{sampled_total} candidates sampled, {admitted_violations} admitted "
-        f"violations, {rejection_defects} defective rejections",
+        sampled_total == expected_total and admitted_violations == 0 and rejection_defects == 0,
+        f"{sampled_total} of {expected_total} literal sets sampled, "
+        f"{admitted_violations} admitted violations, {rejection_defects} defective rejections",
     )
 
 
@@ -317,8 +317,9 @@ def test_criterion_7_byte_identical_result_files(tmp_path):
 def test_criterion_8_sampler_uniformity(lockserver_grammar):
     rng = random.Random(99)
     draws = 10000
+    # one-draw rounds, each drawing one rank of the six
     counts = Counter(
-        sample_candidate(lockserver_grammar, 1, rng).id for _ in range(draws)
+        cand.id for _ in range(draws) for cand in fresh_draws(lockserver_grammar, 1, 1, rng)
     )
     worst = max(abs(c / draws - 1 / 6) for c in counts.values())
     _report(

@@ -338,6 +338,13 @@ def test_readme_config_line_is_the_default_config():
     assert lines == ["config: " + InferenceConfig().describe()]
 
 
+def test_readme_example_is_the_lockserver_seed_7_result():
+    text = README.read_text()
+    start = text.index("\nstatus: ") + 1
+    end = text.index("\n", text.index("\ninduction: ", start) + 1) + 1
+    assert text[start:end] == (GOLDEN / "lockserver-small-7.txt").read_text()
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["infer", "--help"])

@@ -2,15 +2,18 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from collections import Counter
 
 import pytest
 
 from indinv import invgen
+from indinv.errors import DuplicateSeedWarning
 from indinv.invgen import (
     LemmaRepository,
     build_candidate,
     generate_lemma_invariants,
+    literal_sets,
     sample_candidate,
     term_size_schedule,
 )
@@ -32,62 +35,108 @@ def _all_candidate_ids(grammar, nterms):
     return ids
 
 
+def _ranked_ids(grammar, nterms):
+    return [sample_candidate(grammar, nterms, rank).id
+            for rank in range(literal_sets(grammar, nterms))]
+
+
 def test_single_term_candidates_form_six_outcomes(lockserver_grammar):
-    ids = _all_candidate_ids(lockserver_grammar, 1)
+    ids = _ranked_ids(lockserver_grammar, 1)
     assert len(ids) == 6
-    rng = random.Random(0)
-    for _ in range(100):
-        assert sample_candidate(lockserver_grammar, 1, rng).id in ids
+    assert set(ids) == _all_candidate_ids(lockserver_grammar, 1)
 
 
 def test_two_term_candidates_form_twelve_outcomes(lockserver_grammar):
-    ids = _all_candidate_ids(lockserver_grammar, 2)
-    assert len(ids) == 12
-    rng = random.Random(1)
-    for _ in range(200):
-        assert sample_candidate(lockserver_grammar, 2, rng).id in ids
+    ids = _ranked_ids(lockserver_grammar, 2)
+    assert len(ids) == len(set(ids)) == 12
+    assert set(ids) == _all_candidate_ids(lockserver_grammar, 2)
+
+
+def test_three_term_candidates_form_eight_outcomes(lockserver_grammar):
+    ids = _ranked_ids(lockserver_grammar, 3)
+    assert len(ids) == len(set(ids)) == 8
+    assert set(ids) == _all_candidate_ids(lockserver_grammar, 3)
+
+
+def test_ranks_number_combinations_then_negations(lockserver_grammar):
+    # high part: the seed combination in lexicographic order; low bits: negations
+    cands = [sample_candidate(lockserver_grammar, 2, rank) for rank in range(12)]
+    assert [c.literals for c in cands[:4]] == [
+        ((0, False), (1, False)), ((0, True), (1, False)),
+        ((0, False), (1, True)), ((0, True), (1, True)),
+    ]
+    assert [sorted({i for i, _ in c.literals}) for c in cands[::4]] == [[0, 1], [0, 2], [1, 2]]
 
 
 def test_sampler_is_deterministic(lockserver_grammar):
-    a = sample_candidate(lockserver_grammar, 2, random.Random(0))
-    b = sample_candidate(lockserver_grammar, 2, random.Random(0))
+    a = sample_candidate(lockserver_grammar, 2, 5)
+    b = sample_candidate(lockserver_grammar, 2, 5)
     assert a.id == b.id
+    first = [c.id for c in fresh_draws(lockserver_grammar, 7, 2, random.Random(0))]
+    assert first == [c.id for c in fresh_draws(lockserver_grammar, 7, 2, random.Random(0))]
 
 
 def test_nterms_out_of_range(lockserver_grammar):
     with pytest.raises(ValueError):
-        sample_candidate(lockserver_grammar, 4, random.Random(0))
+        sample_candidate(lockserver_grammar, 4, 0)
     with pytest.raises(ValueError):
-        sample_candidate(lockserver_grammar, 0, random.Random(0))
+        sample_candidate(lockserver_grammar, 0, 0)
+    with pytest.raises(ValueError):
+        sample_candidate(lockserver_grammar, 1, 6)
 
 
 def test_sampler_uniform_over_six_outcomes(lockserver_grammar):
-    # 10,000 draws; binomial tolerance of +-0.02 around 1/6
+    # 10,000 one-draw rounds; binomial tolerance of +-0.02 around 1/6
     rng = random.Random(123)
     counts = Counter(
-        sample_candidate(lockserver_grammar, 1, rng).id for _ in range(10000)
+        cand.id for _ in range(10000) for cand in fresh_draws(lockserver_grammar, 1, 1, rng)
     )
-    assert len(counts) == 6
+    assert len(counts) == 6 and sum(counts.values()) == 10000
     for count in counts.values():
         assert abs(count / 10000 - 1 / 6) <= 0.02
 
 
+def _round_ranks(monkeypatch, reach, grammar, n_lemmas, nterms):
+    """The ranks one round passes to the module's sample_candidate, and its return."""
+    ranks = []
+
+    def spy(grammar, nterms, rank):
+        ranks.append(rank)
+        return sample_candidate(grammar, nterms, rank)
+
+    monkeypatch.setattr(invgen, "sample_candidate", spy)
+    drawn = generate_lemma_invariants(
+        reach, grammar, LemmaRepository(), n_lemmas, nterms, random.Random(3))
+    return ranks, drawn
+
+
+@pytest.mark.parametrize("nterms,population", [(1, 6), (2, 12), (3, 8)])
+def test_a_round_of_at_least_p_draws_lists_every_literal_set_once(
+    lockserver, monkeypatch, nterms, population
+):
+    protocol, grammar, instance = lockserver
+    reach = compute_reach(protocol, instance)
+    for n_lemmas in (population, population + 1, 15000):
+        ranks, drawn = _round_ranks(monkeypatch, reach, grammar, n_lemmas, nterms)
+        assert sorted(ranks) == list(range(population)) and drawn == population
+
+
+def test_a_round_of_fewer_than_p_draws_draws_that_many_distinct_sets(lockserver, monkeypatch):
+    protocol, grammar, instance = lockserver
+    reach = compute_reach(protocol, instance)
+    for n_lemmas in (1, 5, 11):
+        ranks, drawn = _round_ranks(monkeypatch, reach, grammar, n_lemmas, 2)
+        assert len(set(ranks)) == len(ranks) == drawn == n_lemmas
+        assert all(0 <= rank < 12 for rank in ranks)
+
+
 def test_tautological_pairs_are_rejected(lockserver_protocol):
-    text = "template forall s: Server.\nseed locked[s]\nseed ~locked[s]\nmax_terms 1,2"
-    grammar = parse_grammar(text, lockserver_protocol)
-    rng = random.Random(0)
-    for _ in range(50):
-        cand = sample_candidate(grammar, 2, rng)
-        texts = {canonical_text(lit) for lit in _literal_exprs(grammar, cand)}
-        assert texts != {"locked[s]", "~locked[s]"} or len(texts) == 1
-
-
-def _literal_exprs(grammar, cand):
-    from indinv.syntax import Not
-
-    return [
-        Not(grammar.seeds[i]) if neg else grammar.seeds[i] for i, neg in cand.literals
-    ]
+    # a seed beside its negation adds only tautologies, so the later one goes
+    for first, second in [("locked[s]", "~locked[s]"), ("~locked[s]", "locked[s]")]:
+        text = f"template forall s: Server.\nseed {first}\nseed {second}\nmax_terms 1,2"
+        with pytest.warns(DuplicateSeedWarning, match=f"negation of seed '{re.escape(first)}'"):
+            grammar = parse_grammar(text, lockserver_protocol)
+        assert [canonical_text(seed) for seed in grammar.seeds] == [first]
 
 
 def test_known_lemma_survives_filtering(lockserver, lockserver_instance):
