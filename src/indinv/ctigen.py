@@ -5,9 +5,12 @@ A CTI of the candidate Ind is a state of Ind with a path of at most
 state's identity, with such a path as its witness, whose steps carry their
 pre-states' codes. When the instance has no more states than the call has
 walks, the batch is exact: every CTI at its shortest depth, found from
-Ind's codes, with no rng draw. Otherwise a sampled start state that
-satisfies Ind is walked forward by uniformly random enabled transitions;
-if the walk leaves Ind at step k, all k earlier states are CTIs.
+Ind's codes, each stepped once, with no rng draw. It stays codes: the batch
+keeps each CTI's code and each code's next step, and ``ExactCtis`` builds a
+CTI's state and witness only when the CTI is read, which selection and the
+inference loop never do. Otherwise a sampled start state that satisfies Ind
+is walked forward by uniformly random enabled transitions; if the walk
+leaves Ind at step k, all k earlier states are CTIs, built as found.
 
 Both run over state codes, drawn with exactly ``random_state``'s rng calls,
 and build a state only to report a CTI. A firing's guard, the change a
@@ -24,9 +27,9 @@ each make one of their own.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import random
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .evaluator import Compiled, Transition, compile_expr, firings, successors
@@ -53,10 +56,11 @@ class CTI:
 
 @dataclass
 class CtiBatch:
-    """The CTIs found, the walks started (for an exact batch, the Ind codes
-    examined) and how many of those started inside Ind."""
+    """The CTIs found (an exact batch's as ``ExactCtis``, a walk batch's as a
+    list), the walks started (for an exact batch, the Ind codes examined) and
+    how many of those started inside Ind."""
 
-    ctis: list[CTI]
+    ctis: Sequence[CTI]
     samples_attempted: int
     starts: int
 
@@ -97,8 +101,11 @@ class Verdicts:
     is 0 while unknown, else 1 for false and 2 for true, filled the first
     time a code with that projection is asked about by evaluating the
     predicate on the code's state, of which only the variables it reads are
-    built. With more than ``limit`` projections there is no table, and each
-    call evaluates.
+    built. ``holds`` makes the check for a caller to keep, the hot path of
+    walks and searches: a closure over the table, the projection and
+    ``evaluate``. The object does not keep it, so no reference cycle holds
+    the table once its last user is gone. With more than ``limit``
+    projections there is no table, and each call evaluates.
     """
 
     def __init__(self, expr: Expr, f: Compiled, env: dict, codec: StateCodec, limit: int):
@@ -109,18 +116,23 @@ class Verdicts:
                      if not self.leaves.isdisjoint(leaves.values())]
         count, self.project = codec.projection(self.leaves)
         self.table = bytearray(count) if count <= limit else None
-        if self.table is None:
-            self.holds = self.evaluate
 
     def evaluate(self, code: int) -> bool:
         return self.f(self.codec.build(code, self.read), self.env) is True
 
-    def holds(self, code: int) -> bool:
-        p = self.project(code)
-        v = self.table[p]
-        if not v:
-            v = self.table[p] = 2 if self.evaluate(code) else 1
-        return v == 2
+    @property
+    def holds(self):
+        table, project, evaluate = self.table, self.project, self.evaluate
+        if table is None:
+            return evaluate
+
+        def holds(code: int) -> bool:
+            p = project(code)
+            v = table[p]
+            if not v:
+                v = table[p] = 2 if evaluate(code) else 1
+            return v == 2
+        return holds
 
 
 def _all(checks: list):
@@ -261,6 +273,40 @@ class WalkTable:
         return found
 
 
+class ExactCtis(Sequence):
+    """An exact batch's CTIs, in code order, as their ``codes`` and each
+    code's step ``(depth, firing, next code)`` along its witness.
+
+    ``len`` builds nothing. An item is the ``CTI`` of its code, its state and
+    witness decoded when it is read; ``subset`` keeps some of the codes.
+    """
+
+    def __init__(self, table: WalkTable, codes: list[int], steps: dict[int, tuple[int, int, int]]):
+        self.codes, self.codec = codes, table.codec
+        self._table, self._steps = table, steps
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[j] for j in range(*k.indices(len(self.codes)))]
+        decode, steps = self.codec.decode, self._steps
+        code = c = self.codes[k]
+        witness = []
+        while c in steps:
+            _, i, d = steps[c]
+            witness.append(self._table.transition(c, i, decode(d)))
+            c = d
+        return CTI(decode(code), code, tuple(witness), steps[code][0])
+
+    def subset(self, ks: Iterable[int]) -> ExactCtis:
+        return ExactCtis(self._table, [self.codes[k] for k in ks], self._steps)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+
 def _exact_ctis(table: WalkTable, ind: Expr, depth: int, cap: int) -> CtiBatch:
     """The first cap, in code order, of the codes of ind with a path of at
     most depth steps through ind to a code outside it, started from each of
@@ -268,38 +314,41 @@ def _exact_ctis(table: WalkTable, ind: Expr, depth: int, cap: int) -> CtiBatch:
 
     Pass k finds the codes whose shortest such path has k steps, each by its
     first firing out of ind (k = 1), else into a code found before; the
-    passes stop at depth or at the first that finds none.
+    passes stop at depth or at the first that finds none. Pass 1 steps each
+    code once, judging guards only up to its first firing out of ind, and
+    keeps the enabled (firing, successor) pairs of the codes it leaves open;
+    the later passes only look those up.
     """
     inside = table.inside(conjuncts_of(ind))
     ok = set(inside)
-    enabled, successor = table.enabled, table.successor
+    guards, successor = list(enumerate(table.guards)), table.successor
     found: dict[int, tuple[int, int, int]] = {}  # code -> (depth, firing, successor)
-    rest = inside
-    for k in range(1, depth + 1):
-        hits = (lambda d: d not in ok) if k == 1 else found.__contains__
+    moves: dict[int, list[tuple[int, int]]] = {}  # open code -> its (firing, successor)s
+    for c in inside:
+        pairs = []
+        for i, guard in guards:
+            if not guard(c):
+                continue
+            d = successor(c, i)
+            if d not in ok:
+                found[c] = (1, i, d)
+                break
+            pairs.append((i, d))
+        else:
+            moves[c] = pairs
+    for k in range(2, depth + 1):
         added = {}
-        for c in rest:
-            for i in enabled(c):
-                d = successor(c, i)
-                if hits(d):
+        for c, pairs in moves.items():
+            for i, d in pairs:
+                if d in found:
                     added[c] = (k, i, d)
                     break
         if not added:
             break
         found.update(added)
-        rest = [c for c in rest if c not in added]
-
-    state = functools.cache(table.codec.decode)
-
-    def witness(c: int) -> tuple[Transition, ...]:
-        steps = []
-        while c in found:
-            _, i, d = found[c]
-            steps.append(table.transition(c, i, state(d)))
-            c = d
-        return tuple(steps)
-    ctis = [CTI(state(c), c, witness(c), found[c][0]) for c in sorted(found)[:cap]]
-    return CtiBatch(ctis, len(inside), len(inside))
+        for c in added:
+            del moves[c]
+    return CtiBatch(ExactCtis(table, sorted(found)[:cap], found), len(inside), len(inside))
 
 
 def _sample_walks(table: WalkTable, good, budget: int, depth: int, cap: int,

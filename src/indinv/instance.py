@@ -167,12 +167,13 @@ class StateCodec:
     share map entry values by leaf digit. ``projection`` numbers the codes
     by the digits of a set of leaves. Equal states have equal codes, so a code
     is a state's identity: reachability dedups by ``encode``, and CTIs and
-    witness steps carry codes. CTI walks and ``check_induction`` work on
-    codes alone, through projections.
+    witness steps carry codes. CTI searches, ``Rows`` and ``check_induction``
+    work on codes alone, through projections. A codec depends only on the
+    state schema and the instance.
     """
 
-    def __init__(self, protocol: Protocol, instance: Instance) -> None:
-        self.schema = state_schema(protocol)
+    def __init__(self, schema: StateSchema, instance: Instance) -> None:
+        self.schema = schema
         self.vars = []  # (map keys, or None for a scalar, then its leaf)
         for t in self.schema.types:
             keys = instance.domain(t.index_sort) if isinstance(t, MapType) else None
@@ -245,6 +246,9 @@ class StateCodec:
         if len(runs) == 1:
             (w, r, _), = runs
             return count, lambda code: code // w % r
+        if len(runs) == 2:
+            (w, r, _), (w2, r2, k2) = runs
+            return count, lambda code: code // w % r + code // w2 % r2 * k2
         return count, lambda code: sum([code // w % r * k for w, r, k in runs])
 
     def _value(self, i: int, d: int) -> Value:
@@ -270,7 +274,7 @@ def state_codec(protocol: Protocol, instance: Instance) -> StateCodec:
     global _last_codec
     last_protocol, last_instance, codec = _last_codec
     if not (last_protocol is protocol and last_instance is instance):
-        codec = StateCodec(protocol, instance)
+        codec = StateCodec(state_schema(protocol), instance)
         _last_codec = (protocol, instance, codec)
     return codec
 

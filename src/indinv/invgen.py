@@ -7,10 +7,11 @@ with at most ``n_lemmas`` of them is listed whole. A candidate survives only
 if it holds on every reachable state.
 
 Both filtering and selection judge candidates by ``Rows``: one Python int per
-seed and template binding whose bit i is the seed's value on state i of a
-list. A candidate's row, whose bit i says whether it holds on state i, is
-then a few whole-row ORs, ANDs and XORs; no candidate is evaluated state by
-state.
+seed and template binding whose bit i is the seed's value on the state of
+code i of a list, the reach set's codes or a CTI batch's. A candidate's row,
+whose bit i says whether it holds on that state, is then a few whole-row
+ORs, ANDs and XORs; no candidate is evaluated state by state, and a seed is
+evaluated once per distinct value of the variables it reads.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .evaluator import compile_expr
-from .instance import Instance, State
+from .instance import Instance, StateCodec
 from .reachability import ReachSet
 from .syntax import (
     BoundRef,
@@ -112,56 +113,62 @@ class LemmaRepository:
 
 
 class Rows:
-    """Seed and clause truth values over a list of states, as Python ints.
+    """Seed and clause truth values over a list of state codes, as Python ints.
 
     ``seed(i)`` is one row per template binding, in ``itertools.product``
-    order, with bit k seed i's value on ``states[k]``; it is built on first
-    use by evaluating the seed once per group of states that agree on the
-    variables it reads and per binding of the template variables it mentions.
-    The groups are dropped once every seed has its rows.
+    order, with bit k seed i's value on the state of ``codes[k]``. It is
+    built on first use: the codes are grouped by the digits of the variables
+    the seed reads, and the seed is evaluated once per group and per binding
+    of the template variables it mentions, on ``codec.build`` of the group's
+    first code with only those variables, a state that no row keeps. The
+    groups are dropped once every seed has its rows.
     """
 
-    def __init__(self, states: Sequence[State], grammar: GrammarConfig, instance: Instance) -> None:
-        self.states = states
+    def __init__(self, codes: Sequence[int], codec: StateCodec, grammar: GrammarConfig,
+                 instance: Instance) -> None:
+        self.codes, self.codec = codes, codec
         self.grammar = grammar
-        self.full = (1 << len(states)) - 1
+        self.full = (1 << len(codes)) - 1
         self._instance = instance
         self._domains = [instance.domain(sort) for _, _, sort in grammar.template]
         self._groups: dict[frozenset[str], list[list]] = {}
         self._seeds: dict[int, list[int]] = {}
 
     def _grouped(self, names: frozenset[str]) -> list[list]:
-        """[first state, bitmask] per distinct value of the named variables."""
+        """[first code, bitmask] per distinct digits of the named variables."""
         if names not in self._groups:
-            pos = [self.states[0].schema.index(n) for n in sorted(names)]
-            groups: dict[tuple, list] = {}
-            for k, s in enumerate(self.states):
-                groups.setdefault(tuple([s.values[j] for j in pos]), [s, 0])[1] |= 1 << k
+            codec = self.codec
+            _, project = codec.projection([j for n in names for j in codec.var_leaves[n].values()])
+            groups: dict[int, list] = {}
+            for k, code in enumerate(self.codes):
+                groups.setdefault(project(code), [code, 0])[1] |= 1 << k
             self._groups[names] = list(groups.values())
         return self._groups[names]
 
     def seed(self, idx: int) -> list[int]:
         if idx not in self._seeds:
-            seed = self.grammar.seeds[idx]
-            f = compile_expr(seed, self._instance, self.states[0].schema)
-            groups = self._grouped(reads(seed))
+            seed, codec = self.grammar.seeds[idx], self.codec
+            f = compile_expr(seed, self._instance, codec.schema)
             names = [var for _, var, _ in self.grammar.template]
             used = reads(seed, BoundRef)
-            by_env: dict[tuple, int] = {}
-            rows = []
-            for combo in itertools.product(*self._domains):
-                env = tuple((v, el) for v, el in zip(names, combo) if v in used)
-                if env not in by_env:
-                    # the groups' masks are disjoint, so their sum is their OR
-                    by_env[env] = sum(mask for s, mask in groups if f(s, dict(env)))
-                rows.append(by_env[env])
-            self._seeds[idx] = rows
+            keys = [tuple((v, el) for v, el in zip(names, combo) if v in used)
+                    for combo in itertools.product(*self._domains)]
+            envs = {key: dict(key) for key in keys}  # the distinct bindings it reads
+            rows = dict.fromkeys(envs, 0)
+            variables = reads(seed)
+            read = sorted(map(codec.schema.index, variables))
+            for code, mask in self._grouped(variables):
+                s = codec.build(code, read)
+                for key, env in envs.items():
+                    if f(s, env):
+                        rows[key] |= mask
+            self._seeds[idx] = [rows[key] for key in keys]
             if len(self._seeds) == len(self.grammar.seeds):
                 self._groups.clear()  # every row is built; the masks would only hold memory
         return self._seeds[idx]
 
     def clause(self, literals: tuple[tuple[int, bool], ...]) -> int:
-        """Bit k says whether the candidate with these literals holds on states[k]."""
+        """Bit k says whether the candidate with these literals holds on the state of codes[k]."""
         full = self.full
         lits = [(self.seed(idx), negated) for idx, negated in literals]
         rows = []
@@ -200,7 +207,7 @@ def generate_lemma_invariants(
     order are a pure function of the rng stream.
     """
     global _reach_rows
-    if not reach.states:
+    if not reach.codes:
         raise ValueError("reachable set is empty")
     population = literal_sets(grammar, nterms)
     ranks = rng.sample(range(population), min(n_lemmas, population))
@@ -209,8 +216,8 @@ def generate_lemma_invariants(
         if cand.id in repo:
             continue
         rows = _reach_rows
-        if rows is None or rows.states is not reach.states or rows.grammar is not grammar:
-            rows = _reach_rows = Rows(reach.states, grammar, reach.instance)
+        if rows is None or rows.codes is not reach.codes or rows.grammar is not grammar:
+            rows = _reach_rows = Rows(reach.codes, reach.codec, grammar, reach.instance)
         if rows.clause(cand.literals) == rows.full:
             repo.add(cand)
     return len(ranks)

@@ -11,16 +11,19 @@ from dataclasses import dataclass
 from .ctigen import DEFAULT_LIMIT, WalkTable
 from .errors import ReachLimitError
 from .evaluator import initial_state
-from .instance import Instance, State
+from .instance import Instance, State, StateCodec
 from .syntax import Protocol
 
 
 @dataclass
 class ReachSet:
-    """Reachable states in BFS discovery order, closed under successors."""
+    """Reachable states in BFS discovery order, closed under successors, and
+    their codes in the same order under ``codec``."""
 
     states: list[State]
     instance: Instance
+    codes: list[int]
+    codec: StateCodec
 
     def __len__(self) -> int:
         return len(self.states)
@@ -53,4 +56,5 @@ def compute_reach(protocol: Protocol, instance: Instance, limit: int = DEFAULT_L
                     found[code] = None
                     nxt.append(code)
         frontier = nxt
-    return ReachSet(list(map(table.codec.decode, found)), instance)
+    codes = list(found)
+    return ReachSet(list(map(table.codec.decode, codes)), instance, codes, table.codec)

@@ -6,6 +6,7 @@ naming the offending expression and the expected/actual types.
 """
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -436,7 +437,16 @@ def check_grammar(raw: GrammarConfig, protocol: Protocol) -> GrammarConfig:
             raise SpecError("max_terms schedule must be strictly increasing and positive")
         last = n
 
-    return GrammarConfig(raw.template, tuple(seeds), raw.max_terms)
+    from .invgen import literal_sets
+
+    checked = GrammarConfig(raw.template, tuple(seeds), raw.max_terms)
+    for n in raw.max_terms:
+        # a round draws from range(count) by rng.sample, which needs its len
+        count = literal_sets(checked, min(n, len(seeds)))  # the loop clamps n alike
+        if count > sys.maxsize:
+            raise SpecError(f"max_terms {n}: {count} literal sets of {len(seeds)} seeds, "
+                            f"more than a round can sample from ({sys.maxsize})")
+    return checked
 
 
 def check_bool_expr(e: Expr, protocol: Protocol, bound: dict[str, str]) -> Expr:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import os
 import re
 import subprocess
@@ -208,6 +209,29 @@ def test_no_command_digests_a_state(tmp_path, monkeypatch, capsys):
     instance = instance_module.parse_instance(inst_text, protocol)
     instance_module.fingerprint(instance_module.state_codec(protocol, instance).decode(0))
     assert len(calls) == 1
+
+
+def test_a_grammar_too_large_to_sample_exit_one(tmp_path):
+    # 66 seeds at 32 terms give C(66, 32) * 2^32 literal sets, past the
+    # sys.maxsize a round's rng.sample(range(P), k) can take the len of;
+    # the protocol has CTIs, so the run would reach that round
+    proto = tmp_path / "flags.proto"
+    proto.write_text(
+        "sort A\n" + "".join(f"var b{i} : bool\ninit b{i} = false\n" for i in range(66))
+        + "action Step() {\n    require b0;\n    b1 := true;\n}\nsafety S: ~b1\n"
+    )
+    grammar = tmp_path / "flags.grammar"
+    grammar.write_text("template forall a: A.\n" + "".join(f"seed b{i}\n" for i in range(66))
+                       + "max_terms 32\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "indinv", "infer", str(proto), "--grammar", str(grammar),
+         "--instance", "A=a1", "--out", str(tmp_path / "r.txt")],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert f"max_terms 32: {math.comb(66, 32) << 32} literal sets" in done.stderr
 
 
 def test_importing_the_cli_leaves_hashlib_unimported():

@@ -583,6 +583,95 @@ def test_exact_batch_holds_any_depth():
     assert _exact_pairs(shallow) == {s: k for s, k in layers.items() if k <= 255}
 
 
+def _eager_exact(protocol, instance, ind, depth, cap):
+    """The exact CTIs built whole, without the tables: a plain filter lists
+    ind's codes, and pass k steps each open code by ``successors`` of its
+    decoded state to the first post-state outside ind (k = 1) or found
+    before."""
+    codec = state_codec(protocol, instance)
+    inside = _filter(protocol, instance, ind)
+    ok = set(inside)
+    found = {}  # code -> (depth, transition, next code)
+    for k in range(1, depth + 1):
+        added = {}
+        for c in inside:
+            if c in found:
+                continue
+            for t in successors(codec.decode(c), protocol, instance):
+                d = codec.encode(t.post)
+                if (d not in ok) if k == 1 else (d in found):
+                    added[c] = (k, t, d)
+                    break
+        found.update(added)
+    ctis = []
+    for c in sorted(found)[:cap]:
+        witness, d = [], c
+        while d in found:
+            witness.append(found[d][1])
+            d = found[d][2]
+        ctis.append(ctigen.CTI(codec.decode(c), c, tuple(witness), found[c][0]))
+    return ctis
+
+
+@pytest.mark.parametrize("cap", [7, 10**6])
+def test_exact_items_equal_an_eager_construction(small_benchmarks, cap):
+    # an exact batch keeps codes and steps; its items, by index, slice,
+    # iteration or subset, are the CTIs an eager construction builds
+    found = 0
+    for name, (protocol, _, instance) in small_benchmarks.items():
+        for ind in _ind_sequence(name, protocol):
+            batch = _exact(protocol, instance, ind, 3, cap)
+            eager = _eager_exact(protocol, instance, ind, 3, cap)
+            assert isinstance(batch.ctis, ctigen.ExactCtis)
+            assert len(batch.ctis) == len(eager) and batch.ctis.codes == [c.code for c in eager]
+            assert list(batch.ctis) == eager and batch.ctis == eager, (name, to_str(ind))
+            if eager:
+                assert batch.ctis[-1] == eager[-1] and batch.ctis[1::2] == eager[1::2]
+                assert batch.ctis.subset([0, len(eager) - 1]) == [eager[0], eager[-1]]
+            for cti in batch.ctis:
+                assert replay_witness(cti, protocol, instance, ind), (name, cti.code)
+            found += len(eager)
+    assert found > 0
+
+
+def test_an_exact_inference_builds_no_cti(all_benchmarks, monkeypatch):
+    # election's default instance has no more states than n_ctis, so every
+    # batch is exact: selection scores the CTIs' codes and the loop counts
+    # the eliminated ones, so no CTI is built and no CTI code decoded; the
+    # only codes decoded are the reachable ones
+    from indinv.infer import InferenceConfig, infer_inductive_invariant
+    from indinv.instance import StateCodec
+    from indinv.reachability import compute_reach
+
+    protocol, grammar, instance = all_benchmarks["election"]
+    reach = compute_reach(protocol, instance).codes
+    built, decoded, batches = [], [], []
+    post_init, decode = ctigen.CTI.__post_init__, StateCodec.decode
+    monkeypatch.setattr(ctigen.CTI, "__post_init__", lambda c: built.append(c) or post_init(c))
+    monkeypatch.setattr(StateCodec, "decode",
+                        lambda codec, code: decoded.append(code) or decode(codec, code))
+
+    def spy(*args, **kwargs):
+        batches.append(generate_ctis(*args, **kwargs))
+        return batches[-1]
+
+    monkeypatch.setattr("indinv.infer.generate_ctis", spy)
+    result = infer_inductive_invariant(protocol, instance, grammar, InferenceConfig(seed=7))
+    assert result.succeeded and result.ctis_eliminated > 0
+    assert all(isinstance(b.ctis, ctigen.ExactCtis) for b in batches)
+    assert len(batches) == 4 and not batches[-1].ctis and built == []
+    assert sorted(decoded) == sorted(reach)
+    codes = {c for b in batches for c in b.ctis.codes}
+    assert codes and codes.isdisjoint(decoded)
+    first = batches[0].ctis
+    assert len(first) == 10000 and built == []  # the cap, counted without building
+    for k in (0, len(first) // 2, -1):
+        cti = first[k]
+        assert cti.code == first.codes[k]
+        assert replay_witness(cti, protocol, instance, protocol.safety)
+    assert len(built) == 3
+
+
 def _count_evaluations(monkeypatch) -> Counter:
     """Counts, by Verdicts object, the evaluations of its predicate from now on."""
     calls = Counter()

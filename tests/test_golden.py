@@ -1,8 +1,10 @@
 """Result files pinned byte for byte across engine changes.
 
-Each file under ``data/golden`` is the output of ``indinv infer`` on a
-bundled benchmark at its small test instance (for lockserver that is also
-its default instance) with CLI defaults. A refactor or a fast path that
+Each file under ``data/golden`` is the output of ``indinv infer`` with CLI
+defaults: on a bundled benchmark at its small test instance (for lockserver
+that is also its default instance), or on lockserver 4x4, the benchmark's
+largest workload and the only pinned one past ``--n-ctis`` states, so its
+CTIs come from walks and its check samples. A refactor or a fast path that
 keeps the engine's semantics leaves every file unchanged; the files are
 never regenerated to make this test pass. A file changes only when the
 printed result changes on purpose, and CHANGES.md then lists every changed
@@ -20,10 +22,12 @@ from .conftest import SMALL_INSTANCES
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 SEEDS = (7, 401)
+LOCKSERVER_4X4 = "Server=s1,s2,s3,s4 Client=c1,c2,c3,c4"
 
 
 def test_every_golden_file_is_covered():
     expected = {f"{name}-small-{seed}.txt" for name in SMALL_INSTANCES for seed in SEEDS}
+    expected |= {f"lockserver-4x4-{seed}.txt" for seed in SEEDS}
     assert {p.name for p in GOLDEN.iterdir()} == expected
 
 
@@ -37,3 +41,17 @@ def test_result_file_matches_golden(name, seed, tmp_path, capsys):
     ])
     capsys.readouterr()
     assert out.read_bytes() == (GOLDEN / f"{name}-small-{seed}.txt").read_bytes()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_lockserver_4x4_result_file_matches_golden(seed, tmp_path, capsys):
+    # walks, not an exact set, find its CTIs, and its check samples: the
+    # file pins the walk path end to end. ROADMAP item 1 (an exhaustive
+    # check by enumerating Ind) will change its induction: line on purpose.
+    out = tmp_path / "result.txt"
+    main([
+        "infer", "lockserver", "--grammar", "lockserver", "--instance", LOCKSERVER_4X4,
+        "--seed", str(seed), "--out", str(out),
+    ])
+    capsys.readouterr()
+    assert out.read_bytes() == (GOLDEN / f"lockserver-4x4-{seed}.txt").read_bytes()
