@@ -90,7 +90,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
                          help="grammar file, or a bundled benchmark name")
     p_infer.add_argument("--seed", type=int, default=InferenceConfig.seed)
     p_infer.add_argument("--n-lemmas", type=_at_least(1), default=InferenceConfig.n_lemmas)
-    p_infer.add_argument("--n-ctis", type=_at_least(1), default=InferenceConfig.n_ctis)
+    p_infer.add_argument("--n-ctis", type=_at_least(1), default=InferenceConfig.n_ctis,
+                         help="most codes of the candidate for an exact CTI set; "
+                              "past that, the random walks per batch")
     p_infer.add_argument("--cti-cap", type=_at_least(1), default=InferenceConfig.cti_cap)
     p_infer.add_argument("--depth", type=_at_least(1), default=InferenceConfig.walk_depth,
                          help="most steps from a CTI to a state outside the candidate")

@@ -3,27 +3,26 @@
 A CTI of the candidate Ind is a state of Ind with a path of at most
 ``depth`` steps through Ind to a state outside it, recorded by its code, a
 state's identity, with such a path as its witness, whose steps carry their
-pre-states' codes. When the instance has no more states than the call has
-walks, the batch is exact: every CTI at its shortest depth, found from
-Ind's codes, each stepped once, with no rng draw. It stays codes: the batch
-keeps each CTI's code and each code's next step, and ``ExactCtis`` builds a
-CTI's state and witness only when the CTI is read, which selection and the
-inference loop never do. Otherwise a sampled start state that satisfies Ind
-is walked forward by uniformly random enabled transitions; if the walk
-leaves Ind at step k, all k earlier states are CTIs, built as found.
+pre-states' codes. A batch stays codes: ``Ctis`` keeps each CTI's code and
+each code's next step, and builds a CTI's state and witness only when it is
+read, which selection and the inference loop never do. When Ind has at most
+as many codes as the call has walks, the batch is exact: every CTI at its
+shortest depth, found from Ind's codes, each stepped once, with no rng
+draw. Otherwise walks start from sampled codes of Ind, drawn with exactly
+``random_state``'s rng calls, and take uniformly random enabled
+transitions; a walk that leaves Ind at step k makes CTIs of its k earlier
+codes.
 
-Both run over state codes, drawn with exactly ``random_state``'s rng calls,
-and build a state only to report a CTI. A firing's guard, the change a
-firing makes to a code (a successor is code plus delta) and a conjunct's
-body under one binding of its leading ``forall`` prefix each depend on a
-few leaves, scalar variables or map entries, so each is kept in a table
-over their digits, filled on first use; a conjunct is the AND of its
-bindings' tables, or one table of its own where that is no larger or
-theirs would pass the limit together. Ind's codes are found by a search
-over leaf digits that cuts a branch at the first such table to fail, so
-its cost follows Ind, not the whole space. An inference keeps one
-``WalkTable`` for its searches; ``compute_reach`` and ``check_induction``
-each make one of their own.
+A firing's guard, the change a firing makes to a code (a successor is code
+plus delta) and a conjunct's body under one binding of its leading
+``forall`` prefix each depend on a few leaves, scalar variables or map
+entries, so each is kept in a table over their digits, filled on first
+use; a conjunct is the AND of its bindings' tables, or one table of its own
+where that is no larger or theirs would pass the limit together. Ind's
+codes are found by a search over leaf digits that cuts a branch at the
+first such table to fail, so its cost follows Ind, not the whole space, and
+that stops past the walk count. An inference keeps one ``WalkTable`` for
+its searches; ``compute_reach`` and ``check_induction`` each make their own.
 """
 from __future__ import annotations
 
@@ -56,11 +55,10 @@ class CTI:
 
 @dataclass
 class CtiBatch:
-    """The CTIs found (an exact batch's as ``ExactCtis``, a walk batch's as a
-    list), the walks started (for an exact batch, the Ind codes examined) and
-    how many of those started inside Ind."""
+    """The CTIs found, the walks started (for an exact batch, the Ind codes
+    examined) and how many of those started inside Ind."""
 
-    ctis: Sequence[CTI]
+    ctis: Ctis
     samples_attempted: int
     starts: int
 
@@ -168,8 +166,9 @@ class WalkTable:
     Each firing has a ``Verdicts`` of its guard and a table of deltas over
     the leaves its updates read or may write, filled on a miss by applying
     it to the code's state; past ``limit`` entries it has none, and applies
-    on every call. ``inside(conjuncts)`` lists the codes of their
-    conjunction by a search over leaf digits, pruned by the parts' tables.
+    on every call. ``inside(conjuncts, bound)`` lists the codes of their
+    conjunction, up to bound of them, by a search over leaf digits, pruned by
+    the parts' tables.
     ``transition`` builds the witness step of a firing from a code to a state.
     """
 
@@ -243,11 +242,13 @@ class WalkTable:
         name, _, binding, _ = self.fs[i][2]
         return Transition(name, binding, pre, post)
 
-    def inside(self, conjuncts: list[Expr]) -> list[int]:
-        """The codes that satisfy every conjunct, ascending, by a depth-first
-        search that sets leaves most significant first, digits ascending, and
-        cuts a branch at the first part to fail once its leaves, all it reads,
-        are set. The leaves up to each place a part is due are set as one run."""
+    def inside(self, conjuncts: list[Expr], bound: int | None = None) -> list[int] | None:
+        """The codes that satisfy every conjunct, ascending, or None once more
+        than bound are found, by a depth-first search that sets leaves most
+        significant first, digits ascending, and cuts a branch at the first
+        part to fail once its leaves, all it reads, are set. The leaves up to
+        each place a part is due are set as one run, judged lazily."""
+        bound = self.codec.size if bound is None else min(bound, self.codec.size)
         leaves, weights = self.codec.leaves, self.codec.leaf_weights
         parts = [p for c in conjuncts for p in self.verdict(c).parts]
         due = [[p.holds for p in parts if max(p.leaves, default=-1) == j]
@@ -266,22 +267,25 @@ class WalkTable:
                 continue
             w, n, check = runs[len(stack) - 1]
             codes = filter(check, range(code, code + n * w, w))
-            if len(stack) == len(runs):
-                found += codes
-            else:
+            if len(stack) < len(runs):
                 stack.append(codes)
+                continue
+            found += itertools.islice(codes, bound + 1 - len(found))
+            if len(found) > bound:
+                return None
         return found
 
 
-class ExactCtis(Sequence):
-    """An exact batch's CTIs, in code order, as their ``codes`` and each
-    code's step ``(depth, firing, next code)`` along its witness.
+class Ctis(Sequence):
+    """A batch's CTIs as their ``codes``, in the order found, and each
+    code's step ``(firing, next code)`` along its witness, which ends at the
+    first code without one, outside Ind; a CTI's depth is its length.
 
     ``len`` builds nothing. An item is the ``CTI`` of its code, its state and
     witness decoded when it is read; ``subset`` keeps some of the codes.
     """
 
-    def __init__(self, table: WalkTable, codes: list[int], steps: dict[int, tuple[int, int, int]]):
+    def __init__(self, table: WalkTable, codes: list[int], steps: dict[int, tuple[int, int]]):
         self.codes, self.codec = codes, table.codec
         self._table, self._steps = table, steps
 
@@ -295,34 +299,32 @@ class ExactCtis(Sequence):
         code = c = self.codes[k]
         witness = []
         while c in steps:
-            _, i, d = steps[c]
+            i, d = steps[c]
             witness.append(self._table.transition(c, i, decode(d)))
             c = d
-        return CTI(decode(code), code, tuple(witness), steps[code][0])
+        return CTI(decode(code), code, tuple(witness), len(witness))
 
-    def subset(self, ks: Iterable[int]) -> ExactCtis:
-        return ExactCtis(self._table, [self.codes[k] for k in ks], self._steps)
+    def subset(self, ks: Iterable[int]) -> Ctis:
+        return Ctis(self._table, [self.codes[k] for k in ks], self._steps)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Sequence) and list(self) == list(other)
 
 
-def _exact_ctis(table: WalkTable, ind: Expr, depth: int, cap: int) -> CtiBatch:
-    """The first cap, in code order, of the codes of ind with a path of at
-    most depth steps through ind to a code outside it, started from each of
-    ind's codes, as the table's leaf search lists them.
+def _exact_ctis(table: WalkTable, inside: list[int], depth: int, cap: int) -> CtiBatch:
+    """The first cap, in code order, of Ind's codes ``inside`` with a path of
+    at most depth steps through Ind to a code outside it.
 
     Pass k finds the codes whose shortest such path has k steps, each by its
-    first firing out of ind (k = 1), else into a code found before; the
+    first firing out of Ind (k = 1), else into a code found before; the
     passes stop at depth or at the first that finds none. Pass 1 steps each
-    code once, judging guards only up to its first firing out of ind, and
+    code once, judging guards only up to its first firing out of Ind, and
     keeps the enabled (firing, successor) pairs of the codes it leaves open;
     the later passes only look those up.
     """
-    inside = table.inside(conjuncts_of(ind))
     ok = set(inside)
     guards, successor = list(enumerate(table.guards)), table.successor
-    found: dict[int, tuple[int, int, int]] = {}  # code -> (depth, firing, successor)
+    found: dict[int, tuple[int, int]] = {}  # code -> (firing, successor)
     moves: dict[int, list[tuple[int, int]]] = {}  # open code -> its (firing, successor)s
     for c in inside:
         pairs = []
@@ -331,35 +333,40 @@ def _exact_ctis(table: WalkTable, ind: Expr, depth: int, cap: int) -> CtiBatch:
                 continue
             d = successor(c, i)
             if d not in ok:
-                found[c] = (1, i, d)
+                found[c] = (i, d)
                 break
             pairs.append((i, d))
         else:
             moves[c] = pairs
-    for k in range(2, depth + 1):
+    for _ in range(2, depth + 1):
         added = {}
         for c, pairs in moves.items():
             for i, d in pairs:
                 if d in found:
-                    added[c] = (k, i, d)
+                    added[c] = (i, d)
                     break
         if not added:
             break
         found.update(added)
         for c in added:
             del moves[c]
-    return CtiBatch(ExactCtis(table, sorted(found)[:cap], found), len(inside), len(inside))
+    return CtiBatch(Ctis(table, sorted(found)[:cap], found), len(inside), len(inside))
 
 
 def _sample_walks(table: WalkTable, good, budget: int, depth: int, cap: int,
                   rng: random.Random) -> CtiBatch:
-    codec, random_code = table.codec, table.codec.random_code
-    moves, step = table.enabled, table.successor
-    ctis: list[CTI] = []
-    seen: set = set()
+    """At most cap CTIs from up to budget walks of up to depth uniformly
+    random enabled firings, each from a uniformly drawn code of Ind. A walk
+    that leaves Ind at step k adds its first k codes that no walk added
+    before, in walk order; a code keeps the step of the walk that left Ind
+    soonest after it."""
+    random_code, moves, step = table.codec.random_code, table.enabled, table.successor
+    codes: list[int] = []
+    steps: dict[int, tuple[int, int]] = {}  # code -> (firing, next code)
+    out: dict[int, int] = {}  # code -> the fewest steps a walk took from it out of ind
     attempts = starts = 0
     for _ in range(budget):
-        if len(ctis) >= cap:
+        if len(codes) >= cap:
             break
         attempts += 1
         key = random_code(rng)
@@ -378,25 +385,16 @@ def _sample_walks(table: WalkTable, good, budget: int, depth: int, cap: int,
             taken.append(i)
             if good(key):
                 continue
-            # keys path[0..k-1] all satisfy ind; each unseen one becomes a
-            # CTI, marked seen as it is scanned since a walk may revisit it
+            # codes path[0..k-1] all satisfy ind; those new to out are CTIs up
+            # to the cap, and reaching the cap ends the batch
             k = len(taken)
-            fresh = []
-            for j in range(k):
-                if path[j] not in seen:
-                    seen.add(path[j])
-                    fresh.append(j)
-                    if len(ctis) + len(fresh) >= cap:
-                        break
-            if fresh:
-                first = fresh[0]
-                states = [codec.decode(key) for key in path[first:]]
-                walk = [table.transition(pre, i, post)
-                        for i, pre, post in zip(taken[first:], path[first:-1], states[1:])]
-                for j in fresh:
-                    ctis.append(CTI(states[j - first], path[j], tuple(walk[j - first:]), k - j))
+            codes += [c for c in dict.fromkeys(path[:k]) if c not in out][:cap - len(codes)]
+            # backward, so out strictly falls along every witness: none cycles
+            for j in range(k - 1, -1, -1):
+                if k - j < out.get(path[j], k + 1):
+                    steps[path[j]], out[path[j]] = (taken[j], path[j + 1]), k - j
             break
-    return CtiBatch(ctis, attempts, starts)
+    return CtiBatch(Ctis(table, codes, steps), attempts, starts)
 
 
 def generate_ctis(
@@ -410,8 +408,8 @@ def generate_ctis(
     table: WalkTable | None = None,
 ) -> CtiBatch:
     """At most cap distinct CTIs of ind, each with a witness of at most depth
-    steps: the exact set in code order when the instance has at most n_ctis
-    states, else those of up to n_ctis sampled walks.
+    steps: the exact set in code order when ind has at most n_ctis codes,
+    else those of up to n_ctis sampled walks.
 
     Deterministic given the rng: the batch and the rng's next draw depend only
     on its state on entry, and an exact batch draws nothing. ``table`` is an
@@ -424,10 +422,11 @@ def generate_ctis(
         raise ValueError("CTI cap must be at least 1")
     if table is None or table.space != (protocol, instance):
         table = WalkTable(protocol, instance)
-    if table.codec.size <= n_ctis:
-        return _exact_ctis(table, ind, depth, cap)
-    good = table.good(conjuncts_of(ind))
-    return _sample_walks(table, good, n_ctis, depth, cap, rng)
+    conjuncts = conjuncts_of(ind)
+    inside = table.inside(conjuncts, n_ctis)
+    if inside is not None:
+        return _exact_ctis(table, inside, depth, cap)
+    return _sample_walks(table, table.good(conjuncts), n_ctis, depth, cap, rng)
 
 
 def replay_witness_diagnosis(

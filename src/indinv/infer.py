@@ -9,12 +9,12 @@ conjunction since its lemmas are invariants in their own right.
 
 One ``WalkTable`` serves every CTI search of the run. Its tables, each of at
 most ``reach_limit`` entries, persist across rounds.
-When the instance has no more states than ``n_ctis`` each search returns
-the exact CTI set, so success means no step leaves Ind on the instance;
-otherwise it means walks started inside Ind and none found a CTI, and a
-last batch with no start inside Ind ends the run with ``fail``. An exact
+When Ind has at most ``n_ctis`` codes a search returns the exact CTI set,
+so a last such batch with no CTI means no step leaves Ind on the instance;
+otherwise success means walks started inside Ind and none found a CTI, and
+a last batch with no start inside Ind ends the run with ``fail``. Every
 batch stays codes: selection scores its CTIs' codes and the loop counts the
-eliminated ones, so such a run builds no CTI state or witness.
+eliminated ones, so a run builds no CTI state or witness.
 ``check_induction`` then validates the result on the instance, exhaustively
 when the state space fits its limit and by sampling otherwise, with a
 ``WalkTable`` of its own.

@@ -20,9 +20,11 @@ import itertools
 import math
 import operator
 import random
+import sys
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
+from .errors import SpecError
 from .evaluator import compile_expr
 from .instance import Instance, StateCodec
 from .reachability import ReachSet
@@ -63,11 +65,17 @@ def build_candidate(
 
 
 def literal_sets(grammar: GrammarConfig, nterms: int) -> int:
-    """How many ways there are to pick nterms distinct seeds, each negated or not."""
+    """How many ways there are to pick nterms distinct seeds, each negated or
+    not. A round draws from a range of that many by ``rng.sample``, which
+    takes the range's len, so past ``sys.maxsize`` this raises SpecError."""
     nseeds = len(grammar.seeds)
     if not 1 <= nterms <= nseeds:
         raise ValueError(f"nterms {nterms} out of range 1..{nseeds}")
-    return math.comb(nseeds, nterms) << nterms
+    count = math.comb(nseeds, nterms) << nterms
+    if count > sys.maxsize:
+        raise SpecError(f"max_terms {nterms}: {count} literal sets of {nseeds} seeds, "
+                        f"more than a round can sample from ({sys.maxsize})")
+    return count
 
 
 def sample_candidate(grammar: GrammarConfig, nterms: int, rank: int) -> CandidateInvariant:

@@ -4,17 +4,15 @@ A lemma eliminates a CTI when the CTI's state falsifies the lemma. Each call
 picks the single lemma with the highest elimination count; ties go to the
 candidate with fewer literals, then the lexicographically smaller id. Every
 lemma is scored in full from its row over the CTIs' codes (``Rows``), built
-only for the seeds that non-excluded lemmas use. An exact batch's CTIs are
-scored by their codes alone, and the eliminated ones are returned as a
-subset of the batch, so neither builds a CTI.
+only for the seeds that non-excluded lemmas use. A batch's CTIs are scored
+by their codes alone, and the eliminated ones are returned as a subset of
+the batch, so neither builds a CTI.
 """
 from __future__ import annotations
 
-from typing import Sequence
-
-from .ctigen import CTI, ExactCtis
+from .ctigen import CTI, Ctis
 from .evaluator import holds
-from .instance import Instance, StateCodec
+from .instance import Instance
 from .invgen import CandidateInvariant, LemmaRepository, Rows
 
 
@@ -24,18 +22,13 @@ def eliminates(lemma: CandidateInvariant, cti: CTI, instance: Instance) -> bool:
 
 def choose_greedy(
     repo: LemmaRepository,
-    ctis: Sequence[CTI],
+    ctis: Ctis,
     instance: Instance,
     exclude: frozenset[str] = frozenset(),
-) -> tuple[CandidateInvariant, Sequence[CTI]] | None:
+) -> tuple[CandidateInvariant, Ctis] | None:
     """Lemma with the maximum positive elimination count, or None if none."""
     if not ctis:
         return None
-    exact = isinstance(ctis, ExactCtis)
-    if exact:
-        codes, codec = ctis.codes, ctis.codec
-    else:  # built CTIs, as walks make them
-        codes, codec = [c.code for c in ctis], StateCodec(ctis[0].state.schema, instance)
     rows: dict[int, Rows] = {}  # by id of the lemma's grammar
     best: tuple[tuple[int, int, str], CandidateInvariant, int] | None = None
     for lemma in repo:
@@ -43,7 +36,7 @@ def choose_greedy(
             continue
         r = rows.get(id(lemma.grammar))
         if r is None:
-            r = rows[id(lemma.grammar)] = Rows(codes, codec, lemma.grammar, instance)
+            r = rows[id(lemma.grammar)] = Rows(ctis.codes, ctis.codec, lemma.grammar, instance)
         miss = r.full ^ r.clause(lemma.literals)
         key = (-miss.bit_count(), len(lemma.literals), lemma.id)
         if miss and (best is None or key < best[0]):
@@ -51,5 +44,4 @@ def choose_greedy(
     if best is None:
         return None
     bits = bin(best[2])[:1:-1]  # bit k of the mask is character k
-    picked = [k for k, bit in enumerate(bits) if bit == "1"]
-    return best[1], ctis.subset(picked) if exact else [ctis[k] for k in picked]
+    return best[1], ctis.subset(k for k, bit in enumerate(bits) if bit == "1")

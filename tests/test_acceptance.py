@@ -257,7 +257,8 @@ def test_criterion_6_greedy_maximality(lockserver):
         repo = LemmaRepository()
         for cand in rng.sample(pool, rng.randint(2, len(pool))):
             repo.add(cand)
-        ctis = rng.sample(batch.ctis, rng.randint(1, min(25, len(batch.ctis))))
+        ks = rng.sample(range(len(batch.ctis)), rng.randint(1, min(25, len(batch.ctis))))
+        ctis = batch.ctis.subset(ks)
         choice = choose_greedy(repo, ctis, instance)
         counts = {
             lemma.id: sum(1 for c in ctis if eliminates(lemma, c, instance))

@@ -78,6 +78,16 @@ def test_infer_fail_exit_two(tmp_path):
     assert "status: fail" in out.read_text()
 
 
+def test_election_on_four_nodes_succeeds_from_an_exact_last_round(tmp_path, capsys):
+    # its last Ind has 1380 codes, at most --n-ctis, so its last batch is
+    # exact and shows no CTI; walks there started from random codes, none
+    # of them inside Ind, and the run ended fail with exit 2
+    out = tmp_path / "r.txt"
+    assert main(["infer", "election", "--grammar", "election", "--instance",
+                 "Node=n1,n2,n3,n4", "--seed", "7", "--out", str(out)]) == 0
+    assert "status: success" in out.read_text()
+
+
 def test_missing_grammar_file_exit_one(capsys):
     code = main(["infer", "lockserver", "--grammar", "/nope/missing.grammar"])
     assert code == 1

@@ -44,11 +44,17 @@ def _batch(lockserver, ind, n=4000, depth=3, cap=10000, seed=0):
 LOCKSERVER_4X4 = "Server=s1,s2,s3,s4 Client=c1,c2,c3,c4"
 
 
+def _walks(table, ind, budget, depth, cap, rng):
+    """The sparse walker's batch of ind on the table, however few codes ind has."""
+    good = table.good(ctigen.conjuncts_of(ind))
+    return ctigen._sample_walks(table, good, budget, depth, cap, rng)
+
+
 def _walk_batch(lockserver, ind, n=4000, depth=3, cap=10000, seed=0):
-    """n sampled walks on lockserver 4x4, whose 2^20 states exceed any n here."""
+    """n sampled walks on lockserver 4x4."""
     protocol = lockserver[0]
-    instance = parse_instance(LOCKSERVER_4X4, protocol)
-    return generate_ctis(protocol, instance, ind, n, depth, cap, random.Random(seed))
+    table = ctigen.WalkTable(protocol, parse_instance(LOCKSERVER_4X4, protocol))
+    return _walks(table, ind, n, depth, cap, random.Random(seed))
 
 
 def _o_size(protocol, instance, ind):
@@ -150,7 +156,7 @@ def test_start_state_violating_ind_detected(lockserver):
 
 def _deep_cti(lockserver):
     """A walk's CTI of safety whose witness has at least two steps, and its
-    replay; on lockserver every exact CTI of safety is one step deep."""
+    replay; on lockserver 2x2 every exact CTI of safety is one step deep."""
     protocol = lockserver[0]
     instance = parse_instance(LOCKSERVER_4X4, protocol)
     batch = _walk_batch(lockserver, protocol.safety, n=20000, seed=4)
@@ -244,20 +250,23 @@ def _stream_digest(batch, rng) -> str:
 # exact CTI set, which draws nothing: their digests pin the set in code
 # order, its count of safety's codes and the untouched rng's next draw, and
 # were recomputed when the exact set replaced the dense walker's walks.
-# Consensus and twophase have no CTI. Declock (8192), election (32768) and
-# lockserver 4x4 (1,048,576) take the sparse walker, which rejects draws by
-# the safety's verdict table (8 entries over declock's has_lock, 8 over
-# election's leader, 65,536 over lockserver 4x4's held) and steps by each
-# firing's guard and delta tables. The election digest was computed at
-# commit 3859043, with the tree-walking interpreter that preceded the
-# closure compiler; the declock and lockserver 4x4 digests at commit
-# ecc8221, before walks ran over state codes or verdict tables.
+# Consensus and twophase have no CTI. Declock (4096 codes of safety),
+# election (16,384) and lockserver 4x4 (10,000) take the sparse walker,
+# which rejects draws by the safety's verdict table (8 entries over
+# declock's has_lock, 8 over election's leader, 65,536 over lockserver
+# 4x4's held) and steps by each firing's guard and delta tables. The
+# lockserver 4x4 digest was computed at commit ecc8221, before walks ran
+# over state codes or verdict tables. The declock and election digests were
+# recomputed when a walked CTI came to keep the step of the walk that left
+# Ind soonest after it, not the rest of the walk that found it: some
+# witnesses got shorter, while the codes, their order, the attempts and the
+# next draw stayed as before.
 PINNED_STREAMS = {
     "lockserver": (None, "7545b10bfb6f5017"),
-    "election": (None, "7248c6f1ed21b25e"),
+    "election": (None, "d2f10c4a836ae4df"),
     "consensus": (None, "a6d45c882e03b3e8"),
     "twophase": (None, "e60058a1be939d4b"),
-    "declock": (None, "70c24f6d811f00a9"),
+    "declock": (None, "16e0048a572e170a"),
     "lockserver-4x4": ("Server=s1,s2,s3,s4 Client=c1,c2,c3,c4", "e6fe1b34f9c623a9"),
 }
 
@@ -277,11 +286,9 @@ def test_cti_stream_is_pinned(all_benchmarks, name):
 
 
 def _walk(protocol, instance, table, ind, budget, depth, cap, seed):
-    """(ctis, attempts, rng's next draw) of the sparse walker on a table,
-    whatever the instance's size."""
+    """(ctis, attempts, rng's next draw) of the sparse walker on a table."""
     rng = random.Random(seed)
-    good = table.good(ctigen.conjuncts_of(ind))
-    batch = ctigen._sample_walks(table, good, budget, depth, cap, rng)
+    batch = _walks(table, ind, budget, depth, cap, rng)
     return batch.ctis, batch.samples_attempted, rng.getrandbits(64)
 
 
@@ -326,13 +333,21 @@ def _reference_walks(protocol, instance, ind, budget, depth, cap, rng):
 
 
 def _walkers(protocol, instance, ind, budget, depth, cap, seed, limit=1_000_000):
-    """(ctis, attempts, rng's next draw) of the reference walk, then of a
-    fresh table's sparse walker."""
+    """(ctis, attempts, rng's next draw) of a fresh table's sparse walker,
+    after asserting that the reference walk has the same CTI codes in the
+    same order, attempts and next draw, and that each of the walker's
+    witnesses replays, within depth steps and no longer than the
+    reference's, which is the rest of the walk that found its CTI."""
     rng = random.Random(seed)
-    reference = (*_reference_walks(protocol, instance, ind, budget, depth, cap, rng),
-                 rng.getrandbits(64))
+    reference, attempts = _reference_walks(protocol, instance, ind, budget, depth, cap, rng)
     table = ctigen.WalkTable(protocol, instance, limit)
-    return reference, _walk(protocol, instance, table, ind, budget, depth, cap, seed)
+    walked = _walk(protocol, instance, table, ind, budget, depth, cap, seed)
+    ctis, *rest = walked
+    assert (ctis.codes, *rest) == ([c.code for c in reference], attempts, rng.getrandbits(64))
+    for cti, ref in zip(ctis, reference):
+        assert len(cti.witness) <= min(depth, len(ref.witness)), cti.code
+        assert replay_witness(cti, protocol, instance, ind), cti.code
+    return walked
 
 
 @pytest.mark.parametrize("cap", [5, 10000])
@@ -340,9 +355,8 @@ def test_code_walker_matches_state_walker(small_benchmarks, cap):
     found = 0
     for name, (protocol, _, instance) in small_benchmarks.items():
         for seed in (0, 1, 2):
-            reference, by_code = _walkers(protocol, instance, protocol.safety, 600, 3, cap, seed)
-            assert by_code == reference, (name, seed)
-            found += len(by_code[0])
+            ctis = _walkers(protocol, instance, protocol.safety, 600, 3, cap, seed)[0]
+            found += len(ctis)
     assert found > 0
 
 
@@ -361,17 +375,18 @@ safety S: ~bad
 
 
 def test_walk_that_revisits_a_state_records_it_once():
+    # each state is a CTI once, and keeps its shortest way out: a by Crash,
+    # b by Back then Crash, even where the walk that found them revisited a
     protocol = parse_protocol(REVISIT_PROTO)
     instance = parse_instance("", protocol)
     revisits = 0
     for seed in range(20):
-        reference, by_code = _walkers(protocol, instance, protocol.safety, 40, 3, 100, seed)
-        assert by_code == reference
-        ctis = by_code[0]
-        assert sorted(c.state.value("k") for c in ctis) == ["a", "b"]
-        for c in ctis:
-            revisits += any(t.post == c.state for t in c.witness)
-            assert replay_witness(c, protocol, instance, protocol.safety)
+        ctis = _walkers(protocol, instance, protocol.safety, 40, 3, 100, seed)[0]
+        assert {c.state.value("k"): [t.action for t in c.witness] for c in ctis} == \
+            {"a": ["Crash"], "b": ["Back", "Crash"]}
+        reference, _ = _reference_walks(protocol, instance, protocol.safety, 40, 3, 100,
+                                        random.Random(seed))
+        revisits += any(t.post == c.state for c in reference for t in c.witness)
     assert revisits > 0
 
 
@@ -444,10 +459,53 @@ def test_shared_table_matches_fresh_table_and_state_walker(small_benchmarks, cap
                 assert exact == generate_ctis(protocol, instance, ind, 600, 3, cap,
                                               random.Random(seed))
                 by_shared = _walk(protocol, instance, shared, ind, 600, 3, cap, seed)
-                reference, by_fresh = _walkers(protocol, instance, ind, 600, 3, cap, seed)
-                assert by_shared == by_fresh == reference, (name, seed, to_str(ind))
+                by_fresh = _walkers(protocol, instance, ind, 600, 3, cap, seed)
+                assert by_shared == by_fresh, (name, seed, to_str(ind))
                 found += len(by_shared[0]) + len(exact)
     assert found > 0
+
+
+def test_the_kind_of_batch_follows_the_codes_of_ind(small_benchmarks):
+    # exact, drawing nothing, when ind has at most n_ctis codes, whatever
+    # the size of the space; n_ctis walks when it has one more
+    found = 0
+    for name, (protocol, _, instance) in small_benchmarks.items():
+        table = ctigen.WalkTable(protocol, instance)
+        for ind in _ind_sequence(name, protocol):
+            n = len(_filter(protocol, instance, ind))
+            rng = random.Random(5)
+            exact = generate_ctis(protocol, instance, ind, n, 3, 10**6, rng, table=table)
+            assert exact == _exact(protocol, instance, ind, 3) and exact.samples_attempted == n
+            assert rng.getstate() == random.Random(5).getstate()
+            walked = generate_ctis(protocol, instance, ind, n - 1, 3, 10**6, random.Random(5),
+                                   table=table)
+            assert walked == _walks(table, ind, n - 1, 3, 10**6, random.Random(5)), name
+            assert walked.samples_attempted == n - 1
+            found += len(exact) + len(walked)
+    assert found > 0
+
+
+def test_a_bounded_search_stops_inside_a_run(all_benchmarks, monkeypatch):
+    # election n=5's safety reads only leader, its last 5 of 15 leaves, so
+    # its search is one run of 2^35 codes, of which 6 in 32 pass; bounded
+    # at 50,000 it judges about 270,000 of them, not the whole run
+    protocol = all_benchmarks["election"][0]
+    instance = parse_instance("Node=n1,n2,n3,n4,n5", protocol)
+    judged = [0]
+    make = ctigen._all
+
+    def counting(checks):
+        check = make(checks)
+        return lambda code: judged.__setitem__(0, judged[0] + 1) or check(code)
+
+    monkeypatch.setattr(ctigen, "_all", counting)
+    table = ctigen.WalkTable(protocol, instance)
+    assert table.codec.size == 2**35
+    assert table.inside([protocol.safety], 50_000) is None
+    assert 50_001 < judged[0] < 500_000
+    rng = random.Random(0)
+    batch = generate_ctis(protocol, instance, protocol.safety, 50_000, 3, 10, rng, table=table)
+    assert batch.samples_attempted < 50_000 and len(batch) == 10  # walked to the cap
 
 
 def test_search_follows_an_ind_that_does_not_extend_the_last(lockserver):
@@ -541,15 +599,14 @@ def test_exact_batches_equal_the_oracle(small_benchmarks):
 
 
 def test_sparse_walks_find_exact_ctis_at_no_smaller_depth(small_benchmarks):
-    # n_ctis one below the instance's size forces the sparse walker
     found = 0
     for name, (protocol, _, instance) in small_benchmarks.items():
         size = state_space_size(protocol, instance)
+        table = ctigen.WalkTable(protocol, instance)
         for ind in _ind_sequence(name, protocol):
             exact = _exact_pairs(_exact(protocol, instance, ind, 3))
             for seed in (0, 1):
-                walked = generate_ctis(protocol, instance, ind, size - 1, 3, 10000,
-                                       random.Random(seed))
+                walked = _walks(table, ind, size - 1, 3, 10000, random.Random(seed))
                 assert walked.samples_attempted == size - 1 or len(walked) == 10000
                 for cti in walked.ctis:
                     assert exact[oracles.freeze_state(cti.state)] <= cti.depth_to_violation
@@ -622,7 +679,7 @@ def test_exact_items_equal_an_eager_construction(small_benchmarks, cap):
         for ind in _ind_sequence(name, protocol):
             batch = _exact(protocol, instance, ind, 3, cap)
             eager = _eager_exact(protocol, instance, ind, 3, cap)
-            assert isinstance(batch.ctis, ctigen.ExactCtis)
+            assert isinstance(batch.ctis, ctigen.Ctis)
             assert len(batch.ctis) == len(eager) and batch.ctis.codes == [c.code for c in eager]
             assert list(batch.ctis) == eager and batch.ctis == eager, (name, to_str(ind))
             if eager:
@@ -634,17 +691,12 @@ def test_exact_items_equal_an_eager_construction(small_benchmarks, cap):
     assert found > 0
 
 
-def test_an_exact_inference_builds_no_cti(all_benchmarks, monkeypatch):
-    # election's default instance has no more states than n_ctis, so every
-    # batch is exact: selection scores the CTIs' codes and the loop counts
-    # the eliminated ones, so no CTI is built and no CTI code decoded; the
-    # only codes decoded are the reachable ones
-    from indinv.infer import InferenceConfig, infer_inductive_invariant
+def _spied_inference(monkeypatch, protocol, grammar, instance, config):
+    """The result of an inference, its batches, and the CTIs built and codes
+    decoded while it ran."""
+    from indinv.infer import infer_inductive_invariant
     from indinv.instance import StateCodec
-    from indinv.reachability import compute_reach
 
-    protocol, grammar, instance = all_benchmarks["election"]
-    reach = compute_reach(protocol, instance).codes
     built, decoded, batches = [], [], []
     post_init, decode = ctigen.CTI.__post_init__, StateCodec.decode
     monkeypatch.setattr(ctigen.CTI, "__post_init__", lambda c: built.append(c) or post_init(c))
@@ -656,9 +708,24 @@ def test_an_exact_inference_builds_no_cti(all_benchmarks, monkeypatch):
         return batches[-1]
 
     monkeypatch.setattr("indinv.infer.generate_ctis", spy)
-    result = infer_inductive_invariant(protocol, instance, grammar, InferenceConfig(seed=7))
+    result = infer_inductive_invariant(protocol, instance, grammar, config)
+    return result, batches, built, decoded
+
+
+def test_an_exact_inference_builds_no_cti(all_benchmarks, monkeypatch):
+    # every batch stays codes: selection scores the CTIs' codes and the loop
+    # counts the eliminated ones, so no CTI is built and no CTI code decoded;
+    # the only codes decoded are the reachable ones. Election's default
+    # instance has no more states than n_ctis, so every batch is exact.
+    from indinv.infer import InferenceConfig
+    from indinv.reachability import compute_reach
+
+    protocol, grammar, instance = all_benchmarks["election"]
+    reach = compute_reach(protocol, instance).codes
+    result, batches, built, decoded = _spied_inference(
+        monkeypatch, protocol, grammar, instance, InferenceConfig(seed=7))
     assert result.succeeded and result.ctis_eliminated > 0
-    assert all(isinstance(b.ctis, ctigen.ExactCtis) for b in batches)
+    assert all(b.samples_attempted == b.starts for b in batches)  # Ind's codes, all exact
     assert len(batches) == 4 and not batches[-1].ctis and built == []
     assert sorted(decoded) == sorted(reach)
     codes = {c for b in batches for c in b.ctis.codes}
@@ -670,6 +737,22 @@ def test_an_exact_inference_builds_no_cti(all_benchmarks, monkeypatch):
         assert cti.code == first.codes[k]
         assert replay_witness(cti, protocol, instance, protocol.safety)
     assert len(built) == 3
+
+    # on lockserver 4x4 at n_ctis 5000, safety's 10,000 codes are walked and
+    # the invariant's 1296 are exact; neither kind builds a CTI
+    protocol, grammar, _ = all_benchmarks["lockserver"]
+    instance = parse_instance(LOCKSERVER_4X4, protocol)
+    monkeypatch.undo()
+    reach = compute_reach(protocol, instance).codes
+    result, batches, built, decoded = _spied_inference(
+        monkeypatch, protocol, grammar, instance, InferenceConfig(seed=7, n_ctis=5000))
+    assert result.succeeded and len(result.conjuncts) == 2
+    walked, exact = batches
+    assert walked.samples_attempted == 5000 and 0 < walked.starts < 5000 and walked.ctis
+    assert exact.samples_attempted == exact.starts == 1296 and not exact.ctis
+    assert built == [] and sorted(decoded) == sorted(reach)
+    for cti in walked.ctis[:50]:
+        assert replay_witness(cti, protocol, instance, protocol.safety)
 
 
 def _count_evaluations(monkeypatch) -> Counter:
@@ -808,10 +891,7 @@ def test_firing_tables_follow_leaves_keys_and_shadowing():
             fired.update(table.fs[i][2][0] for i in table.enabled(k))
         assert fired == {"Point", "Copy", "Scan"}
         for seed in range(4):
-            reference, by_code = _walkers(
-                protocol, instance, protocol.safety, 600, 3, 10000, seed)
-            assert by_code == reference, (inst_text, seed)
-            found += len(reference[0])
+            found += len(_walkers(protocol, instance, protocol.safety, 600, 3, 10000, seed)[0])
     assert found > 0
 
 
@@ -889,17 +969,18 @@ def _body(conjunct):
 
 
 def test_a_sampled_search_and_check_evaluate_each_body_once_per_entry(lockserver, monkeypatch):
-    # lockserver 4x4 is past the walk budget and the default limit, so the
-    # search walks and the check samples; each conjunct's body is evaluated
-    # at most once per entry of its table under each binding, in the search
-    # and in the check, each of which has tables of its own
+    # on lockserver 4x4 the invariant's 1296 codes are past the walk budget
+    # and the space is past the default limit, so the search walks and the
+    # check samples; each conjunct's body is evaluated at most once per entry
+    # of its table under each binding, in the search and in the check, each
+    # of which has tables of its own
     protocol = lockserver[0]
     instance = parse_instance(LOCKSERVER_4X4, protocol)
     conjuncts = _conjuncts("lockserver", protocol)
     calls = _count_evaluations(monkeypatch)
-    batch = generate_ctis(protocol, instance, conjunction(conjuncts), 20000, 3, 10000,
+    batch = generate_ctis(protocol, instance, conjunction(conjuncts), 1000, 3, 10000,
                           random.Random(7))
-    assert len(batch) == 0 and batch.samples_attempted == 20000
+    assert len(batch) == 0 and batch.samples_attempted == 1000
     searched = set(calls)
     report = check_induction(protocol, instance, conjuncts)
     assert report.mode == "sampled" and report.passed and report.inside > 0
@@ -922,10 +1003,10 @@ def test_a_table_of_another_instance_is_never_used(lockserver):
     shared = generate_ctis(protocol, big, protocol.safety, 3000, 3, 10000, random.Random(3),
                            table=table)
     fresh = generate_ctis(protocol, big, protocol.safety, 3000, 3, 10000, random.Random(3))
-    reference = _reference_walks(protocol, big, protocol.safety, 3000, 3, 10000,
-                                 random.Random(3))
-    assert shared == fresh and (fresh.ctis, fresh.samples_attempted) == reference
-    assert len(fresh) > 0
+    reference, attempts = _reference_walks(protocol, big, protocol.safety, 3000, 3, 10000,
+                                           random.Random(3))
+    assert shared == fresh and fresh.samples_attempted == attempts == 3000
+    assert fresh.ctis.codes == [c.code for c in reference] and len(fresh) > 0
 
 
 def test_a_conjunct_over_the_limit_is_evaluated_directly(small_benchmarks):
@@ -937,11 +1018,8 @@ def test_a_conjunct_over_the_limit_is_evaluated_directly(small_benchmarks):
             exact = _exact(protocol, instance, ind, 3, table=table)
             assert exact == _exact(protocol, instance, ind, 3), name
             for seed in (0, 1):
-                reference, by_code = _walkers(
-                    protocol, instance, ind, 600, 3, 10000, seed, limit=1
-                )
-                assert by_code == reference, (name, seed, to_str(ind))
-                found += len(reference[0]) + len(exact)
+                by_code = _walkers(protocol, instance, ind, 600, 3, 10000, seed, limit=1)
+                found += len(by_code[0]) + len(exact)
         tables = [v.table for c in table.verdicts.values() for v in c.parts]
         assert tables and tables == [None] * len(tables), name
     assert found > 0

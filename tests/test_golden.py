@@ -3,8 +3,8 @@
 Each file under ``data/golden`` is the output of ``indinv infer`` with CLI
 defaults: on a bundled benchmark at its small test instance (for lockserver
 that is also its default instance), or on lockserver 4x4, the benchmark's
-largest workload and the only pinned one past ``--n-ctis`` states, so its
-CTIs come from walks and its check samples. A refactor or a fast path that
+largest workload and the only pinned one past ``--reach-limit`` states, so
+its check samples. A refactor or a fast path that
 keeps the engine's semantics leaves every file unchanged; the files are
 never regenerated to make this test pass. A file changes only when the
 printed result changes on purpose, and CHANGES.md then lists every changed
@@ -45,9 +45,10 @@ def test_result_file_matches_golden(name, seed, tmp_path, capsys):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_lockserver_4x4_result_file_matches_golden(seed, tmp_path, capsys):
-    # walks, not an exact set, find its CTIs, and its check samples: the
-    # file pins the walk path end to end. ROADMAP item 1 (an exhaustive
-    # check by enumerating Ind) will change its induction: line on purpose.
+    # its Ind has 10,000 codes and then 1296, so its CTI sets are exact,
+    # while its 2^20 states are past the default limit, so its check
+    # samples. ROADMAP item 1 (an exhaustive check by enumerating Ind) will
+    # change its induction: line on purpose.
     out = tmp_path / "result.txt"
     main([
         "infer", "lockserver", "--grammar", "lockserver", "--instance", LOCKSERVER_4X4,

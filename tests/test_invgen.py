@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import re
 from collections import Counter
@@ -8,7 +9,7 @@ from collections import Counter
 import pytest
 
 from indinv import invgen
-from indinv.errors import DuplicateSeedWarning
+from indinv.errors import DuplicateSeedWarning, SpecError
 from indinv.invgen import (
     LemmaRepository,
     build_candidate,
@@ -235,6 +236,22 @@ def test_seed_evaluations_stay_within_groups_times_bindings(small_benchmarks, mo
         assert calls[seed] <= len(groups) * bindings, to_str(seed)
     # far below one evaluation per candidate and reachable state
     assert sum(calls.values()) < len(repo) * len(reach.states)
+
+
+def test_a_grammar_too_large_to_sample_raises_spec_error_through_the_api(lockserver):
+    # a GrammarConfig built directly skips check_grammar; lockserver's seeds
+    # repeated to 66 at 32 terms give C(66, 32) * 2^32 literal sets, past
+    # the sys.maxsize that rng.sample(range(P), k) can take the len of
+    protocol, grammar, instance = lockserver
+    seeds = (grammar.seeds * 22)[:66]
+    big = GrammarConfig(grammar.template, seeds, (32,))
+    reach = compute_reach(protocol, instance)
+    message = f"max_terms 32: {math.comb(66, 32) << 32} literal sets of 66 seeds"
+    with pytest.raises(SpecError, match=re.escape(message)):
+        generate_lemma_invariants(reach, big, LemmaRepository(), 10, 32, random.Random(0))
+    with pytest.raises(SpecError, match=re.escape(message)):
+        literal_sets(big, 32)
+    assert literal_sets(big, 8) == math.comb(66, 8) << 8  # within sys.maxsize
 
 
 def test_term_size_schedule_clamps():

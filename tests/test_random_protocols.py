@@ -8,9 +8,10 @@ an entry is read by an element-valued key and a table by binding would be
 no smaller), the leaf search's codes of the safety and of the safety and a
 second drawn predicate, the exhaustive induction check of both, the exact
 CTI sets and the reachable states must equal the oracles' plain
-re-implementations on every state. Every exact and walked CTI's witness
-replays against ``successors``, and one with a step's post-state or
-binding swapped does not.
+re-implementations on every state. A search bounded at the count of those
+codes lists them, and one bounded below it gives None. Every exact and
+walked CTI's witness replays against ``successors``, and one with a step's
+post-state or binding swapped does not.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indinv.ctigen import WalkTable, generate_ctis, replay_witness
+from indinv.ctigen import WalkTable, _sample_walks, generate_ctis, replay_witness
 from indinv.infer import check_induction
 from indinv.instance import state_codec
 from indinv.reachability import compute_reach
@@ -62,6 +63,10 @@ def test_random_protocols_agree_with_the_oracles(case, data):
         assert got == expected, (text, code)
     for conjuncts, expected in (([safety], safe), ([safety, other], both)):
         assert WalkTable(protocol, instance).inside(conjuncts) == expected, (text, other)
+        for bound in (len(expected), len(expected) + 1, codec.size):
+            assert table.inside(conjuncts, bound) == expected, (text, other, bound)
+        if expected:
+            assert table.inside(conjuncts, len(expected) - 1) is None, (text, other)
 
     reach = compute_reach(protocol, instance).states
     expected_reach = oracles.o_reach(protocol, instance)
@@ -78,7 +83,7 @@ def test_random_protocols_agree_with_the_oracles(case, data):
     assert {oracles.freeze_state(c.state): c.depth_to_violation for c in batch.ctis} == \
         oracles.o_ctis(protocol, instance, safety, 2), text
 
-    walked = generate_ctis(protocol, instance, safety, codec.size - 1, 2, 10**6, random.Random(0))
+    walked = _sample_walks(table, table.good([safety]), codec.size - 1, 2, 10**6, random.Random(0))
     for ctis in (batch.ctis, walked.ctis):
         for cti in ctis:
             assert replay_witness(cti, protocol, instance, safety), text

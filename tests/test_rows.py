@@ -16,11 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indinv.ctigen import CTI, ExactCtis, generate_ctis
+from indinv.ctigen import Ctis, WalkTable, _sample_walks, conjuncts_of, generate_ctis
 from indinv.errors import DuplicateSeedWarning
-from indinv.evaluator import Transition, compile_expr, holds
+from indinv.evaluator import compile_expr, holds
 from indinv.infer import InferenceConfig, infer_inductive_invariant
-from indinv.instance import enumerate_states, state_codec
+from indinv.instance import state_codec
 from indinv.invgen import (
     LemmaRepository,
     Rows,
@@ -64,11 +64,6 @@ def _assert_rows_match_oracle(grammar, codes, codec, instance):
             1 << k for k, a in enumerate(assigns) if oracles.o_holds(cand.closed, a, instance)
         )
         assert rows.clause(cand.literals) == expected, cand.id
-
-
-def _mk_cti(state, code):
-    t = Transition("stub", (), code, state)
-    return CTI(state, code, (t,), 1)
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_INSTANCES))
@@ -129,15 +124,18 @@ def test_kept_set_and_rejections_equal_a_plain_recount(name, small_benchmarks):
 def test_pick_over_the_exists_grammar_equals_a_plain_recount(lockserver):
     protocol, _, instance = lockserver
     grammar = parse_grammar(EXISTS_GRAMMAR, protocol)
-    ctis = [_mk_cti(s, k) for k, s in enumerate(enumerate_states(protocol, instance))]
+    table = WalkTable(protocol, instance)
+    ctis = Ctis(table, list(range(table.codec.size)), {})  # codes alone, which selection reads
     pool = list(_clauses(grammar))
     rng = random.Random(3)
     for _ in range(20):
         repo = LemmaRepository()
         for cand in rng.sample(pool, rng.randint(1, len(pool))):
             repo.add(cand)
-        sample = rng.sample(ctis, rng.randint(1, 16))
-        full = {l.id: [c for c in sample if eliminates(l, c, instance)] for l in repo}
+        sample = ctis.subset(rng.sample(range(len(ctis)), rng.randint(1, 16)))
+        states = [table.codec.decode(c) for c in sample.codes]
+        full = {l.id: [c for c, s in zip(sample.codes, states) if not holds(l.closed, s, instance)]
+                for l in repo}
         keys = sorted((-len(full[l.id]), len(l.literals), l.id) for l in repo if full[l.id])
         choice = choose_greedy(repo, sample, instance)
         if not keys:
@@ -145,7 +143,7 @@ def test_pick_over_the_exists_grammar_equals_a_plain_recount(lockserver):
             continue
         lemma, eliminated = choice
         assert lemma.id == keys[0][2]
-        assert eliminated == full[lemma.id]
+        assert eliminated.codes == full[lemma.id]
 
 
 def _recount(repo, ctis, instance, exclude=frozenset()):
@@ -179,7 +177,7 @@ def test_every_pick_of_an_inference_equals_a_recount(name, small_benchmarks, mon
     picks = []
 
     def spy(repo, ctis, inst, exclude=frozenset()):
-        assert isinstance(ctis, ExactCtis)
+        assert isinstance(ctis, Ctis)
         picks.append(_assert_pick_equals_recount(repo, ctis, inst, exclude))
         return choose_greedy(repo, ctis, inst, exclude)
 
@@ -194,8 +192,8 @@ def test_every_pick_of_an_inference_equals_a_recount(name, small_benchmarks, mon
 def test_random_protocol_rows_and_picks_equal_recounts(case, data):
     # a grammar of three drawn predicates' bodies under forall n: S; the
     # rows over the reach codes equal a compiled closure on each reachable
-    # state, and picks over an exact batch's codes (a subset of it) and over
-    # walked CTIs equal the recount
+    # state, and picks over a subset of an exact batch and over a walked
+    # batch equal the recount
     protocol, instance = case
     bodies = [to_str(data.draw(predicates(protocol)).body) for _ in range(3)]
     text = "template forall n: S.\n" + "".join(f"seed {b}\n" for b in bodies) + "max_terms 1,2\n"
@@ -218,6 +216,8 @@ def test_random_protocol_rows_and_picks_equal_recounts(case, data):
     exclude = frozenset(lemma.id for lemma in repo if rng.random() < 0.2)
     exact = generate_ctis(protocol, instance, protocol.safety, size, 2, 10**6, random.Random(0))
     ks = sorted(rng.sample(range(len(exact)), min(len(exact), 80)))
-    walked = generate_ctis(protocol, instance, protocol.safety, size - 1, 2, 80, random.Random(0))
+    table = WalkTable(protocol, instance)
+    good = table.good(conjuncts_of(protocol.safety))
+    walked = _sample_walks(table, good, size - 1, 2, 80, random.Random(0))
     for ctis in (exact.ctis.subset(ks), walked.ctis):
         _assert_pick_equals_recount(repo, ctis, instance, exclude)

@@ -3,9 +3,9 @@ from __future__ import annotations
 import itertools
 import random
 
-from indinv.ctigen import CTI, generate_ctis
-from indinv.evaluator import Transition
-from indinv.instance import enumerate_states, parse_instance, state_codec
+from indinv.ctigen import CTI, Ctis, WalkTable, generate_ctis
+from indinv.evaluator import Transition, holds
+from indinv.instance import parse_instance, state_codec
 from indinv.invgen import LemmaRepository, build_candidate
 from indinv.parser import parse_expression
 from indinv.selection import choose_greedy, eliminates
@@ -13,24 +13,37 @@ from indinv.syntax import GrammarConfig, canonicalize
 
 
 def _mk_cti(state, code):
-    # selection only reads the state and its code; the witness is a stub
+    # eliminates only reads the state; the witness is a stub
     t = Transition("stub", (), code, state)
     return CTI(state, code, (t,), 1)
 
 
+def _ctis(protocol, instance, codes):
+    """A batch over the codes. Selection reads codes alone, so they need no
+    witness steps."""
+    return Ctis(WalkTable(protocol, instance), list(codes), {})
+
+
+def _gone(lemma, ctis, instance):
+    """The codes of the batch whose decoded states falsify the lemma."""
+    return [c for c in ctis.codes if not holds(lemma.closed, ctis.codec.decode(c), instance)]
+
+
 def _enum_setup(enum_protocol):
+    """The instance, a grammar of x = e1 .. x = e5, and a batch over the
+    codes of x = e1 .. e5 in that order."""
     instance = parse_instance("", enum_protocol)
     seeds = tuple(
         canonicalize(parse_expression(f"x = e{i}", enum_protocol)) for i in range(1, 6)
     )
     grammar = GrammarConfig((), seeds, (1, 2, 3))
-    states = {s.value("x"): s for s in enumerate_states(enum_protocol, instance)}
-    return instance, grammar, states
+    codec = state_codec(enum_protocol, instance)
+    codes = sorted(range(codec.size), key=lambda c: codec.decode(c).value("x"))
+    return instance, grammar, _ctis(enum_protocol, instance, codes)
 
 
 def test_lemma_with_max_count_wins(enum_protocol):
-    instance, grammar, states = _enum_setup(enum_protocol)
-    ctis = [_mk_cti(states[f"e{i}"], i - 1) for i in range(1, 6)]
+    instance, grammar, ctis = _enum_setup(enum_protocol)
     l1 = build_candidate(grammar, ((2, False), (3, False), (4, False)))  # false on e1,e2
     l2 = build_candidate(grammar, ((0, False), (4, False)))  # false on e2,e3,e4
     repo = LemmaRepository()
@@ -44,8 +57,8 @@ def test_lemma_with_max_count_wins(enum_protocol):
 
 
 def test_no_eliminator_returns_none(enum_protocol):
-    instance, grammar, states = _enum_setup(enum_protocol)
-    ctis = [_mk_cti(states["e1"], 0)]
+    instance, grammar, every = _enum_setup(enum_protocol)
+    ctis = every.subset([0])
     repo = LemmaRepository()
     # true on every state, so it never eliminates anything
     always_true = build_candidate(
@@ -58,8 +71,8 @@ def test_no_eliminator_returns_none(enum_protocol):
 
 
 def test_tie_breaks_prefer_fewer_literals_then_smaller_id(enum_protocol):
-    instance, grammar, states = _enum_setup(enum_protocol)
-    ctis = [_mk_cti(states["e1"], 0), _mk_cti(states["e2"], 1)]
+    instance, grammar, every = _enum_setup(enum_protocol)
+    ctis = every.subset([0, 1])
     one_literal = build_candidate(grammar, ((2, False),))  # x = e3
     two_literals = build_candidate(grammar, ((2, False), (3, False)))  # x = e3 \/ x = e4
     repo = LemmaRepository()
@@ -80,8 +93,8 @@ def test_tie_breaks_prefer_fewer_literals_then_smaller_id(enum_protocol):
 
 
 def test_excluded_ids_are_skipped(enum_protocol):
-    instance, grammar, states = _enum_setup(enum_protocol)
-    ctis = [_mk_cti(states["e1"], 0)]
+    instance, grammar, every = _enum_setup(enum_protocol)
+    ctis = every.subset([0])
     best = build_candidate(grammar, ((1, False),))
     repo = LemmaRepository()
     repo.add(best)
@@ -111,8 +124,6 @@ def test_eliminates_examples(lockserver):
 
 
 def eliminates_safe(protocol, cti, instance):
-    from indinv.evaluator import holds
-
     return not holds(protocol.safety, cti.state, instance)
 
 
@@ -142,8 +153,6 @@ def test_cover_report_count_matches_per_cti_recount(lockserver):
     a1 = build_candidate(grammar, ((0, True), (1, True)))
     repo = LemmaRepository()
     repo.add(a1)
-    from indinv.evaluator import holds
-
     recount = [c for c in batch.ctis if not holds(a1.closed, c.state, instance)]
     assert recount
     lemma, eliminated = choose_greedy(repo, batch.ctis, instance)
@@ -167,7 +176,8 @@ def test_greedy_maximality_on_random_fixtures(lockserver):
         repo = LemmaRepository()
         for cand in rng.sample(pool, rng.randint(2, len(pool))):
             repo.add(cand)
-        ctis = rng.sample(batch.ctis, rng.randint(1, min(20, len(batch.ctis))))
+        ks = rng.sample(range(len(batch.ctis)), rng.randint(1, min(20, len(batch.ctis))))
+        ctis = batch.ctis.subset(ks)
         choice = choose_greedy(repo, ctis, instance)
         counts = {
             lemma.id: sum(1 for c in ctis if eliminates(lemma, c, instance))
@@ -192,7 +202,6 @@ def test_greedy_maximality_on_random_fixtures(lockserver):
 def test_eliminated_ctis_fail_the_strengthened_candidate(lockserver):
     # conjoining the chosen lemma makes every eliminated CTI violate the
     # new candidate, so the outer loop's CTI set shrinks monotonically
-    from indinv.evaluator import holds
     from indinv.syntax import And
 
     protocol, grammar, instance = lockserver
@@ -216,8 +225,7 @@ def test_eliminated_ctis_fail_the_strengthened_candidate(lockserver):
 
 
 def test_choice_is_deterministic(enum_protocol):
-    instance, grammar, states = _enum_setup(enum_protocol)
-    ctis = [_mk_cti(states[f"e{i}"], i - 1) for i in range(1, 6)]
+    instance, grammar, ctis = _enum_setup(enum_protocol)
     repo = LemmaRepository()
     for i in range(5):
         repo.add(build_candidate(grammar, ((i, False),)))
@@ -225,14 +233,14 @@ def test_choice_is_deterministic(enum_protocol):
     for _ in range(5):
         again = choose_greedy(repo, ctis, instance)
         assert again[0].id == first[0].id
-        assert [c.code for c in again[1]] == [c.code for c in first[1]]
+        assert again[1].codes == first[1].codes
 
 
 def test_pruned_choice_matches_an_unpruned_recount(enum_protocol, lockserver):
     # choose_greedy scores every lemma by bit operations on its row over the
     # CTI states; a per-CTI recount of every lemma through holds must give
     # the same winner and the same eliminated list, ties included
-    enum_instance, enum_grammar, states = _enum_setup(enum_protocol)
+    enum_instance, enum_grammar, enum_ctis = _enum_setup(enum_protocol)
     protocol, grammar, instance = lockserver
     batch = generate_ctis(protocol, instance, protocol.safety, 6000, 3, 10000, random.Random(2))
 
@@ -245,8 +253,7 @@ def test_pruned_choice_matches_an_unpruned_recount(enum_protocol, lockserver):
         ]
 
     fixtures = [
-        (pool(enum_grammar, 5, (1, 2, 3)),
-         [_mk_cti(s, k) for k, s in enumerate(states.values())], enum_instance),
+        (pool(enum_grammar, 5, (1, 2, 3)), enum_ctis, enum_instance),
         (pool(grammar, 3, (1, 2)), batch.ctis, instance),
     ]
     rng = random.Random(11)
@@ -256,9 +263,10 @@ def test_pruned_choice_matches_an_unpruned_recount(enum_protocol, lockserver):
         repo = LemmaRepository()
         for cand in rng.sample(lemmas, rng.randint(1, len(lemmas))):
             repo.add(cand)
-        ctis = rng.sample(cti_pool, rng.randint(1, min(12, len(cti_pool))))
+        k = rng.randint(1, min(12, len(cti_pool)))
+        ctis = cti_pool.subset(rng.sample(range(len(cti_pool)), k))
         exclude = frozenset(l.id for l in repo if rng.random() < 0.1)
-        full = {l.id: [c for c in ctis if eliminates(l, c, inst)] for l in repo}
+        full = {l.id: _gone(l, ctis, inst) for l in repo}
         keys = sorted(
             (-len(full[l.id]), len(l.literals), l.id)
             for l in repo
@@ -270,6 +278,6 @@ def test_pruned_choice_matches_an_unpruned_recount(enum_protocol, lockserver):
             continue
         lemma, eliminated = choice
         assert lemma.id == keys[0][2]
-        assert eliminated == full[lemma.id]
+        assert eliminated.codes == full[lemma.id]
         ties += len(keys) > 1 and keys[0][0] == keys[1][0]
     assert ties > 0
