@@ -10,11 +10,11 @@ from .infer import (
     check_induction,
     infer_inductive_invariant,
 )
-from .instance import Instance, State, enumerate_states, fingerprint, parse_instance, random_state, state_space_size
+from .instance import Instance, State, fingerprint, parse_instance, random_state
 from .invgen import CandidateInvariant, LemmaRepository, generate_lemma_invariants, sample_candidate
 from .parser import parse_expression, parse_grammar, parse_protocol
 from .reachability import ReachSet, compute_reach
-from .selection import choose_greedy, eliminates
+from .selection import choose_greedy
 from .syntax import GrammarConfig, Protocol, canonicalize, to_str
 
 __version__ = "0.1.0"
@@ -37,8 +37,6 @@ __all__ = [
     "check_induction",
     "choose_greedy",
     "compute_reach",
-    "eliminates",
-    "enumerate_states",
     "evaluate",
     "fingerprint",
     "generate_ctis",
@@ -53,7 +51,6 @@ __all__ = [
     "random_state",
     "replay_witness",
     "sample_candidate",
-    "state_space_size",
     "successors",
     "to_str",
 ]

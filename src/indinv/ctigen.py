@@ -29,32 +29,39 @@ from __future__ import annotations
 import itertools
 import random
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
 from .evaluator import Compiled, Transition, compile_expr, firings, successors
 # The engine calls neither fingerprint nor random_state; bench/child.py counts them here.
 from .instance import (  # noqa: F401
     Instance, State, StateCodec, fingerprint, random_state, state_codec,
 )
-from .syntax import (And, BoundRef, Expr, MapIndex, MapLit, Protocol, Quant, StateRef,
-                     canonicalize, children)
+from .syntax import (And, BoundRef, Expr, MapIndex, MapLit, Protocol, Quant, Record,
+                     StateRef, canonicalize, children)
+
+_set = object.__setattr__  # how the hot records' own __init__ store fields
 
 DEFAULT_LIMIT = 1_000_000  # default bound on states enumerated or reached and on a table's entries
 
 
-@dataclass(frozen=True)
-class CTI:
+class CTI(Record):
     state: State
     code: int
     witness: tuple[Transition, ...]
     depth_to_violation: int
 
+    def __init__(self, state: State, code: int, witness: tuple[Transition, ...],
+                 depth_to_violation: int) -> None:
+        _set(self, "state", state)
+        _set(self, "code", code)
+        _set(self, "witness", witness)
+        _set(self, "depth_to_violation", depth_to_violation)
+        self.__post_init__()
+
     def __post_init__(self):
         assert self.depth_to_violation == len(self.witness) >= 1
 
 
-@dataclass
-class CtiBatch:
+class CtiBatch(Record, frozen=False):
     """The CTIs found, the walks started (for an exact batch, the Ind codes
     examined) and how many of those started inside Ind."""
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Callable
 
 from .instance import (
@@ -58,19 +57,21 @@ from .syntax import (
     Or,
     Protocol,
     Quant,
+    Record,
     SetLit,
     SetOp,
     StateRef,
     canonicalize,
 )
 
+_set = object.__setattr__  # how the hot records' own __init__ store fields
+
 Env = dict[str, str]
 Binding = tuple[tuple[str, str], ...]  # (parameter, element)
 Compiled = Callable[[State, Env], Value]
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(Record):
     """One firing: its action, binding, the pre-state's code, and the post-state."""
 
     action: str
@@ -78,23 +79,22 @@ class Transition:
     pre_code: int
     post: State
 
+    def __init__(self, action: str, binding: Binding, pre_code: int, post: State) -> None:
+        _set(self, "action", action)
+        _set(self, "binding", binding)
+        _set(self, "pre_code", pre_code)
+        _set(self, "post", post)
+
 
 # ---------------------------------------------------------------------------
 # Expression compiler
 
 
-# A plain class, not a dataclass, keeps this module's import cheap: a
-# dataclass costs about a millisecond to create, and start-up is measured.
-
-
-class _Ctx:
+class _Ctx(Record):
     """What compiled closures may depend on besides their own node."""
 
-    __slots__ = ("instance", "schema")
-
-    def __init__(self, instance: Instance, schema: StateSchema | None) -> None:
-        self.instance = instance
-        self.schema = schema
+    instance: Instance
+    schema: StateSchema | None
 
 
 def _const(value):

@@ -22,7 +22,6 @@ when the state space fits its limit and by sampling otherwise, with a
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .ctigen import DEFAULT_LIMIT, CtiBatch, WalkTable, generate_ctis
 from .errors import ConfigError, UnsafeProtocolError
@@ -31,11 +30,10 @@ from .instance import Instance, State, format_state, state_schema
 from .invgen import LemmaRepository, generate_lemma_invariants, term_size_schedule
 from .reachability import ReachSet, compute_reach
 from .selection import choose_greedy
-from .syntax import And, Expr, GrammarConfig, Protocol, canonical_text, to_str
+from .syntax import And, Expr, GrammarConfig, Protocol, Record, canonical_text, to_str
 
 
-@dataclass
-class InferenceConfig:
+class InferenceConfig(Record, frozen=False):
     n_lemmas: int = 15000
     n_ctis: int = 50000
     cti_cap: int = 10000
@@ -65,8 +63,7 @@ class InferenceConfig:
         )
 
 
-@dataclass
-class InferenceResult:
+class InferenceResult(Record, frozen=False):
     status: str  # 'success' | 'fail'
     conjuncts: list[Expr]  # safety first, then lemmas in selection order
     ctis_eliminated: int
@@ -154,8 +151,7 @@ def infer_inductive_invariant(
 # Induction checking
 
 
-@dataclass
-class InductionReport:
+class InductionReport(Record, frozen=False):
     """A condition holds when it has no witness. ``inside`` counts the checked
     codes that satisfy every conjunct: consecution is tested from those alone."""
 

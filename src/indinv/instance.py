@@ -6,7 +6,7 @@ declared ValueType schema carries the tags, so values stay small and fast to
 compare. Enumeration order is fixed: variables in declaration order, domains
 in declared element order, sets by bitmask ascending, map entries with the
 last key varying fastest. A state's code is its index in that order, an
-integer below ``state_space_size``, which nothing here bounds: callers compare
+integer below the codec's ``size``, which nothing here bounds: callers compare
 it with their own limits. The code is a state's only identity on every engine
 path; ``fingerprint``, a 64-bit digest, is public API only. ``state_codec``
 builds, on first use, the codec that draws, encodes, decodes and projects codes.
@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Iterable, Union
 
 from .errors import InstanceError
 from .syntax import (
@@ -25,12 +24,15 @@ from .syntax import (
     EnumType,
     MapType,
     Protocol,
+    Record,
     SetType,
     ValueType,
 )
 
-@dataclass(frozen=True)
-class Instance:
+_set = object.__setattr__  # how the hot records' own __init__ store fields
+
+
+class Instance(Record):
     """Binding of every sort to an ordered finite domain of element names."""
 
     domains: dict[str, tuple[str, ...]]
@@ -75,18 +77,19 @@ def parse_instance(text: str, protocol: Protocol) -> Instance:
 # Values
 
 
-@dataclass(frozen=True)
-class MapV:
+class MapV(Record):
     """Total map over an instance domain; entries stay in domain order."""
 
     entries: tuple[tuple[str, "Value"], ...]
+
+    def __init__(self, entries: tuple[tuple[str, Value], ...]) -> None:
+        _set(self, "entries", entries)
 
 
 Value = Union[bool, str, frozenset, MapV]
 
 
-@dataclass(frozen=True)
-class StateSchema:
+class StateSchema(Record):
     names: tuple[str, ...]
     types: tuple[ValueType, ...]
 
@@ -97,12 +100,15 @@ class StateSchema:
         return self._index[name]
 
 
-@dataclass(frozen=True)
-class State:
+class State(Record):
     """Total assignment of values to state variables, in declaration order."""
 
     schema: StateSchema
     values: tuple[Value, ...]
+
+    def __init__(self, schema: StateSchema, values: tuple[Value, ...]) -> None:
+        _set(self, "schema", schema)
+        _set(self, "values", values)
 
     def value(self, name: str) -> Value:
         return self.values[self.schema.index(name)]
@@ -116,18 +122,7 @@ def state_schema(protocol: Protocol) -> StateSchema:
 
 
 # ---------------------------------------------------------------------------
-# Domain sizes, enumeration, sampling
-
-
-def state_space_size(protocol: Protocol, instance: Instance) -> int:
-    """Exact number of type-correct states, an unbounded int."""
-    return state_codec(protocol, instance).size
-
-
-def enumerate_states(protocol: Protocol, instance: Instance) -> Iterator[State]:
-    """Yield every type-correct state exactly once, in code order."""
-    codec = state_codec(protocol, instance)
-    return map(codec.decode, range(codec.size))
+# Codes and sampling
 
 
 def _leaf(t: ValueType, instance: Instance) -> tuple:
@@ -154,8 +149,8 @@ def _leaf(t: ValueType, instance: Instance) -> tuple:
 
 
 class StateCodec:
-    """States as integer codes: a state's code is its index in
-    ``enumerate_states`` order.
+    """States as integer codes: a state's code is its index in enumeration
+    order.
 
     A leaf is a scalar variable or one map entry. A code is the mixed-radix
     number of the leaves' digits in declaration order, the last leaf least

@@ -21,7 +21,6 @@ import math
 import operator
 import random
 import sys
-from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .errors import SpecError
@@ -35,18 +34,18 @@ from .syntax import (
     Not,
     Or,
     Quant,
+    Record,
     canonicalize,
     reads,
     to_str,
 )
 
 
-@dataclass(frozen=True)
-class CandidateInvariant:
+class CandidateInvariant(Record, hidden=("grammar",)):
     literals: tuple[tuple[int, bool], ...]  # (seed index, negated)
     closed: Expr
     id: str
-    grammar: GrammarConfig = field(compare=False, repr=False)
+    grammar: GrammarConfig
 
 
 def build_candidate(

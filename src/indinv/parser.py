@@ -6,7 +6,6 @@ return fully type-checked results.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .errors import ParseError
 from .syntax import (
@@ -32,6 +31,7 @@ from .syntax import (
     Eq,
     Protocol,
     Quant,
+    Record,
     SetLit,
     SetOp,
     SetType,
@@ -46,8 +46,7 @@ _TWO_CHAR_SYMBOLS = (":=", "!=", "->", "/\\", "\\/")
 _ONE_CHAR_SYMBOLS = set(":,(){}[].;=~+-&|<>")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Record):
     kind: str  # 'ident', 'int', 'sym', 'eof'
     text: str
     line: int

@@ -6,17 +6,15 @@ order, and decodes each discovered code once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .ctigen import DEFAULT_LIMIT, WalkTable
 from .errors import ReachLimitError
 from .evaluator import initial_state
 from .instance import Instance, State, StateCodec
-from .syntax import Protocol
+from .syntax import Protocol, Record
 
 
-@dataclass
-class ReachSet:
+class ReachSet(Record, frozen=False):
     """Reachable states in BFS discovery order, closed under successors, and
     their codes in the same order under ``codec``."""
 

@@ -10,14 +10,9 @@ the batch, so neither builds a CTI.
 """
 from __future__ import annotations
 
-from .ctigen import CTI, Ctis
-from .evaluator import holds
+from .ctigen import Ctis
 from .instance import Instance
 from .invgen import CandidateInvariant, LemmaRepository, Rows
-
-
-def eliminates(lemma: CandidateInvariant, cti: CTI, instance: Instance) -> bool:
-    return not holds(lemma.closed, cti.state, instance)
 
 
 def choose_greedy(

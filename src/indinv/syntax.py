@@ -1,52 +1,117 @@
 """AST and type definitions for the protocol and grammar languages.
 
-Expression nodes are immutable dataclasses. The canonical printed form
+Expression nodes are frozen records (``Record``). The canonical printed form
 (``to_str`` after ``canonicalize``) is the structural identity used for
 deduplication and repository keys.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator
+
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the engine's record classes, built without generating code.
+
+    A subclass's own annotations, in order, are its fields, and a value in
+    the class body is a field's default. Records are built positionally or
+    by keyword, keep their fields in ``__dict__`` in field order, and run
+    ``__post_init__`` last. Records are equal when of the same class with
+    equal fields, leaving out ``hidden`` ones, which ``repr`` also omits. A
+    frozen record (the default) hashes as that tuple and refuses assignment;
+    one with ``frozen=False`` is unhashable. A record built by the thousand
+    defines its own ``__init__``: the generic one takes about twice as long.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _compared: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls, frozen: bool = True, hidden: tuple[str, ...] = ()) -> None:
+        own = vars(cls).get("__annotations__", {})
+        cls._fields = cls._fields + tuple(n for n in own if n not in cls._fields)
+        cls._compared = tuple(n for n in cls._fields if n not in hidden)
+        cls._defaults = {**cls._defaults, **{n: vars(cls)[n] for n in own if n in vars(cls)}}
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        for name, value in zip(fields, args):
+            _set(self, name, value)
+        self.__post_init__()
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        """The field values in field order, from args, kwargs and defaults."""
+        fields, given = self._fields, dict(zip(self._fields, args))
+        if len(args) > len(fields) or given.keys() & kwargs or kwargs.keys() - set(fields):
+            raise TypeError(f"{type(self).__name__} takes fields {fields}, not {args}, {kwargs}")
+        values = {**self._defaults, **given, **kwargs}
+        if len(values) < len(fields):
+            raise TypeError(f"{type(self).__name__} is missing fields {set(fields) - values.keys()}")
+        return [values[n] for n in fields]
+
+    def __post_init__(self) -> None:
+        """Checks or derives fields once they are set; a no-op here."""
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._compared))
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._compared)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign {name!r} of a frozen {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r} of a frozen {type(self).__name__}")
 
 
 # ---------------------------------------------------------------------------
 # Value types
 
 
-class ValueType:
+class ValueType(Record):
     """Base class for the types a state variable or expression can take."""
 
 
-@dataclass(frozen=True)
 class BoolType(ValueType):
     pass
 
 
-@dataclass(frozen=True)
 class ElemType(ValueType):
     sort: str
 
 
-@dataclass(frozen=True)
 class EnumType(ValueType):
     labels: tuple[str, ...]
 
 
-@dataclass(frozen=True)
 class SetType(ValueType):
     # sort is None for an empty-set literal whose element sort is not pinned
     # by context; such a value is necessarily empty.
     sort: str | None
 
 
-@dataclass(frozen=True)
 class MapType(ValueType):
     index_sort: str
     elem: ValueType
 
 
-@dataclass(frozen=True)
 class CardType(ValueType):
     """Type of a cardinality expression; not declarable for variables."""
 
@@ -71,81 +136,68 @@ def type_str(t: ValueType) -> str:
 # Expressions
 
 
-class Expr:
+class Expr(Record):
     """Base class for expression AST nodes."""
 
 
-@dataclass(frozen=True)
 class BoolLit(Expr):
     value: bool
 
 
-@dataclass(frozen=True)
 class Ident(Expr):
     """Unresolved name; only appears in parser output, never after checking."""
 
     name: str
 
 
-@dataclass(frozen=True)
 class BoundRef(Expr):
     """Reference to a quantifier, action-parameter, or template variable."""
 
     name: str
 
 
-@dataclass(frozen=True)
 class StateRef(Expr):
     name: str
 
 
-@dataclass(frozen=True)
 class EnumLit(Expr):
     label: str
 
 
-@dataclass(frozen=True)
 class MapIndex(Expr):
     mapping: Expr
     key: Expr
 
 
-@dataclass(frozen=True)
 class SetLit(Expr):
     members: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
 class SetOp(Expr):
     op: str  # one of '+', '-', '&'
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True)
 class InSet(Expr):
     elem: Expr
     container: Expr
 
 
-@dataclass(frozen=True)
 class Eq(Expr):
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True)
 class Ne(Expr):
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True)
 class Card(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
 class Maj(Expr):
     """Strict majority: twice the cardinality of arg exceeds |sort domain|."""
 
@@ -153,28 +205,23 @@ class Maj(Expr):
     sort: str
 
 
-@dataclass(frozen=True)
 class Not(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
 class And(Expr):
     args: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
 class Or(Expr):
     args: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
 class Implies(Expr):
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True)
 class Quant(Expr):
     kind: str  # 'forall' or 'exists'
     var: str
@@ -182,7 +229,6 @@ class Quant(Expr):
     body: Expr
 
 
-@dataclass(frozen=True)
 class MapLit(Expr):
     """Map constructor ``[forall x: Sort. body]``; one entry per element."""
 
@@ -327,40 +373,34 @@ def canonical_text(e: Expr) -> str:
 # Protocol structure
 
 
-@dataclass(frozen=True)
-class SortDecl:
+class SortDecl(Record):
     name: str
 
 
-@dataclass(frozen=True)
-class VarDecl:
+class VarDecl(Record):
     name: str
     type: ValueType
 
 
-@dataclass(frozen=True)
-class InitDecl:
+class InitDecl(Record):
     var: str
     expr: Expr
 
 
-@dataclass(frozen=True)
-class Update:
+class Update(Record):
     target: str
     index: Expr | None
     rhs: Expr
 
 
-@dataclass(frozen=True)
-class ActionDecl:
+class ActionDecl(Record):
     name: str
     params: tuple[tuple[str, str], ...]  # (name, sort)
     guard: Expr
     updates: tuple[Update, ...]
 
 
-@dataclass(frozen=True)
-class Protocol:
+class Protocol(Record):
     sorts: tuple[SortDecl, ...]
     vars: tuple[VarDecl, ...]
     inits: tuple[InitDecl, ...]
@@ -372,39 +412,7 @@ class Protocol:
         return tuple(s.name for s in self.sorts)
 
 
-@dataclass(frozen=True)
-class GrammarConfig:
+class GrammarConfig(Record):
     template: tuple[tuple[str, str, str], ...]  # (quantifier kind, var, sort)
     seeds: tuple[Expr, ...]
     max_terms: tuple[int, ...]
-
-
-# ---------------------------------------------------------------------------
-# Protocol printing
-
-
-def print_protocol(p: Protocol) -> str:
-    lines: list[str] = []
-    for s in p.sorts:
-        lines.append(f"sort {s.name}")
-    if p.sorts:
-        lines.append("")
-    for v in p.vars:
-        lines.append(f"var {v.name} : {type_str(v.type)}")
-    if p.vars:
-        lines.append("")
-    for init in p.inits:
-        lines.append(f"init {init.var} = {to_str(init.expr)}")
-    if p.inits:
-        lines.append("")
-    for a in p.actions:
-        params = ", ".join(f"{n}: {s}" for n, s in a.params)
-        lines.append(f"action {a.name}({params}) {{")
-        lines.append(f"    require {to_str(a.guard)};")
-        for u in a.updates:
-            target = u.target if u.index is None else f"{u.target}[{to_str(u.index)}]"
-            lines.append(f"    {target} := {to_str(u.rhs)};")
-        lines.append("}")
-        lines.append("")
-    lines.append(f"safety {p.safety_name}: {to_str(p.safety)}")
-    return "\n".join(lines) + "\n"

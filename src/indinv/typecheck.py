@@ -7,7 +7,6 @@ naming the offending expression and the expected/actual types.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 from .errors import DuplicateSeedWarning, SpecError, TypeCheckError
 from .syntax import (
@@ -37,6 +36,7 @@ from .syntax import (
     Or,
     Protocol,
     Quant,
+    Record,
     SetLit,
     SetOp,
     SetType,
@@ -50,12 +50,11 @@ from .syntax import (
 )
 
 
-@dataclass
-class _Scope:
+class _Scope(Record, frozen=False):
     sorts: frozenset[str]
     var_types: dict[str, ValueType]
     labels: dict[str, EnumType]
-    bound: dict[str, str] = field(default_factory=dict)
+    bound: dict[str, str]
     allow_state: bool = True
     context: str = "expression"
 

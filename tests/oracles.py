@@ -1,15 +1,20 @@
-"""Independent straight-line re-implementations used as test oracles.
+"""Independent straight-line re-implementations used as test oracles, and
+the few engine helpers that only tests use.
 
-Everything here deliberately avoids the engine's evaluator, enumerator, and
+The oracles deliberately avoid the engine's evaluator, enumerator, and
 search code: states are plain dicts, maps are plain dicts, evaluation is a
 naive recursion, reachability is a fixpoint loop rather than layered BFS.
 Only the parsed AST and the Instance binding are shared with the engine.
+The helpers in the last section are not oracles: they wrap engine code.
 """
 from __future__ import annotations
 
 import itertools
 
-from indinv.instance import Instance, MapV, State, state_schema
+from indinv.ctigen import CTI
+from indinv.evaluator import holds
+from indinv.instance import Instance, MapV, State, state_codec, state_schema
+from indinv.invgen import CandidateInvariant
 from indinv.syntax import (
     And,
     BoolLit,
@@ -32,10 +37,13 @@ from indinv.syntax import (
     Or,
     Protocol,
     Quant,
+    Record,
     SetLit,
     SetOp,
     SetType,
     StateRef,
+    to_str,
+    type_str,
 )
 
 Assign = dict
@@ -294,3 +302,55 @@ def value_conforms(v, t, inst: Instance) -> bool:
 
 def state_conforms(state: State, inst: Instance) -> bool:
     return all(value_conforms(v, t, inst) for t, v in zip(state.schema.types, state.values))
+
+
+# -- engine helpers that only tests use ----------------------------------------
+
+
+def print_protocol(p: Protocol) -> str:
+    """p in the concrete syntax; parses back to p."""
+    lines: list[str] = []
+    for s in p.sorts:
+        lines.append(f"sort {s.name}")
+    if p.sorts:
+        lines.append("")
+    for v in p.vars:
+        lines.append(f"var {v.name} : {type_str(v.type)}")
+    if p.vars:
+        lines.append("")
+    for init in p.inits:
+        lines.append(f"init {init.var} = {to_str(init.expr)}")
+    if p.inits:
+        lines.append("")
+    for a in p.actions:
+        params = ", ".join(f"{n}: {s}" for n, s in a.params)
+        lines.append(f"action {a.name}({params}) {{")
+        lines.append(f"    require {to_str(a.guard)};")
+        for u in a.updates:
+            target = u.target if u.index is None else f"{u.target}[{to_str(u.index)}]"
+            lines.append(f"    {target} := {to_str(u.rhs)};")
+        lines.append("}")
+        lines.append("")
+    lines.append(f"safety {p.safety_name}: {to_str(p.safety)}")
+    return "\n".join(lines) + "\n"
+
+
+def state_space_size(protocol: Protocol, instance: Instance) -> int:
+    """Exact number of type-correct states, an unbounded int."""
+    return state_codec(protocol, instance).size
+
+
+def enumerate_states(protocol: Protocol, instance: Instance):
+    """Every type-correct state exactly once, in code order."""
+    codec = state_codec(protocol, instance)
+    return map(codec.decode, range(codec.size))
+
+
+def eliminates(lemma: CandidateInvariant, cti: CTI, instance: Instance) -> bool:
+    """Whether the CTI's state falsifies the lemma, by the engine's evaluator."""
+    return not holds(lemma.closed, cti.state, instance)
+
+
+def replace(record: Record, **changes) -> Record:
+    """A copy of a record with the given fields changed."""
+    return type(record)(**{**{n: getattr(record, n) for n in record._fields}, **changes})

@@ -45,8 +45,9 @@ from indinv.syntax import (
     Update,
     ValueType,
     VarDecl,
-    print_protocol,
 )
+
+from .oracles import print_protocol
 
 BOUND_POOL = (("s", "Server"), ("s2", "Server"), ("c", "Client"), ("c2", "Client"))
 

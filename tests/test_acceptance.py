@@ -17,7 +17,6 @@ from indinv import benchmarks
 from indinv.ctigen import generate_ctis, replay_witness
 from indinv.evaluator import holds, successors
 from indinv.infer import InferenceConfig, check_induction, infer_inductive_invariant
-from indinv.instance import enumerate_states
 from indinv.invgen import (
     LemmaRepository,
     build_candidate,
@@ -26,10 +25,11 @@ from indinv.invgen import (
 )
 from indinv.parser import parse_expression
 from indinv.reachability import compute_reach
-from indinv.selection import choose_greedy, eliminates
+from indinv.selection import choose_greedy
 from indinv.syntax import And, BoolLit
 
 from . import oracles
+from .oracles import eliminates, enumerate_states
 from .conftest import fresh_draws
 
 A1_TEXT = "forall s: Server. forall c: Client. locked[s] -> ~(s in held[c])"

@@ -252,6 +252,14 @@ def test_importing_the_cli_leaves_hashlib_unimported():
     assert done.stdout.strip() == "[]"
 
 
+def test_importing_the_cli_leaves_dataclasses_and_inspect_unimported():
+    code = "import sys, indinv.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_infer_and_check_run_one_induction_check(tmp_path, monkeypatch, capsys):
     import indinv.cli as cli
 
@@ -364,6 +372,11 @@ def test_cli_defaults_are_the_library_defaults():
         config.max_regen_rounds, config.reach_limit,
     )
     assert config.reach_limit == DEFAULT_LIMIT
+    assert config == InferenceConfig(  # as cmd_infer builds it
+        n_lemmas=args.n_lemmas, n_ctis=args.n_ctis, cti_cap=args.cti_cap,
+        walk_depth=args.depth, max_regen_rounds=args.max_regen, seed=args.seed,
+        reach_limit=args.reach_limit,
+    )
     assert f"(default {DEFAULT_LIMIT})" in README.read_text()
 
 

@@ -3,7 +3,6 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -13,13 +12,13 @@ from indinv.evaluator import Transition, compile_expr, firings, holds, successor
 from indinv.infer import check_induction, conjunction
 from indinv.instance import (
     MapV, State, fingerprint, parse_instance, random_state, state_codec, state_schema,
-    state_space_size,
 )
 from indinv.parser import parse_expression, parse_protocol
 from indinv.syntax import (And, BoundRef, MapIndex, Not, Quant, StateRef, Update, canonicalize,
                            to_str)
 
 from . import oracles
+from .oracles import replace, state_space_size
 
 A1_TEXT = "forall s: Server. forall c: Client. locked[s] -> ~(s in held[c])"
 

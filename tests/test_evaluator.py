@@ -5,12 +5,13 @@ import random
 from hypothesis import example, given, settings
 
 from indinv.evaluator import evaluate, holds, initial_state, successors
-from indinv.instance import MapV, State, enumerate_states, random_state, state_schema
+from indinv.instance import MapV, State, random_state, state_schema
 from indinv.parser import parse_expression, parse_protocol
 from indinv.reachability import compute_reach
 from indinv.syntax import And, BoundRef, MapIndex, Not, Quant, StateRef
 
 from . import oracles
+from .oracles import enumerate_states
 from .strategies import BOUND_POOL, bool_bodies, close, closed_bool_exprs, quantified_exprs
 
 A1_TEXT = "forall s: Server. forall c: Client. locked[s] -> ~(s in held[c])"

@@ -14,15 +14,14 @@ from indinv.infer import (
     infer_inductive_invariant,
     render_result,
 )
-from indinv.instance import (
-    enumerate_states, parse_instance, random_state, state_schema, state_space_size,
-)
+from indinv.instance import parse_instance, random_state, state_schema
 from indinv.parser import parse_expression, parse_grammar, parse_protocol
 from indinv.reachability import compute_reach
 from indinv.selection import choose_greedy
 from indinv.syntax import And, BoolLit, Not, canonical_text
 
 from . import oracles
+from .oracles import enumerate_states, state_space_size
 from .test_ctigen import LOCKSERVER_4X4, SEED7_CONJUNCTS
 
 A1_TEXT = "forall s: Server. forall c: Client. locked[s] -> ~(s in held[c])"

@@ -3,18 +3,15 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
 from indinv.instance import (
-    enumerate_states,
     fingerprint,
     MapV,
     parse_instance,
     random_state,
     state_schema,
-    state_space_size,
     State,
     state_codec,
 )
@@ -22,6 +19,7 @@ from indinv.parser import parse_protocol
 from indinv.syntax import ElemType
 
 from . import oracles
+from .oracles import enumerate_states, replace, state_space_size
 
 BOOL_PROTO = "var b : bool\ninit b = false\nsafety S: true"
 

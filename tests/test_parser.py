@@ -16,9 +16,10 @@ from indinv.syntax import (
     BoolType,
     MapType,
     SetType,
-    print_protocol,
     to_str,
 )
+
+from .oracles import print_protocol
 
 LOCKSERVER = benchmarks.protocol_path("lockserver").read_text()
 

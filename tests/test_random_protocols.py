@@ -16,7 +16,6 @@ post-state or binding swapped does not.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,9 +25,10 @@ from indinv.infer import check_induction
 from indinv.instance import state_codec
 from indinv.reachability import compute_reach
 from indinv.parser import parse_expression, parse_protocol
-from indinv.syntax import print_protocol, to_str
+from indinv.syntax import to_str
 
 from . import oracles
+from .oracles import print_protocol, replace
 from .strategies import predicates, protocols
 
 

@@ -29,10 +29,11 @@ from indinv.invgen import (
 )
 from indinv.parser import parse_grammar
 from indinv.reachability import compute_reach
-from indinv.selection import choose_greedy, eliminates
+from indinv.selection import choose_greedy
 from indinv.syntax import to_str
 
 from . import oracles
+from .oracles import eliminates
 from .conftest import SMALL_INSTANCES, fresh_draws
 from .strategies import predicates, protocols
 

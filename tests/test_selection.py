@@ -8,8 +8,10 @@ from indinv.evaluator import Transition, holds
 from indinv.instance import parse_instance, state_codec
 from indinv.invgen import LemmaRepository, build_candidate
 from indinv.parser import parse_expression
-from indinv.selection import choose_greedy, eliminates
+from indinv.selection import choose_greedy
 from indinv.syntax import GrammarConfig, canonicalize
+
+from .oracles import eliminates
 
 
 def _mk_cti(state, code):

@@ -1,6 +1,13 @@
 from __future__ import annotations
 
+import pytest
 from hypothesis import example, given, settings
+
+from indinv.ctigen import CTI
+from indinv.evaluator import Transition
+from indinv.infer import InferenceConfig
+from indinv.instance import State, state_schema
+from indinv.invgen import build_candidate
 
 from indinv.parser import parse_expression
 from indinv.syntax import (
@@ -11,6 +18,7 @@ from indinv.syntax import (
     EnumLit,
     Eq,
     Expr,
+    GrammarConfig,
     Ident,
     Implies,
     InSet,
@@ -164,3 +172,58 @@ def test_reads_of_parsed_conjuncts(lockserver_protocol):
     assert reads(lockserver_protocol.safety) == {"held"}
     assert reads(_parse(lockserver_protocol, "locked[s] -> ~(s in held[c])")) == {
         "locked", "held"}
+
+
+def test_records_compare_by_class_and_fields():
+    assert Not(P) != Card(P) and not (Not(P) == Card(P))
+    assert Not(P) == Not(BoolLit(True)) and hash(Not(P)) == hash(Not(BoolLit(True)))
+    assert Quant("forall", "s", "Server", P) == Quant(kind="forall", sort="Server", body=P, var="s")
+    assert Quant("forall", "s", "Server", P) == Quant("forall", "s", body=P, sort="Server")
+    assert len({Not(P), Not(BoolLit(True)), Card(P)}) == 2
+    assert repr(Maj(StateRef("x"), "Node")) == "Maj(arg=StateRef(name='x'), sort='Node')"
+    assert list(vars(SetOp("+", P, Not(P)))) == ["op", "lhs", "rhs"]
+
+
+def test_records_refuse_bad_construction():
+    with pytest.raises(TypeError, match="Eq is missing fields {'rhs'}"):
+        Eq(P)
+    for args, kwargs in [((P, P, P), {}), ((P, P), {"lhs": P}), ((P,), {"negated": True})]:
+        with pytest.raises(TypeError, match=r"takes fields \('lhs', 'rhs'\)"):
+            Eq(*args, **kwargs)
+
+
+def test_frozen_records_refuse_assignment_and_deletion(lockserver_protocol):
+    state = State(state_schema(lockserver_protocol), ())
+    for record, name in [(Not(P), "arg"), (lockserver_protocol, "safety"), (state, "values")]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, P)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, "other", P)
+
+
+def test_mutable_records_are_unhashable_and_keep_their_defaults():
+    config = InferenceConfig()
+    config.seed = 5
+    assert config == InferenceConfig(seed=5) != InferenceConfig()
+    assert InferenceConfig.seed == 0 and vars(InferenceConfig())["seed"] == 0
+    with pytest.raises(TypeError):
+        hash(config)
+
+
+def test_a_hidden_field_is_left_out_of_equality_and_repr():
+    a = build_candidate(GrammarConfig((), (P, Not(P)), (1,)), ((0, False),))
+    b = build_candidate(GrammarConfig((("forall", "s", "Server"),), (P,), (1,)), ((0, False),))
+    assert a.grammar != b.grammar and a == b and hash(a) == hash(b)
+    assert "grammar" not in repr(a) and repr(a).startswith("CandidateInvariant(literals=")
+
+
+def test_a_cti_whose_depth_is_not_its_witness_length_is_refused(lockserver_protocol):
+    state = State(state_schema(lockserver_protocol), ())
+    step = Transition("a", (), 0, state)
+    assert CTI(state, 0, (step,), 1).depth_to_violation == 1
+    with pytest.raises(AssertionError):
+        CTI(state, 0, (step,), 2)
+    with pytest.raises(AssertionError):
+        CTI(state, 0, (), 0)
