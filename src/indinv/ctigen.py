@@ -38,8 +38,6 @@ from .instance import (  # noqa: F401
 from .syntax import (And, BoundRef, Expr, MapIndex, MapLit, Protocol, Quant, Record,
                      StateRef, canonicalize, children)
 
-_set = object.__setattr__  # how the hot records' own __init__ store fields
-
 DEFAULT_LIMIT = 1_000_000  # default bound on states enumerated or reached and on a table's entries
 
 
@@ -48,14 +46,6 @@ class CTI(Record):
     code: int
     witness: tuple[Transition, ...]
     depth_to_violation: int
-
-    def __init__(self, state: State, code: int, witness: tuple[Transition, ...],
-                 depth_to_violation: int) -> None:
-        _set(self, "state", state)
-        _set(self, "code", code)
-        _set(self, "witness", witness)
-        _set(self, "depth_to_violation", depth_to_violation)
-        self.__post_init__()
 
     def __post_init__(self):
         assert self.depth_to_violation == len(self.witness) >= 1

@@ -64,8 +64,6 @@ from .syntax import (
     canonicalize,
 )
 
-_set = object.__setattr__  # how the hot records' own __init__ store fields
-
 Env = dict[str, str]
 Binding = tuple[tuple[str, str], ...]  # (parameter, element)
 Compiled = Callable[[State, Env], Value]
@@ -78,12 +76,6 @@ class Transition(Record):
     binding: Binding
     pre_code: int
     post: State
-
-    def __init__(self, action: str, binding: Binding, pre_code: int, post: State) -> None:
-        _set(self, "action", action)
-        _set(self, "binding", binding)
-        _set(self, "pre_code", pre_code)
-        _set(self, "post", post)
 
 
 # ---------------------------------------------------------------------------

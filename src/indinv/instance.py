@@ -29,7 +29,7 @@ from .syntax import (
     ValueType,
 )
 
-_set = object.__setattr__  # how the hot records' own __init__ store fields
+_set = object.__setattr__  # how State and MapV's own __init__ store fields
 
 
 class Instance(Record):
@@ -94,7 +94,7 @@ class StateSchema(Record):
     types: tuple[ValueType, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "_index", {n: i for i, n in enumerate(self.names)})
+        _set(self, "_index", {n: i for i, n in enumerate(self.names)})
 
     def index(self, name: str) -> int:
         return self._index[name]

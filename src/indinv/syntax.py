@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from typing import Callable, Iterator
 
-_set = object.__setattr__
-
 
 class Record:
     """Base of the engine's record classes, built without generating code.
@@ -20,8 +18,9 @@ class Record:
     ``__post_init__`` last. Records are equal when of the same class with
     equal fields, leaving out ``hidden`` ones, which ``repr`` also omits. A
     frozen record (the default) hashes as that tuple and refuses assignment;
-    one with ``frozen=False`` is unhashable. A record built by the thousand
-    defines its own ``__init__``: the generic one takes about twice as long.
+    one with ``frozen=False`` is unhashable. ``State`` and ``MapV``, which the
+    codec builds by the thousand, define their own ``__init__``: the generic
+    one takes about twice as long.
     """
 
     _fields: tuple[str, ...] = ()
@@ -42,8 +41,7 @@ class Record:
         fields = self._fields
         if kwargs or len(args) != len(fields):
             args = self._bind(args, kwargs)
-        for name, value in zip(fields, args):
-            _set(self, name, value)
+        self.__dict__.update(zip(fields, args))
         self.__post_init__()
 
     def _bind(self, args: tuple, kwargs: dict) -> list:
