@@ -1,7 +1,6 @@
 """Bundled benchmark protocols with their grammars and default instances."""
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
 
 NAMES = ("lockserver", "consensus", "twophase", "declock", "election")
@@ -16,7 +15,7 @@ DEFAULT_INSTANCES = {
 
 
 def _file(name: str) -> Path:
-    return Path(str(resources.files(__package__) / name))
+    return Path(__file__).with_name(name)
 
 
 def protocol_path(name: str) -> Path:

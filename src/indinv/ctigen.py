@@ -308,18 +308,19 @@ class Ctis(Sequence):
         return isinstance(other, Sequence) and list(self) == list(other)
 
 
-def _exact_ctis(table: WalkTable, inside: list[int], depth: int, cap: int) -> CtiBatch:
-    """The first cap, in code order, of Ind's codes ``inside`` with a path of
-    at most depth steps through Ind to a code outside it.
+def _exact_ctis(table: WalkTable, inside: list[int], good, depth: int, cap: int) -> CtiBatch:
+    """The first cap, in the order of ``inside``, of Ind's codes ``inside``
+    with a path of at most depth steps through Ind to a code outside it;
+    ``good(code)`` tells whether a code is in Ind.
 
     Pass k finds the codes whose shortest such path has k steps, each by its
     first firing out of Ind (k = 1), else into a code found before; the
     passes stop at depth or at the first that finds none. Pass 1 steps each
-    code once, judging guards only up to its first firing out of Ind, and
-    keeps the enabled (firing, successor) pairs of the codes it leaves open;
-    the later passes only look those up.
+    code once, judging guards only up to its first firing out of Ind. At
+    depth 1 it stops at the cap; deeper, it keeps the enabled (firing,
+    successor) pairs of the codes it leaves open, and the later passes only
+    look those up.
     """
-    ok = set(inside)
     guards, successor = list(enumerate(table.guards)), table.successor
     found: dict[int, tuple[int, int]] = {}  # code -> (firing, successor)
     moves: dict[int, list[tuple[int, int]]] = {}  # open code -> its (firing, successor)s
@@ -329,12 +330,15 @@ def _exact_ctis(table: WalkTable, inside: list[int], depth: int, cap: int) -> Ct
             if not guard(c):
                 continue
             d = successor(c, i)
-            if d not in ok:
+            if not good(d):
                 found[c] = (i, d)
                 break
             pairs.append((i, d))
         else:
-            moves[c] = pairs
+            if depth > 1:
+                moves[c] = pairs
+        if depth == 1 and len(found) >= cap:
+            break
     for _ in range(2, depth + 1):
         added = {}
         for c, pairs in moves.items():
@@ -347,7 +351,8 @@ def _exact_ctis(table: WalkTable, inside: list[int], depth: int, cap: int) -> Ct
         found.update(added)
         for c in added:
             del moves[c]
-    return CtiBatch(Ctis(table, sorted(found)[:cap], found), len(inside), len(inside))
+    codes = list(itertools.islice(filter(found.__contains__, inside), cap))
+    return CtiBatch(Ctis(table, codes, found), len(inside), len(inside))
 
 
 def _sample_walks(table: WalkTable, good, budget: int, depth: int, cap: int,
@@ -422,7 +427,7 @@ def generate_ctis(
     conjuncts = conjuncts_of(ind)
     inside = table.inside(conjuncts, n_ctis)
     if inside is not None:
-        return _exact_ctis(table, inside, depth, cap)
+        return _exact_ctis(table, inside, set(inside).__contains__, depth, cap)
     return _sample_walks(table, table.good(conjuncts), n_ctis, depth, cap, rng)
 
 

@@ -14,19 +14,20 @@ so a last such batch with no CTI means no step leaves Ind on the instance;
 otherwise success means walks started inside Ind and none found a CTI, and
 a last batch with no start inside Ind ends the run with ``fail``. Every
 batch stays codes: selection scores its CTIs' codes and the loop counts the
-eliminated ones, so a run builds no CTI state or witness.
-``check_induction`` then validates the result on the instance, exhaustively
-when the state space fits its limit and by sampling otherwise, with a
-``WalkTable`` of its own.
+eliminated ones, and safety is judged on the reachable codes, so a run
+decodes no state. ``check_induction`` then validates the result on the
+instance, exhaustively when the state space fits its limit and by sampling
+otherwise, with a ``WalkTable`` of its own; its consecution is the depth-1
+exact CTI batch of one CTI.
 """
 from __future__ import annotations
 
 import random
 
-from .ctigen import DEFAULT_LIMIT, CtiBatch, WalkTable, generate_ctis
+from .ctigen import DEFAULT_LIMIT, CtiBatch, WalkTable, _exact_ctis, generate_ctis
 from .errors import ConfigError, UnsafeProtocolError
-from .evaluator import Transition, compile_expr, holds, initial_state
-from .instance import Instance, State, format_state, state_schema
+from .evaluator import Transition, holds, initial_state
+from .instance import Instance, State, format_state
 from .invgen import LemmaRepository, generate_lemma_invariants, term_size_schedule
 from .reachability import ReachSet, compute_reach
 from .selection import choose_greedy
@@ -111,12 +112,11 @@ def infer_inductive_invariant(
         nonlocal reach, rounds, sampled
         if reach is None:
             reach = compute_reach(protocol, instance, config.reach_limit)
-            safe = compile_expr(safety, instance, state_schema(protocol))
-            for s in reach.states:
-                if safe(s, {}) is not True:
-                    raise UnsafeProtocolError(
-                        f"safety predicate fails at reachable state: {format_state(s)}"
-                    )
+            safe = table.verdict(safety).holds
+            unsafe = next((c for c in reach.codes if not safe(c)), None)
+            if unsafe is not None:
+                raise UnsafeProtocolError("safety predicate fails at reachable state: "
+                                          + format_state(reach.codec.decode(unsafe)))
         rounds += 1
         nterms = min(term_size_schedule(grammar, rounds), len(grammar.seeds))
         sampled += generate_lemma_invariants(reach, grammar, repo, config.n_lemmas, nterms, rng)
@@ -201,11 +201,12 @@ def check_induction(
     When the state space has at most ``limit`` states the check is
     exhaustive: the table's leaf search lists every type-correct state that
     satisfies the conjunction (unreachable ones included, as induction
-    requires), and consecution is tested from each; otherwise it draws
-    ``n_samples`` random states, and a pass is evidence, not proof. The
-    report's ``mode`` says which. Strengthening passes structurally when the
-    first conjunct is the safety predicate, else it is checked code by code
-    against the safety's verdict table.
+    requires); otherwise it draws ``n_samples`` random states, and a pass is
+    evidence, not proof. The report's ``mode`` says which. Consecution is
+    the depth-1 exact CTI batch of those codes capped at one CTI, which is
+    the witness. Strengthening passes structurally when the first conjunct
+    is the safety predicate, else it is checked code by code against the
+    safety's verdict table.
     """
     if not conjuncts:
         raise ConfigError("induction check needs at least one conjunct")
@@ -217,8 +218,8 @@ def check_induction(
     structural = canonical_text(conjuncts[0]) == canonical_text(protocol.safety)
 
     # Each condition gets a complete verdict over every checked code, with the
-    # first witness in code order, then firing order. A fresh table, never an
-    # inference's, judges codes.
+    # first witness in the order checked, then firing order. A fresh table,
+    # never an inference's, judges codes.
     table = WalkTable(protocol, instance, limit)
     codec = table.codec
     if codec.size <= limit:
@@ -228,14 +229,14 @@ def check_induction(
         rng = random.Random(seed)
         mode, checked, good = "sampled", n_samples, table.good(conjuncts)
         inside = [c for c in [codec.random_code(rng) for _ in range(n_samples)] if good(c)]
-    step = next(((c, i, d) for c in inside for i in table.enabled(c)
-                 if not good(d := table.successor(c, i))), None)
+    ctis = _exact_ctis(table, inside, good, 1, 1).ctis
     consecution_witness: tuple[State, Transition, int] | None = None
-    if step is not None:
-        code, i, post = step
+    if ctis:
+        cti = ctis[0]
+        t, = cti.witness
+        post = codec.encode(t.post)
         bad = next(k for k, c in enumerate(conjuncts) if not table.verdict(c).holds(post))
-        t = table.transition(code, i, codec.decode(post))
-        consecution_witness = (codec.decode(code), t, bad)
+        consecution_witness = (cti.state, t, bad)
     weak = None
     if not structural:
         safe = table.verdict(protocol.safety).holds

@@ -157,14 +157,15 @@ class StateCodec:
     significant: leaf j's digit is ``code // leaf_weights[j] % radix``, and
     ``var_leaves`` numbers each variable's leaves. ``random_code`` draws
     each leaf's digit with one rng call, and ``random_state`` builds the
-    drawn code's state. ``decode`` interns each variable's value by its
-    digits, so decoded states share them, while ``build`` interns none. Both
-    share map entry values by leaf digit. ``projection`` numbers the codes
-    by the digits of a set of leaves. Equal states have equal codes, so a code
-    is a state's identity: reachability dedups by ``encode``, and CTIs and
-    witness steps carry codes. CTI searches, ``Rows`` and ``check_induction``
-    work on codes alone, through projections. A codec depends only on the
-    state schema and the instance.
+    drawn code's state. ``build`` is the one way to make a code's state, and
+    ``decode`` the entry point of readers that ask for one (a witness, a
+    message, ``ReachSet.states``); states share map entry values by leaf
+    digit. ``projection`` numbers the codes by the digits of a set of
+    leaves. Equal states have equal codes, so a code is a state's identity:
+    reachability dedups by ``encode``, and CTIs and witness steps carry
+    codes. CTI searches, ``Rows`` and ``check_induction`` work on codes
+    alone, through projections. A codec depends only on the state schema
+    and the instance.
     """
 
     def __init__(self, schema: StateSchema, instance: Instance) -> None:
@@ -184,7 +185,6 @@ class StateCodec:
         self.weights = [self.leaf_weights[max(v.values())] for v in self.var_leaves.values()]
         self.size = math.prod(self.radices)
         self.entry_values: list[dict[int, Value]] = [{} for _ in self.vars]  # by leaf digit
-        self.interned: list[dict[int, Value]] = [{} for _ in self.vars]
 
     def random_code(self, rng: random.Random) -> int:
         getrandbits, randrange = rng.getrandbits, rng.randrange
@@ -201,18 +201,10 @@ class StateCodec:
         return code
 
     def decode(self, code: int) -> State:
-        values = []
-        for i, (w, r) in enumerate(zip(self.weights, self.radices)):
-            d = code // w % r
-            v = self.interned[i].get(d)
-            if v is None:
-                v = self.interned[i][d] = self._value(i, d)
-            values.append(v)
-        return State(self.schema, tuple(values))
+        return self.build(code)
 
     def build(self, code: int, only: Iterable[int] | None = None) -> State:
-        """``decode(code)`` of fresh values, interning nothing; given ``only``,
-        the variables at other indices are None."""
+        """The code's state; given ``only``, the variables at other indices are None."""
         values: list = [None] * len(self.vars)
         for i in range(len(values)) if only is None else only:
             values[i] = self._value(i, code // self.weights[i] % self.radices[i])

@@ -2,10 +2,9 @@
 
 BFS keeps discovery order deterministic and surfaces shallow states first.
 It steps codes through a ``WalkTable`` of its own, in ``successors``' firing
-order, and decodes each discovered code once.
+order, and keeps codes only: a state is decoded when a reader asks for it.
 """
 from __future__ import annotations
-
 
 from .ctigen import DEFAULT_LIMIT, WalkTable
 from .errors import ReachLimitError
@@ -15,16 +14,19 @@ from .syntax import Protocol, Record
 
 
 class ReachSet(Record, frozen=False):
-    """Reachable states in BFS discovery order, closed under successors, and
-    their codes in the same order under ``codec``."""
+    """The codes under ``codec`` of the reachable states, in BFS discovery
+    order, closed under successors; ``states`` decodes them on each read."""
 
-    states: list[State]
     instance: Instance
     codes: list[int]
     codec: StateCodec
 
+    @property
+    def states(self) -> list[State]:
+        return list(map(self.codec.decode, self.codes))
+
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.codes)
 
 
 def compute_reach(protocol: Protocol, instance: Instance, limit: int = DEFAULT_LIMIT) -> ReachSet:
@@ -54,5 +56,4 @@ def compute_reach(protocol: Protocol, instance: Instance, limit: int = DEFAULT_L
                     found[code] = None
                     nxt.append(code)
         frontier = nxt
-    codes = list(found)
-    return ReachSet(list(map(table.codec.decode, codes)), instance, codes, table.codec)
+    return ReachSet(instance, list(found), table.codec)

@@ -173,6 +173,7 @@ def test_criterion_4_lemma_soundness(small_benchmarks):
     per_benchmark = 2000
     for name, (protocol, grammar, instance) in small_benchmarks.items():
         reach = compute_reach(protocol, instance)
+        states = reach.states
         oracle_reach = oracles.o_reach(protocol, instance)
         rng, replay = random.Random(17), random.Random(17)
         rejected: list = []
@@ -187,7 +188,7 @@ def test_criterion_4_lemma_soundness(small_benchmarks):
             for cand in fresh_draws(grammar, per_benchmark // 2, nterms, replay, before):
                 if cand.id not in repo:
                     rejected.append(
-                        (cand, oracles.o_first_falsifier(cand.closed, reach.states, instance)))
+                        (cand, oracles.o_first_falsifier(cand.closed, states, instance)))
         for lemma in repo:
             for assign in oracle_reach.values():
                 if not oracles.o_holds(lemma.closed, assign, instance):

@@ -78,6 +78,19 @@ def test_infer_fail_exit_two(tmp_path):
     assert "status: fail" in out.read_text()
 
 
+def test_unsafe_protocol_exit_one_naming_the_state(tmp_path, capsys):
+    from .test_infer import UNSAFE, UNSAFE_GRAMMAR
+
+    proto, grammar = tmp_path / "unsafe.proto", tmp_path / "unsafe.grammar"
+    proto.write_text(UNSAFE)
+    grammar.write_text(UNSAFE_GRAMMAR)
+    code = main(["infer", str(proto), "--grammar", str(grammar), "--instance", "A=a1,a2",
+                 "--out", str(tmp_path / "r.txt"), *FAST])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: safety predicate fails at reachable state: s={a1}, t=true\n"
+
+
 def test_election_on_four_nodes_succeeds_from_an_exact_last_round(tmp_path, capsys):
     # its last Ind has 1380 codes, at most --n-ctis, so its last batch is
     # exact and shows no CTI; walks there started from random codes, none
@@ -250,6 +263,16 @@ def test_importing_the_cli_leaves_hashlib_unimported():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_importing_the_cli_without_site_leaves_importlib_resources_unimported():
+    # without site, nothing else imports it: bundled files are found next to the package
+    code = "import sys, indinv.cli; print('importlib.resources' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_importing_the_cli_leaves_dataclasses_and_inspect_unimported():

@@ -14,7 +14,7 @@ from indinv.infer import (
     infer_inductive_invariant,
     render_result,
 )
-from indinv.instance import parse_instance, random_state, state_schema
+from indinv.instance import parse_instance, random_state, state_codec, state_schema
 from indinv.parser import parse_expression, parse_grammar, parse_protocol
 from indinv.reachability import compute_reach
 from indinv.selection import choose_greedy
@@ -96,9 +96,9 @@ def test_every_conjunct_is_an_invariant_even_on_failure(lockserver):
     result = infer_inductive_invariant(
         protocol, instance, grammar, InferenceConfig(seed=1, n_lemmas=400, n_ctis=2000)
     )
-    reach = compute_reach(protocol, instance)
+    states = compute_reach(protocol, instance).states
     for conjunct in result.conjuncts:
-        assert all(holds(conjunct, s, instance) for s in reach.states)
+        assert all(holds(conjunct, s, instance) for s in states)
 
 
 def test_success_is_validated_by_exhaustive_induction(small_benchmarks):
@@ -152,6 +152,19 @@ def test_determinism_of_conjunct_lists(lockserver):
     assert render_result(a, None, "lockserver") == render_result(b, None, "lockserver")
 
 
+UNSAFE = """
+sort A
+var s : set<A>
+var t : bool
+init s = {}
+init t = false
+action Add(a: A) { s := s + {a}; }
+action T() { t := true; }
+safety NotBoth: s = {} \\/ ~t
+"""
+UNSAFE_GRAMMAR = "template forall a: A.\nseed a in s\nmax_terms 1"
+
+
 def test_unsafe_protocol_detected():
     text = (
         "sort A\nvar s : set<A>\ninit s = {}\n"
@@ -160,11 +173,18 @@ def test_unsafe_protocol_detected():
     )
     protocol = parse_protocol(text)
     instance = parse_instance("A=a1", protocol)
-    grammar = parse_grammar("template forall a: A.\nseed a in s\nmax_terms 1", protocol)
+    grammar = parse_grammar(UNSAFE_GRAMMAR, protocol)
     with pytest.raises(UnsafeProtocolError):
         infer_inductive_invariant(
             protocol, instance, grammar, InferenceConfig(seed=0, n_lemmas=50, n_ctis=500)
         )
+    # the error names the first reachable state, in BFS order, that fails safety
+    protocol = parse_protocol(UNSAFE)
+    instance = parse_instance("A=a1,a2", protocol)
+    grammar = parse_grammar(UNSAFE_GRAMMAR, protocol)
+    with pytest.raises(UnsafeProtocolError) as err:
+        infer_inductive_invariant(protocol, instance, grammar, InferenceConfig(seed=0, **FAST))
+    assert str(err.value) == "safety predicate fails at reachable state: s={a1}, t=true"
 
 
 def test_invalid_config_rejected(lockserver):
@@ -205,6 +225,23 @@ def test_safety_alone_fails_consecution_with_replayable_witness(lockserver):
     ]
     assert len(matching) == 1
     assert matching[0].post == transition.post
+
+
+def test_consecution_steps_no_code_past_its_witness(all_benchmarks, monkeypatch):
+    # consecution is the depth-1 exact CTI batch of one CTI: it steps Ind's
+    # codes in code order and stops at the first with a successor outside Ind
+    protocol, _, instance = all_benchmarks["election"]
+    stepped = []
+    successor = WalkTable.successor
+    monkeypatch.setattr(WalkTable, "successor",
+                        lambda table, code, i: stepped.append(code) or successor(table, code, i))
+    report = check_induction(protocol, instance, [protocol.safety])
+    state, transition, violated = report.consecution_witness
+    code = transition.pre_code
+    assert state_codec(protocol, instance).encode(state) == code and violated == 0
+    assert stepped and max(stepped) == code
+    monkeypatch.undo()
+    assert any(c > code for c in WalkTable(protocol, instance).inside([protocol.safety]))
 
 
 def test_literal_false_fails_initiation(lockserver):

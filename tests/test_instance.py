@@ -166,14 +166,6 @@ def test_random_code_draws_like_random_state(small_benchmarks):
             assert r1.getrandbits(64) == r2.getrandbits(64), (name, seed)
 
 
-def test_decoded_states_share_values(lockserver_protocol, lockserver_instance):
-    codec = state_codec(lockserver_protocol, lockserver_instance)
-    # codes 0 and 1 differ only in the last leaf, so `locked` is one object
-    a, b = codec.decode(0), codec.decode(1)
-    assert a.values[0] is b.values[0]
-    assert a.values[1] is not b.values[1]
-
-
 def test_projection_is_the_number_of_the_named_digits(small_benchmarks):
     for name, (protocol, instance) in _codec_cases(small_benchmarks).items():
         codec = state_codec(protocol, instance)
@@ -214,17 +206,14 @@ def test_leaf_projection_follows_the_leaf_digits(small_benchmarks):
                 assert project(k) == expected, (name, subset, k)
 
 
-def test_built_states_equal_decoded_ones_and_intern_nothing(small_benchmarks):
+def test_built_states_equal_decoded_ones(small_benchmarks):
     for name, (protocol, instance) in _codec_cases(small_benchmarks).items():
         codec = state_codec(protocol, instance)
-        interned = [len(d) for d in codec.interned]
         n = len(codec.schema.names)
         size = state_space_size(protocol, instance)
         for k in range(0, size, 1 if size <= 4096 else 13):  # every code of the small cases
             s = codec.build(k)
-            assert [len(d) for d in codec.interned] == interned
             assert s == codec.decode(k), (name, k)
             for i in range(n):
                 part = codec.build(k, [i]).values
                 assert part[i] == s.values[i] and part.count(None) == n - 1, (name, k, i)
-            interned = [len(d) for d in codec.interned]

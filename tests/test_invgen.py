@@ -156,7 +156,8 @@ def test_falsified_candidate_excluded_with_reachable_witness(lockserver):
     # no single-term candidate is an invariant of the lock service: each one
     # drawn is rejected, and has a reachable state that falsifies it
     assert len(repo) == 0
-    rejected = [(cand, oracles.o_first_falsifier(cand.closed, reach.states, instance))
+    states = reach.states
+    rejected = [(cand, oracles.o_first_falsifier(cand.closed, states, instance))
                 for cand in fresh_draws(grammar, 500, 1, random.Random(0))]
     assert rejected
     oracle_reach = oracles.o_reach(protocol, instance)
@@ -229,8 +230,9 @@ def test_seed_evaluations_stay_within_groups_times_bindings(small_benchmarks, mo
     for nterms in (1, 2, 3):
         generate_lemma_invariants(reach, grammar, repo, 300, nterms, random.Random(nterms))
     assert set(calls) == set(grammar.seeds)
+    states = reach.states
     for seed in grammar.seeds:
-        groups = {tuple(s.value(v) for v in sorted(reads(seed))) for s in reach.states}
+        groups = {tuple(s.value(v) for v in sorted(reads(seed))) for s in states}
         sorts = [sort for _, v, sort in grammar.template if v in reads(seed, BoundRef)]
         bindings = len(list(itertools.product(*map(instance.domain, sorts))))
         assert calls[seed] <= len(groups) * bindings, to_str(seed)

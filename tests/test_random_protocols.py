@@ -45,6 +45,7 @@ def test_random_protocols_agree_with_the_oracles(case, data):
     holds = table.verdict(safety).holds
     other = parse_expression(to_str(data.draw(predicates(protocol))), protocol)
     safe, both = [], []  # the codes of the safety, and of the safety and other
+    steps = []  # each code's (action, binding, post code)s, in o_successors order
     for code in range(codec.size):
         assign = oracles.assign_from_state(codec.decode(code))
         ok = oracles.o_holds(safety, assign, instance)
@@ -61,6 +62,7 @@ def test_random_protocols_agree_with_the_oracles(case, data):
             for name, combo, post in oracles.o_successors(protocol, instance, assign)
         ]
         assert got == expected, (text, code)
+        steps.append(expected)
     for conjuncts, expected in (([safety], safe), ([safety, other], both)):
         assert WalkTable(protocol, instance).inside(conjuncts) == expected, (text, other)
         for bound in (len(expected), len(expected) + 1, codec.size):
@@ -73,11 +75,25 @@ def test_random_protocols_agree_with_the_oracles(case, data):
     assert len(reach) == len(expected_reach), text
     assert {oracles.freeze_state(s) for s in reach} == set(expected_reach), text
 
-    for conjuncts in ([safety], [safety, other]):
+    for conjuncts, inside in (([safety], safe), ([safety, other], both)):
         report = check_induction(protocol, instance, conjuncts)
         assert report.mode == "exhaustive"
         assert (report.initiation_ok, report.consecution_ok, report.strengthening_ok) == \
             oracles.o_check_induction(protocol, instance, conjuncts), (text, other)
+        # the witness: Ind's least code with a successor outside Ind, its first
+        # such firing, and the first conjunct that the post-state violates
+        ok = set(inside)
+        exits = [(code, name, combo, post) for code in inside
+                 for name, combo, post in steps[code] if post not in ok]
+        witness = report.consecution_witness
+        assert (witness is None) == (not exits), (text, other)
+        if exits:
+            state, t, violated = witness
+            assert (codec.encode(state), t.action, tuple(el for _, el in t.binding),
+                    codec.encode(t.post)) == exits[0], (text, other)
+            post = oracles.assign_from_state(t.post)
+            assert violated == next(k for k, c in enumerate(conjuncts)
+                                    if not oracles.o_holds(c, post, instance)), (text, other)
 
     batch = generate_ctis(protocol, instance, safety, codec.size, 2, 10**6, random.Random(0))
     assert {oracles.freeze_state(c.state): c.depth_to_violation for c in batch.ctis} == \

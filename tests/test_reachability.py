@@ -80,4 +80,6 @@ def test_reach_by_code_equals_bfs_by_fingerprint(all_benchmarks, small_benchmark
                                  parse_instance("Server=s1,s2,s3 Client=c1,c2,c3", lockserver)))]
     for name, (protocol, _, instance) in cases:
         expected = _bfs_by_fingerprint(protocol, instance)
-        assert compute_reach(protocol, instance).states == expected, name
+        reach = compute_reach(protocol, instance)
+        assert reach.codes == list(map(reach.codec.encode, expected)), name
+        assert reach.states == list(map(reach.codec.decode, reach.codes)) == expected, name

@@ -107,12 +107,13 @@ def test_groups_are_released_once_every_seed_has_its_rows(lockserver):
 def test_kept_set_and_rejections_equal_a_plain_recount(name, small_benchmarks):
     protocol, grammar, instance = small_benchmarks[name]
     reach = compute_reach(protocol, instance)
+    states = reach.states
     for nterms in (1, 2, 3):
         repo = LemmaRepository()
         generate_lemma_invariants(reach, grammar, repo, 200, nterms, random.Random(nterms))
         kept, first_bad = [], []
         for cand in fresh_draws(grammar, 200, nterms, random.Random(nterms)):
-            bad = oracles.o_first_falsifier(cand.closed, reach.states, instance)
+            bad = oracles.o_first_falsifier(cand.closed, states, instance)
             if bad is None:
                 kept.append(cand.id)
             else:
@@ -204,9 +205,10 @@ def test_random_protocol_rows_and_picks_equal_recounts(case, data):
     pool = list(_clauses(grammar))
     reach = compute_reach(protocol, instance)
     rows = Rows(reach.codes, reach.codec, grammar, instance)
+    states = reach.states
     for cand in pool:
         f = compile_expr(cand.closed, instance, reach.codec.schema)
-        expected = sum(1 << k for k, s in enumerate(reach.states) if f(s, {}) is True)
+        expected = sum(1 << k for k, s in enumerate(states) if f(s, {}) is True)
         assert rows.clause(cand.literals) == expected, (text, cand.id)
 
     size = reach.codec.size
