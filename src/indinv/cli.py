@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Exit codes: 0 success (inference succeeded and validated, or check passed),
-2 fail (inference or induction check failed or unchecked), 1 any error (usage,
-bad files, parse or type errors, limits). Past --reach-limit states the
-induction check samples: a pass is evidence, not proof, and with no sampled
-state inside the conjunction (ind=0) the check is unchecked.
+``infer`` finds CTIs, states of the candidate with a successor outside it,
+among all its codes when it has at most --n-ctis, else among --n-ctis random
+draws, then checks its result as ``check`` does. Exit codes: 0 success
+(inference succeeded and validated, or check passed), 2 fail (inference or
+induction check failed or unchecked), 1 any error (usage, bad files, parse
+or type errors, limits). Past --reach-limit states the induction check
+samples: a pass is evidence, not proof, and with no sampled state inside the
+conjunction (ind=0) the check is unchecked.
 """
 from __future__ import annotations
 
@@ -92,10 +95,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_infer.add_argument("--n-lemmas", type=_at_least(1), default=InferenceConfig.n_lemmas)
     p_infer.add_argument("--n-ctis", type=_at_least(1), default=InferenceConfig.n_ctis,
                          help="most codes of the candidate for an exact CTI set; "
-                              "past that, the random walks per batch")
+                              "past that, the random draws per batch")
     p_infer.add_argument("--cti-cap", type=_at_least(1), default=InferenceConfig.cti_cap)
-    p_infer.add_argument("--depth", type=_at_least(1), default=InferenceConfig.walk_depth,
-                         help="most steps from a CTI to a state outside the candidate")
     p_infer.add_argument("--max-regen", type=_at_least(0), default=InferenceConfig.max_regen_rounds,
                          help="lemma regeneration rounds before giving up")
     p_infer.add_argument("--out", help="result file (default: standard output)")
@@ -118,7 +119,6 @@ def cmd_infer(args) -> int:
         n_lemmas=args.n_lemmas,
         n_ctis=args.n_ctis,
         cti_cap=args.cti_cap,
-        walk_depth=args.depth,
         max_regen_rounds=args.max_regen,
         seed=args.seed,
         reach_limit=args.reach_limit,

@@ -1,17 +1,15 @@
-"""Counterexample-to-induction generation, exact or by randomized simulation.
+"""Counterexample-to-induction generation, exact or from random draws.
 
-A CTI of the candidate Ind is a state of Ind with a path of at most
-``depth`` steps through Ind to a state outside it, recorded by its code, a
-state's identity, with such a path as its witness, whose steps carry their
-pre-states' codes. A batch stays codes: ``Ctis`` keeps each CTI's code and
-each code's next step, and builds a CTI's state and witness only when it is
+A CTI of the candidate Ind is a state of Ind with a successor outside Ind,
+recorded by its code, a state's identity, with that step as its witness.
+``_ctis`` finds them among a stream of Ind's codes, keeping each code's
+first firing, in firing order, out of Ind; it serves every batch and the
+induction check's consecution. A batch stays codes: ``Ctis`` keeps each
+CTI's code and step, and builds a CTI's state and witness only when it is
 read, which selection and the inference loop never do. When Ind has at most
-as many codes as the call has walks, the batch is exact: every CTI at its
-shortest depth, found from Ind's codes, each stepped once, with no rng
-draw. Otherwise walks start from sampled codes of Ind, drawn with exactly
-``random_state``'s rng calls, and take uniformly random enabled
-transitions; a walk that leaves Ind at step k makes CTIs of its k earlier
-codes.
+``n_ctis`` codes the batch is exact: all of Ind in code order, with no rng
+draw. Otherwise it steps those of ``n_ctis`` uniform draws of a code, drawn
+with exactly ``random_state``'s rng calls, that land in Ind.
 
 A firing's guard, the change a firing makes to a code (a successor is code
 plus delta) and a conjunct's body under one binding of its leading
@@ -21,8 +19,8 @@ use; a conjunct is the AND of its bindings' tables, or one table of its own
 where that is no larger or theirs would pass the limit together. Ind's
 codes are found by a search over leaf digits that cuts a branch at the
 first such table to fail, so its cost follows Ind, not the whole space, and
-that stops past the walk count. An inference keeps one ``WalkTable`` for
-its searches; ``compute_reach`` and ``check_induction`` each make their own.
+that stops past ``n_ctis``. An inference keeps one ``WalkTable`` for its
+searches; ``compute_reach`` and ``check_induction`` each make their own.
 """
 from __future__ import annotations
 
@@ -44,16 +42,12 @@ DEFAULT_LIMIT = 1_000_000  # default bound on states enumerated or reached and o
 class CTI(Record):
     state: State
     code: int
-    witness: tuple[Transition, ...]
-    depth_to_violation: int
-
-    def __post_init__(self):
-        assert self.depth_to_violation == len(self.witness) >= 1
+    step: Transition  # to a state outside Ind
 
 
 class CtiBatch(Record, frozen=False):
-    """The CTIs found, the walks started (for an exact batch, the Ind codes
-    examined) and how many of those started inside Ind."""
+    """The CTIs found, the codes drawn (for an exact batch, Ind's codes) and
+    how many of those are in Ind."""
 
     ctis: Ctis
     samples_attempted: int
@@ -97,7 +91,7 @@ class Verdicts:
     time a code with that projection is asked about by evaluating the
     predicate on the code's state, of which only the variables it reads are
     built. ``holds`` makes the check for a caller to keep, the hot path of
-    walks and searches: a closure over the table, the projection and
+    CTI batches and searches: a closure over the table, the projection and
     ``evaluate``. The object does not keep it, so no reference cycle holds
     the table once its last user is gone. With more than ``limit``
     projections there is no table, and each call evaluates.
@@ -166,7 +160,7 @@ class WalkTable:
     on every call. ``inside(conjuncts, bound)`` lists the codes of their
     conjunction, up to bound of them, by a search over leaf digits, pruned by
     the parts' tables.
-    ``transition`` builds the witness step of a firing from a code to a state.
+    ``transition`` builds a CTI's step by a firing from a code to a state.
     """
 
     def __init__(self, protocol: Protocol, instance: Instance, limit: int = DEFAULT_LIMIT) -> None:
@@ -275,11 +269,10 @@ class WalkTable:
 
 class Ctis(Sequence):
     """A batch's CTIs as their ``codes``, in the order found, and each
-    code's step ``(firing, next code)`` along its witness, which ends at the
-    first code without one, outside Ind; a CTI's depth is its length.
+    code's step ``(firing, successor code)`` out of Ind.
 
     ``len`` builds nothing. An item is the ``CTI`` of its code, its state and
-    witness decoded when it is read; ``subset`` keeps some of the codes.
+    step decoded when it is read; ``subset`` keeps some of the codes.
     """
 
     def __init__(self, table: WalkTable, codes: list[int], steps: dict[int, tuple[int, int]]):
@@ -292,14 +285,9 @@ class Ctis(Sequence):
     def __getitem__(self, k):
         if isinstance(k, slice):
             return [self[j] for j in range(*k.indices(len(self.codes)))]
-        decode, steps = self.codec.decode, self._steps
-        code = c = self.codes[k]
-        witness = []
-        while c in steps:
-            i, d = steps[c]
-            witness.append(self._table.transition(c, i, decode(d)))
-            c = d
-        return CTI(decode(code), code, tuple(witness), len(witness))
+        decode, code = self.codec.decode, self.codes[k]
+        i, d = self._steps[code]
+        return CTI(decode(code), code, self._table.transition(code, i, decode(d)))
 
     def subset(self, ks: Iterable[int]) -> Ctis:
         return Ctis(self._table, [self.codes[k] for k in ks], self._steps)
@@ -308,95 +296,38 @@ class Ctis(Sequence):
         return isinstance(other, Sequence) and list(self) == list(other)
 
 
-def _exact_ctis(table: WalkTable, inside: list[int], good, depth: int, cap: int) -> CtiBatch:
-    """The first cap, in the order of ``inside``, of Ind's codes ``inside``
-    with a path of at most depth steps through Ind to a code outside it;
-    ``good(code)`` tells whether a code is in Ind.
-
-    Pass k finds the codes whose shortest such path has k steps, each by its
-    first firing out of Ind (k = 1), else into a code found before; the
-    passes stop at depth or at the first that finds none. Pass 1 steps each
-    code once, judging guards only up to its first firing out of Ind. At
-    depth 1 it stops at the cap; deeper, it keeps the enabled (firing,
-    successor) pairs of the codes it leaves open, and the later passes only
-    look those up.
-    """
+def _ctis(table: WalkTable, codes: Iterable[int], good, cap: int) -> dict[int, tuple[int, int]]:
+    """Each CTI among ``codes``, codes of Ind, with its first firing, in
+    firing order, to a successor outside Ind, as ``{code: (firing,
+    successor)}`` in the order of ``codes``, stopping at cap CTIs;
+    ``good(code)`` tells whether a code is in Ind. A code met twice is kept
+    once."""
     guards, successor = list(enumerate(table.guards)), table.successor
-    found: dict[int, tuple[int, int]] = {}  # code -> (firing, successor)
-    moves: dict[int, list[tuple[int, int]]] = {}  # open code -> its (firing, successor)s
-    for c in inside:
-        pairs = []
+    steps: dict[int, tuple[int, int]] = {}
+    for c in codes:
         for i, guard in guards:
-            if not guard(c):
-                continue
-            d = successor(c, i)
-            if not good(d):
-                found[c] = (i, d)
+            if guard(c) and not good(d := successor(c, i)):
+                steps[c] = (i, d)
                 break
-            pairs.append((i, d))
-        else:
-            if depth > 1:
-                moves[c] = pairs
-        if depth == 1 and len(found) >= cap:
+        if len(steps) >= cap:
             break
-    for _ in range(2, depth + 1):
-        added = {}
-        for c, pairs in moves.items():
-            for i, d in pairs:
-                if d in found:
-                    added[c] = (i, d)
-                    break
-        if not added:
-            break
-        found.update(added)
-        for c in added:
-            del moves[c]
-    codes = list(itertools.islice(filter(found.__contains__, inside), cap))
-    return CtiBatch(Ctis(table, codes, found), len(inside), len(inside))
+    return steps
 
 
-def _sample_walks(table: WalkTable, good, budget: int, depth: int, cap: int,
-                  rng: random.Random) -> CtiBatch:
-    """At most cap CTIs from up to budget walks of up to depth uniformly
-    random enabled firings, each from a uniformly drawn code of Ind. A walk
-    that leaves Ind at step k adds its first k codes that no walk added
-    before, in walk order; a code keeps the step of the walk that left Ind
-    soonest after it."""
-    random_code, moves, step = table.codec.random_code, table.enabled, table.successor
-    codes: list[int] = []
-    steps: dict[int, tuple[int, int]] = {}  # code -> (firing, next code)
-    out: dict[int, int] = {}  # code -> the fewest steps a walk took from it out of ind
-    attempts = starts = 0
-    for _ in range(budget):
-        if len(codes) >= cap:
-            break
-        attempts += 1
-        key = random_code(rng)
-        if not good(key):  # the draw does not satisfy ind
-            continue
-        starts += 1
-        path = [key]
-        taken: list[int] = []
-        for _step in range(depth):
-            choices = moves(key)
-            if not choices:
-                break
-            i = choices[rng.randrange(len(choices))]
-            key = step(key, i)
-            path.append(key)
-            taken.append(i)
-            if good(key):
-                continue
-            # codes path[0..k-1] all satisfy ind; those new to out are CTIs up
-            # to the cap, and reaching the cap ends the batch
-            k = len(taken)
-            codes += [c for c in dict.fromkeys(path[:k]) if c not in out][:cap - len(codes)]
-            # backward, so out strictly falls along every witness: none cycles
-            for j in range(k - 1, -1, -1):
-                if k - j < out.get(path[j], k + 1):
-                    steps[path[j]], out[path[j]] = (taken[j], path[j + 1]), k - j
-            break
-    return CtiBatch(Ctis(table, codes, steps), attempts, starts)
+def _sampled(table: WalkTable, good, n: int, cap: int, rng: random.Random) -> CtiBatch:
+    """The CTIs among up to n uniformly drawn codes, of those in Ind, drawn
+    only while fewer than cap are found."""
+    random_code, counts = table.codec.random_code, [0, 0]  # draws, and those in Ind
+
+    def draws():
+        for _ in range(n):
+            counts[0] += 1
+            code = random_code(rng)
+            if good(code):
+                counts[1] += 1
+                yield code
+    steps = _ctis(table, draws(), good, cap)
+    return CtiBatch(Ctis(table, list(steps), steps), *counts)
 
 
 def generate_ctis(
@@ -404,60 +335,50 @@ def generate_ctis(
     instance: Instance,
     ind: Expr,
     n_ctis: int,
-    depth: int,
     cap: int,
     rng: random.Random,
     table: WalkTable | None = None,
 ) -> CtiBatch:
-    """At most cap distinct CTIs of ind, each with a witness of at most depth
-    steps: the exact set in code order when ind has at most n_ctis codes,
-    else those of up to n_ctis sampled walks.
+    """At most cap distinct CTIs of ind: the exact set in code order when ind
+    has at most n_ctis codes, else those among n_ctis random draws.
 
     Deterministic given the rng: the batch and the rng's next draw depend only
     on its state on entry, and an exact batch draws nothing. ``table`` is an
     inference's table for this protocol and instance; without one, a fresh
     table serves this call alone.
     """
-    if depth < 1:
-        raise ValueError("walk depth must be at least 1")
     if cap < 1:
         raise ValueError("CTI cap must be at least 1")
     if table is None or table.space != (protocol, instance):
         table = WalkTable(protocol, instance)
     conjuncts = conjuncts_of(ind)
     inside = table.inside(conjuncts, n_ctis)
-    if inside is not None:
-        return _exact_ctis(table, inside, set(inside).__contains__, depth, cap)
-    return _sample_walks(table, table.good(conjuncts), n_ctis, depth, cap, rng)
+    if inside is None:
+        return _sampled(table, table.good(conjuncts), n_ctis, cap, rng)
+    steps = _ctis(table, inside, set(inside).__contains__, cap)
+    return CtiBatch(Ctis(table, list(steps), steps), len(inside), len(inside))
 
 
 def replay_witness_diagnosis(
     cti: CTI, protocol: Protocol, instance: Instance, ind: Expr
 ) -> str | None:
-    """None when every witness step is one of ``successors`` of its pre-state
-    and only the last leaves the predicate; else names the failing step."""
-    encode = state_codec(protocol, instance).encode
-    if encode(cti.state) != cti.code:
-        return "step 0: stored code does not match the start state"
+    """None when the CTI's state satisfies the predicate and its step is one
+    of ``successors`` of that state to a state that does not; else names
+    what fails."""
+    if state_codec(protocol, instance).encode(cti.state) != cti.code:
+        return "stored code does not match the state"
     ind_f = compile_expr(ind, instance, cti.state.schema)
     if ind_f(cti.state, {}) is not True:
-        return "step 0: start state does not satisfy the predicate"
-    cur = cti.state
-    last = len(cti.witness) - 1
-    for i, t in enumerate(cti.witness):
-        if encode(cur) != t.pre_code:
-            return f"step {i}: pre-state code mismatch"
-        if t not in successors(cur, protocol, instance):
-            return f"step {i}: not a transition of the protocol from the pre-state"
-        if i == last:
-            if ind_f(t.post, {}) is True:
-                return f"step {i}: final state still satisfies the predicate"
-        elif ind_f(t.post, {}) is not True:
-            return f"step {i}: intermediate state violates the predicate"
-        cur = t.post
+        return "state does not satisfy the predicate"
+    if cti.step.pre_code != cti.code:
+        return "pre-state code mismatch"
+    if cti.step not in successors(cti.state, protocol, instance):
+        return "not a transition of the protocol from the state"
+    if ind_f(cti.step.post, {}) is True:
+        return "post-state still satisfies the predicate"
     return None
 
 
 def replay_witness(cti: CTI, protocol: Protocol, instance: Instance, ind: Expr) -> bool:
-    """True iff the recorded witness replays exactly and ends in violation."""
+    """True iff the recorded step replays exactly and leaves the predicate."""
     return replay_witness_diagnosis(cti, protocol, instance, ind) is None

@@ -1,30 +1,31 @@
 """Top-level inference loop and the finite-instance induction checker.
 
 The loop keeps a candidate Ind, initially the safety predicate. While CTIs
-of Ind exist it conjoins the repository lemma that eliminates the most of
-them, then regenerates CTIs against the strengthened candidate. When no
-lemma helps, it resamples the repository at the next term size a bounded
-number of times before giving up; a failed run still returns the partial
-conjunction since its lemmas are invariants in their own right.
+of Ind exist, states of Ind with a successor outside it, it conjoins the
+repository lemma that eliminates the most of them, then regenerates CTIs
+against the strengthened candidate. When no lemma helps, it resamples the
+repository at the next term size a bounded number of times before giving
+up; a failed run still returns the partial conjunction since its lemmas
+are invariants in their own right.
 
 One ``WalkTable`` serves every CTI search of the run. Its tables, each of at
 most ``reach_limit`` entries, persist across rounds.
-When Ind has at most ``n_ctis`` codes a search returns the exact CTI set,
-so a last such batch with no CTI means no step leaves Ind on the instance;
-otherwise success means walks started inside Ind and none found a CTI, and
-a last batch with no start inside Ind ends the run with ``fail``. Every
-batch stays codes: selection scores its CTIs' codes and the loop counts the
+When Ind has at most ``n_ctis`` codes a batch is exact, so a last such
+batch with no CTI means no step leaves Ind on the instance; otherwise
+success means some random draws landed in Ind and none was a CTI, and a
+last batch with no draw in Ind ends the run with ``fail``. Every batch
+stays codes: selection scores its CTIs' codes and the loop counts the
 eliminated ones, and safety is judged on the reachable codes, so a run
 decodes no state. ``check_induction`` then validates the result on the
 instance, exhaustively when the state space fits its limit and by sampling
-otherwise, with a ``WalkTable`` of its own; its consecution is the depth-1
-exact CTI batch of one CTI.
+otherwise, with a ``WalkTable`` of its own; its consecution is the CTI rule
+of the batches, capped at one CTI.
 """
 from __future__ import annotations
 
 import random
 
-from .ctigen import DEFAULT_LIMIT, CtiBatch, WalkTable, _exact_ctis, generate_ctis
+from .ctigen import DEFAULT_LIMIT, CtiBatch, WalkTable, _ctis, generate_ctis
 from .errors import ConfigError, UnsafeProtocolError
 from .evaluator import Transition, holds, initial_state
 from .instance import Instance, State, format_state
@@ -38,7 +39,6 @@ class InferenceConfig(Record, frozen=False):
     n_lemmas: int = 15000
     n_ctis: int = 50000
     cti_cap: int = 10000
-    walk_depth: int = 3
     max_regen_rounds: int = 3
     seed: int = 0
     reach_limit: int = DEFAULT_LIMIT
@@ -48,7 +48,6 @@ class InferenceConfig(Record, frozen=False):
             "n_lemmas": self.n_lemmas,
             "n_ctis": self.n_ctis,
             "cti_cap": self.cti_cap,
-            "walk_depth": self.walk_depth,
             "reach_limit": self.reach_limit,
         }
         for name, value in positive.items():
@@ -60,7 +59,7 @@ class InferenceConfig(Record, frozen=False):
     def describe(self) -> str:
         return (
             f"n_lemmas={self.n_lemmas} n_ctis={self.n_ctis} cti_cap={self.cti_cap} "
-            f"walk_depth={self.walk_depth} max_regen_rounds={self.max_regen_rounds}"
+            f"max_regen_rounds={self.max_regen_rounds}"
         )
 
 
@@ -104,8 +103,7 @@ def infer_inductive_invariant(
 
     def ctis_for(current: Expr) -> CtiBatch:
         return generate_ctis(
-            protocol, instance, current, config.n_ctis, config.walk_depth,
-            config.cti_cap, rng, table=table,
+            protocol, instance, current, config.n_ctis, config.cti_cap, rng, table=table,
         )
 
     def sample_round() -> None:
@@ -138,7 +136,7 @@ def infer_inductive_invariant(
         conjuncts.append(lemma.closed)
         eliminated_total += len(eliminated)
         batch = ctis_for(conjunction(conjuncts))
-    if not batch.starts:  # a batch with no start inside Ind shows nothing about Ind
+    if not batch.starts:  # a batch with no draw in Ind shows nothing about Ind
         status = "fail"
 
     return InferenceResult(
@@ -202,11 +200,11 @@ def check_induction(
     exhaustive: the table's leaf search lists every type-correct state that
     satisfies the conjunction (unreachable ones included, as induction
     requires); otherwise it draws ``n_samples`` random states, and a pass is
-    evidence, not proof. The report's ``mode`` says which. Consecution is
-    the depth-1 exact CTI batch of those codes capped at one CTI, which is
-    the witness. Strengthening passes structurally when the first conjunct
-    is the safety predicate, else it is checked code by code against the
-    safety's verdict table.
+    evidence, not proof. The report's ``mode`` says which. Consecution's
+    witness is the first CTI among those codes, by the batches' rule, with
+    the first conjunct its step's post-state violates. Strengthening passes
+    structurally when the first conjunct is the safety predicate, else it is
+    checked code by code against the safety's verdict table.
     """
     if not conjuncts:
         raise ConfigError("induction check needs at least one conjunct")
@@ -229,14 +227,11 @@ def check_induction(
         rng = random.Random(seed)
         mode, checked, good = "sampled", n_samples, table.good(conjuncts)
         inside = [c for c in [codec.random_code(rng) for _ in range(n_samples)] if good(c)]
-    ctis = _exact_ctis(table, inside, good, 1, 1).ctis
     consecution_witness: tuple[State, Transition, int] | None = None
-    if ctis:
-        cti = ctis[0]
-        t, = cti.witness
-        post = codec.encode(t.post)
+    for code, (i, post) in _ctis(table, inside, good, 1).items():  # at most one
         bad = next(k for k, c in enumerate(conjuncts) if not table.verdict(c).holds(post))
-        consecution_witness = (cti.state, t, bad)
+        consecution_witness = (codec.decode(code), table.transition(code, i, codec.decode(post)),
+                               bad)
     weak = None
     if not structural:
         safe = table.verdict(protocol.safety).holds

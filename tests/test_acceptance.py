@@ -220,20 +220,20 @@ def test_criterion_5_cti_validity(lockserver, small_benchmarks):
             if not holds(ind, cti.state, inst) or not replay_witness(cti, proto, inst, ind):
                 invalid += 1
 
-    # batches across benchmarks and depths
+    # batches across benchmarks
     for name, (proto, _, inst) in small_benchmarks.items():
-        batch = generate_ctis(proto, inst, proto.safety, 4000, 3, 10000, random.Random(1))
+        batch = generate_ctis(proto, inst, proto.safety, 4000, 10000, random.Random(1))
         validate(proto, inst, proto.safety, batch)
 
-    # exhaustive depth-1 equality at the stated budget
-    big = generate_ctis(protocol, instance, protocol.safety, 50000, 1, 10000, random.Random(0))
+    # exhaustive equality at the stated budget
+    big = generate_ctis(protocol, instance, protocol.safety, 50000, 10000, random.Random(0))
     validate(protocol, instance, protocol.safety, big)
     oracle_set = oracles.o_cti_depth1(protocol, instance, protocol.safety)
     generated = {oracles.freeze_state(c.state) for c in big.ctis}
     _report(
         "5 (CTI validity)",
         invalid == 0 and generated == oracle_set,
-        f"{batches} batches all valid ({invalid} invalid), depth-1 set "
+        f"{batches} batches all valid ({invalid} invalid), CTI set "
         f"{len(generated)}/{len(oracle_set)} matches the exhaustive oracle",
     )
 
@@ -243,7 +243,7 @@ def test_criterion_5_cti_validity(lockserver, small_benchmarks):
 
 def test_criterion_6_greedy_maximality(lockserver):
     protocol, grammar, instance = lockserver
-    batch = generate_ctis(protocol, instance, protocol.safety, 8000, 3, 10000, random.Random(2))
+    batch = generate_ctis(protocol, instance, protocol.safety, 8000, 10000, random.Random(2))
     assert len(batch) >= 10
     pool = [
         build_candidate(grammar, tuple(zip(idxs, negs)))

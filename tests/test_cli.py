@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import math
 import os
 import re
@@ -57,13 +58,6 @@ def test_infer_different_seeds_still_succeed(tmp_path):
     assert main(_infer_args(out, seed=5)) == 0
 
 
-def test_infer_at_any_depth_exit_zero(tmp_path):
-    # lockserver's 64 states get exact CTI sets, whatever the depth
-    out = tmp_path / "r.txt"
-    assert main([*_infer_args(out, seed=7), "--depth", "300"]) == 0
-    assert "walk_depth=300" in out.read_text()
-
-
 def test_infer_fail_exit_two(tmp_path):
     grammar = tmp_path / "useless.grammar"
     grammar.write_text("template forall s: Server.\nseed true\nmax_terms 1\n")
@@ -93,8 +87,8 @@ def test_unsafe_protocol_exit_one_naming_the_state(tmp_path, capsys):
 
 def test_election_on_four_nodes_succeeds_from_an_exact_last_round(tmp_path, capsys):
     # its last Ind has 1380 codes, at most --n-ctis, so its last batch is
-    # exact and shows no CTI; walks there started from random codes, none
-    # of them inside Ind, and the run ended fail with exit 2
+    # exact and shows no CTI; walks from random codes there once found none
+    # inside Ind, and the run ended fail with exit 2
     out = tmp_path / "r.txt"
     assert main(["infer", "election", "--grammar", "election", "--instance",
                  "Node=n1,n2,n3,n4", "--seed", "7", "--out", str(out)]) == 0
@@ -388,17 +382,15 @@ def test_cli_defaults_are_the_library_defaults():
     args = build_arg_parser().parse_args(["infer", "lockserver", "--grammar", "lockserver"])
     config = InferenceConfig()
     assert (
-        args.seed, args.n_lemmas, args.n_ctis, args.cti_cap, args.depth,
-        args.max_regen, args.reach_limit,
+        args.seed, args.n_lemmas, args.n_ctis, args.cti_cap, args.max_regen, args.reach_limit,
     ) == (
-        config.seed, config.n_lemmas, config.n_ctis, config.cti_cap, config.walk_depth,
-        config.max_regen_rounds, config.reach_limit,
+        config.seed, config.n_lemmas, config.n_ctis, config.cti_cap, config.max_regen_rounds,
+        config.reach_limit,
     )
     assert config.reach_limit == DEFAULT_LIMIT
     assert config == InferenceConfig(  # as cmd_infer builds it
         n_lemmas=args.n_lemmas, n_ctis=args.n_ctis, cti_cap=args.cti_cap,
-        walk_depth=args.depth, max_regen_rounds=args.max_regen, seed=args.seed,
-        reach_limit=args.reach_limit,
+        max_regen_rounds=args.max_regen, seed=args.seed, reach_limit=args.reach_limit,
     )
     assert f"(default {DEFAULT_LIMIT})" in README.read_text()
 
@@ -406,6 +398,25 @@ def test_cli_defaults_are_the_library_defaults():
 def test_readme_config_line_is_the_default_config():
     lines = [line for line in README.read_text().splitlines() if line.startswith("config: ")]
     assert lines == ["config: " + InferenceConfig().describe()]
+
+
+def test_readme_infer_flags_are_the_parser_options():
+    # README's sentence on infer's own flags names exactly the infer options
+    # that are neither required nor shared with reach, each with its default,
+    # so a removed or renamed flag cannot stay in the docs
+    text = " ".join(README.read_text().split())
+    start = text.index("Its own flags: ")
+    sentence = text[start:text.index(". ", start)]
+    documented = dict(re.findall(r"`(--[a-z-]+)[^`]*`(?: \((\d+))?", sentence))
+    subparsers = next(a for a in build_arg_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    infer, reach = subparsers.choices["infer"], subparsers.choices["reach"]
+    common = {o for a in reach._actions for o in a.option_strings}
+    own = {a.option_strings[-1]: "" if a.default is None else str(a.default)
+           for a in infer._actions
+           if a.option_strings and not a.required and not common & set(a.option_strings)}
+    assert documented == own
+    assert "`indinv infer PROTO --grammar G [flags]`" in text
 
 
 def test_readme_example_is_the_lockserver_seed_7_result():
@@ -424,11 +435,12 @@ def test_help_exits_zero(capsys):
 
 @pytest.mark.parametrize("flag,value", [
     ("--reach-limit", "0"), ("--n-lemmas", "0"), ("--n-ctis", "-1"), ("--cti-cap", "0"),
-    ("--depth", "0"), ("--max-regen", "-1"), ("--depth", "three"),
+    ("--depth", "0"), ("--max-regen", "-1"), ("--depth", "three"), ("--depth", "3"),
 ])
 def test_out_of_range_count_is_usage_error_on_infer(flag, value, capsys):
+    # --depth is no option: a CTI is one step from a state outside the candidate
     err = _usage_error(["infer", "lockserver", "--grammar", "lockserver", flag, value], capsys)
-    assert flag in err
+    assert flag in err and "Traceback" not in err
 
 
 def test_zero_reach_limit_is_usage_error_on_reach_and_check(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from indinv import ctigen
 from indinv.ctigen import generate_ctis, replay_witness, replay_witness_diagnosis
-from indinv.evaluator import Transition, compile_expr, firings, holds, successors
+from indinv.evaluator import compile_expr, holds, successors
 from indinv.infer import check_induction, conjunction
 from indinv.instance import (
     MapV, State, fingerprint, parse_instance, random_state, state_codec, state_schema,
@@ -34,26 +34,26 @@ def _state(protocol, locked, held):
     )
 
 
-def _batch(lockserver, ind, n=4000, depth=3, cap=10000, seed=0):
+def _batch(lockserver, ind, n=4000, cap=10000, seed=0):
     """A batch on lockserver 2x2: with n at least its 64 states, the exact set."""
     protocol, _, instance = lockserver
-    return generate_ctis(protocol, instance, ind, n, depth, cap, random.Random(seed))
+    return generate_ctis(protocol, instance, ind, n, cap, random.Random(seed))
 
 
 LOCKSERVER_4X4 = "Server=s1,s2,s3,s4 Client=c1,c2,c3,c4"
 
 
-def _walks(table, ind, budget, depth, cap, rng):
-    """The sparse walker's batch of ind on the table, however few codes ind has."""
+def _draws(table, ind, budget, cap, rng):
+    """The sampled batch of ind on the table, however few codes ind has."""
     good = table.good(ctigen.conjuncts_of(ind))
-    return ctigen._sample_walks(table, good, budget, depth, cap, rng)
+    return ctigen._sampled(table, good, budget, cap, rng)
 
 
-def _walk_batch(lockserver, ind, n=4000, depth=3, cap=10000, seed=0):
-    """n sampled walks on lockserver 4x4."""
+def _sampled_batch(lockserver, ind, n=4000, cap=10000, seed=0):
+    """The CTIs among n random draws on lockserver 4x4."""
     protocol = lockserver[0]
     table = ctigen.WalkTable(protocol, parse_instance(LOCKSERVER_4X4, protocol))
-    return _walks(table, ind, n, depth, cap, random.Random(seed))
+    return _draws(table, ind, n, cap, random.Random(seed))
 
 
 def _o_size(protocol, instance, ind):
@@ -64,7 +64,7 @@ def _o_size(protocol, instance, ind):
 def test_known_one_step_cti_is_recorded(lockserver):
     protocol, _, instance = lockserver
     safe = protocol.safety
-    batch = _batch(lockserver, safe, n=20000, depth=1)
+    batch = _batch(lockserver, safe, n=20000)
     target = _state(protocol, {"s1": True, "s2": True}, {"c1": {"s1"}, "c2": set()})
     assert state_codec(protocol, instance).encode(target) in {c.code for c in batch.ctis}
 
@@ -72,10 +72,10 @@ def test_known_one_step_cti_is_recorded(lockserver):
 def test_inductive_candidate_yields_empty_batch(lockserver):
     protocol, _, instance = lockserver
     ind = And((protocol.safety, parse_expression(A1_TEXT, protocol)))
-    walked = _walk_batch(lockserver, ind, n=5000)
-    assert len(walked) == 0
-    assert walked.samples_attempted == 5000
-    assert 0 < walked.starts < 5000  # a quarter of the codes are in ind
+    sampled = _sampled_batch(lockserver, ind, n=5000)
+    assert len(sampled) == 0
+    assert sampled.samples_attempted == 5000
+    assert 0 < sampled.starts < 5000  # 1296 of the 2^20 codes are in ind
     exact = _batch(lockserver, ind, n=5000)
     assert len(exact) == 0
     # an exact batch counts the codes of ind it examined, and starts from each
@@ -100,14 +100,14 @@ def test_all_ctis_satisfy_ind_and_replay(lockserver):
 
 
 def test_no_duplicate_codes(lockserver):
-    for make in (_batch, _walk_batch):
+    for make in (_batch, _sampled_batch):
         batch = make(lockserver, lockserver[0].safety, n=5000)
         codes = [c.code for c in batch.ctis]
         assert len(codes) == len(set(codes)) > 0, make
 
 
 def test_cap_bounds_batch_size(lockserver):
-    for make in (_batch, _walk_batch):
+    for make in (_batch, _sampled_batch):
         batch = make(lockserver, lockserver[0].safety, n=20000, cap=3)
         assert len(batch) == 3, make
 
@@ -120,11 +120,26 @@ def test_exact_cap_keeps_the_first_ctis_in_code_order(lockserver):
     assert capped.samples_attempted == whole.samples_attempted
 
 
-def test_witness_depths_within_walk_depth(lockserver):
-    for make in (_batch, _walk_batch):
-        batch = make(lockserver, lockserver[0].safety, n=3000, depth=3)
-        assert all(1 <= c.depth_to_violation <= 3 for c in batch.ctis)
-        assert all(len(c.witness) == c.depth_to_violation for c in batch.ctis)
+def _assert_first_firing_steps(protocol, instance, ind, ctis):
+    """Each CTI replays, and its step is its state's first firing, in the
+    oracle's firing order, to a state outside ind."""
+    for cti in ctis:
+        assert replay_witness(cti, protocol, instance, ind), cti.code
+        first = next((name, combo) for name, combo, post in oracles.o_successors(
+            protocol, instance, oracles.assign_from_state(cti.state))
+            if not oracles.o_holds(ind, post, instance))
+        assert (cti.step.action, tuple(el for _, el in cti.step.binding)) == first, cti.code
+
+
+def test_each_step_is_the_first_firing_out_of_ind(lockserver):
+    # exact and sampled batches apply one rule: a code of Ind with its first
+    # firing to a code outside Ind
+    protocol, _, small = lockserver
+    big = parse_instance(LOCKSERVER_4X4, protocol)
+    for make, instance in ((_batch, small), (_sampled_batch, big)):
+        batch = make(lockserver, protocol.safety, n=3000)
+        assert len(batch) > 0, make
+        _assert_first_firing_steps(protocol, instance, protocol.safety, batch.ctis[:200])
 
 
 def test_tampered_witness_post_state_detected(lockserver):
@@ -133,11 +148,9 @@ def test_tampered_witness_post_state_detected(lockserver):
     batch = _batch(lockserver, safe, n=3000)
     cti = batch.ctis[0]
     bad_state = _state(protocol, {"s1": True, "s2": True}, {"c1": set(), "c2": set()})
-    last = replace(cti.witness[-1], post=bad_state)
-    tampered = replace(cti, witness=cti.witness[:-1] + (last,))
+    tampered = replace(cti, step=replace(cti.step, post=bad_state))
     diag = replay_witness_diagnosis(tampered, protocol, instance, safe)
-    assert diag is not None
-    assert f"step {len(cti.witness) - 1}" in diag
+    assert diag == "not a transition of the protocol from the state"
     assert not replay_witness(tampered, protocol, instance, safe)
 
 
@@ -149,45 +162,40 @@ def test_start_state_violating_ind_detected(lockserver):
     violating = _state(protocol, {"s1": False, "s2": False}, {"c1": {"s1"}, "c2": {"s1"}})
     tampered = replace(cti, state=violating, code=state_codec(protocol, instance).encode(violating))
     diag = replay_witness_diagnosis(tampered, protocol, instance, safe)
-    assert diag is not None
-    assert "step 0" in diag
+    assert diag == "state does not satisfy the predicate"
 
 
-def _deep_cti(lockserver):
-    """A walk's CTI of safety whose witness has at least two steps, and its
-    replay; on lockserver 2x2 every exact CTI of safety is one step deep."""
+def _sampled_cti(lockserver):
+    """A sampled CTI of safety on lockserver 4x4, and its replay."""
     protocol = lockserver[0]
     instance = parse_instance(LOCKSERVER_4X4, protocol)
-    batch = _walk_batch(lockserver, protocol.safety, n=20000, seed=4)
-    cti = next(c for c in batch.ctis if c.depth_to_violation >= 2)
+    cti = _sampled_batch(lockserver, protocol.safety, n=20000, seed=4).ctis[0]
     return cti, lambda c: replay_witness_diagnosis(c, protocol, instance, protocol.safety)
 
 
 def test_witness_steps_carry_their_pre_state_codes(lockserver):
     protocol = lockserver[0]
     encode = state_codec(protocol, parse_instance(LOCKSERVER_4X4, protocol)).encode
-    cti, replay = _deep_cti(lockserver)
-    pres = [cti.state] + [t.post for t in cti.witness[:-1]]
-    assert cti.code == encode(cti.state)
-    assert [t.pre_code for t in cti.witness] == [encode(s) for s in pres]
+    cti, replay = _sampled_cti(lockserver)
+    assert cti.step.pre_code == cti.code == encode(cti.state)
     assert replay(cti) is None
 
 
 def test_tampered_code_detected(lockserver):
-    cti, replay = _deep_cti(lockserver)
+    cti, replay = _sampled_cti(lockserver)
     tampered = replace(cti, code=cti.code + 1)
-    assert replay(tampered) == "step 0: stored code does not match the start state"
+    assert replay(tampered) == "stored code does not match the state"
 
 
 def test_tampered_pre_code_at_step_one_detected(lockserver):
-    cti, replay = _deep_cti(lockserver)
-    step = replace(cti.witness[1], pre_code=cti.witness[1].pre_code + 1)
-    tampered = replace(cti, witness=(cti.witness[0], step, *cti.witness[2:]))
-    assert replay(tampered) == "step 1: pre-state code mismatch"
+    # a CTI's witness is one step, from the CTI's own code
+    cti, replay = _sampled_cti(lockserver)
+    tampered = replace(cti, step=replace(cti.step, pre_code=cti.code + 1))
+    assert replay(tampered) == "pre-state code mismatch"
 
 
 def test_deterministic_at_one_worker(lockserver):
-    for make in (_batch, _walk_batch):
+    for make in (_batch, _sampled_batch):
         a = make(lockserver, lockserver[0].safety, seed=9)
         b = make(lockserver, lockserver[0].safety, seed=9)
         assert [c.code for c in a.ctis] == [c.code for c in b.ctis]
@@ -195,78 +203,75 @@ def test_deterministic_at_one_worker(lockserver):
 
 
 def test_worker_batches_are_valid(lockserver):
-    # every CTI of a larger batch of walks, at every depth, replays exactly
+    # every CTI of a larger sampled batch replays exactly
     protocol = lockserver[0]
     instance = parse_instance(LOCKSERVER_4X4, protocol)
     safe = protocol.safety
-    batch = _walk_batch(lockserver, safe, n=20000, seed=4)
-    assert {c.depth_to_violation for c in batch.ctis} == {1, 2, 3}
+    batch = _sampled_batch(lockserver, safe, n=20000, seed=4)
+    assert len(batch) > 0
     for cti in batch.ctis:
         assert replay_witness(cti, protocol, instance, safe)
 
 
 def test_depth1_batch_matches_exhaustive_oracle_at_modest_budget(lockserver):
-    # the exact batch is the oracle's set; walks at a modest budget miss at
+    # the exact batch is the oracle's set; draws at a modest budget miss at
     # most one of its CTIs
     protocol, _, instance = lockserver
     safe = protocol.safety
     oracle = oracles.o_cti_depth1(protocol, instance, safe)
-    exact = _batch(lockserver, safe, n=20000, depth=1)
+    exact = _batch(lockserver, safe, n=20000)
     assert {oracles.freeze_state(c.state) for c in exact.ctis} == oracle
-    ctis, _, _ = _walk(protocol, instance, ctigen.WalkTable(protocol, instance), safe,
-                       20000, 1, 10000, 0)
+    ctis, *_ = _sample(ctigen.WalkTable(protocol, instance), safe, 20000, 10000, 0)
     generated = {oracles.freeze_state(c.state) for c in ctis}
     assert generated <= oracle
     assert len(oracle - generated) <= 1  # tiny budget slack
 
 
 def test_invalid_depth_and_cap_rejected(lockserver):
+    # a cap below 1 is refused, and so is a depth: a CTI is one step deep
     protocol, _, instance = lockserver
     with pytest.raises(ValueError):
-        generate_ctis(protocol, instance, protocol.safety, 10, 0, 10, random.Random(0))
-    with pytest.raises(ValueError):
-        generate_ctis(protocol, instance, protocol.safety, 10, 1, 0, random.Random(0))
+        generate_ctis(protocol, instance, protocol.safety, 10, 0, random.Random(0))
+    with pytest.raises(TypeError):
+        generate_ctis(protocol, instance, protocol.safety, 10, 10, random.Random(0), depth=1)
 
 
 def _stream_digest(batch, rng) -> str:
     """Digest of a batch in order, plus the next draw of the rng it consumed.
     Each CTI enters by the public fingerprint of its state, the number CTIs
-    carried before a state's code became its identity."""
+    carried before a state's code became its identity, and its step."""
     h = hashlib.sha256()
     for c in batch.ctis:
-        steps = " ".join(
-            "%s(%s)" % (t.action, ",".join(f"{p}={el}" for p, el in t.binding))
-            for t in c.witness
-        )
-        h.update(f"{fingerprint(c.state):016x} {c.depth_to_violation} {steps}\n".encode())
+        t = c.step
+        binding = ",".join(f"{p}={el}" for p, el in t.binding)
+        h.update(f"{fingerprint(c.state):016x} {t.action}({binding})\n".encode())
     h.update(f"samples={batch.samples_attempted} next={rng.getrandbits(64)}".encode())
     return h.hexdigest()[:16]
 
 
 # A change here means CTI generation consumes the random stream differently,
 # or finds other CTIs, and result files change with it. At a budget of 3000
-# walks, consensus (8 states), twophase (64) and lockserver (64) get the
+# draws, consensus (8 states), twophase (64) and lockserver (64) get the
 # exact CTI set, which draws nothing: their digests pin the set in code
-# order, its count of safety's codes and the untouched rng's next draw, and
-# were recomputed when the exact set replaced the dense walker's walks.
+# order, its count of safety's codes and the untouched rng's next draw.
 # Consensus and twophase have no CTI. Declock (4096 codes of safety),
-# election (16,384) and lockserver 4x4 (10,000) take the sparse walker,
-# which rejects draws by the safety's verdict table (8 entries over
-# declock's has_lock, 8 over election's leader, 65,536 over lockserver
-# 4x4's held) and steps by each firing's guard and delta tables. The
-# lockserver 4x4 digest was computed at commit ecc8221, before walks ran
-# over state codes or verdict tables. The declock and election digests were
-# recomputed when a walked CTI came to keep the step of the walk that left
-# Ind soonest after it, not the rest of the walk that found it: some
-# witnesses got shorter, while the codes, their order, the attempts and the
-# next draw stayed as before.
+# election (16,384) and lockserver 4x4 (10,000) are sampled: draws are
+# judged by the safety's verdict table (8 entries over declock's has_lock,
+# 8 over election's leader, 65,536 over lockserver 4x4's held) and those
+# in Ind stepped by each firing's guard and delta tables. The lockserver,
+# election, declock and lockserver 4x4 digests were recomputed when a CTI
+# became one step out of Ind and walks went: the digest lost its depth
+# field, and a sampled batch steps each draw in Ind by every firing instead
+# of walking random ones. Lockserver's digest is the parent's exact set at
+# depth 1; the sampled three find 3.5x, 2.2x and 2.4x the CTIs from as
+# many draws.
 PINNED_STREAMS = {
-    "lockserver": (None, "7545b10bfb6f5017"),
-    "election": (None, "d2f10c4a836ae4df"),
+    "lockserver": (None, "771277f1ec1ba959"),
+    "election": (None, "0dcc276d4aa36960"),
     "consensus": (None, "a6d45c882e03b3e8"),
     "twophase": (None, "e60058a1be939d4b"),
-    "declock": (None, "16e0048a572e170a"),
-    "lockserver-4x4": ("Server=s1,s2,s3,s4 Client=c1,c2,c3,c4", "e6fe1b34f9c623a9"),
+    "declock": (None, "3d36794f69b3f37e"),
+    "lockserver-4x4": ("Server=s1,s2,s3,s4 Client=c1,c2,c3,c4", "f9b118ac7da373f3"),
 }
 
 
@@ -277,27 +282,28 @@ def test_cti_stream_is_pinned(all_benchmarks, name):
     if inst_text is not None:
         instance = parse_instance(inst_text, protocol)
     rng = random.Random(2024)
-    batch = generate_ctis(protocol, instance, protocol.safety, 3000, 3, 10000, rng)
+    batch = generate_ctis(protocol, instance, protocol.safety, 3000, 10000, rng)
     assert len(batch) > 0 or name in ("consensus", "twophase")
     if state_space_size(protocol, instance) <= 3000:  # an exact batch draws nothing
         assert rng.getstate() == random.Random(2024).getstate()
     assert _stream_digest(batch, rng) == digest
 
 
-def _walk(protocol, instance, table, ind, budget, depth, cap, seed):
-    """(ctis, attempts, rng's next draw) of the sparse walker on a table."""
+def _sample(table, ind, budget, cap, seed):
+    """(ctis, draws, draws in ind, rng's next draw) of a sampled batch on a table."""
     rng = random.Random(seed)
-    batch = _walks(table, ind, budget, depth, cap, rng)
-    return batch.ctis, batch.samples_attempted, rng.getrandbits(64)
+    batch = _draws(table, ind, budget, cap, rng)
+    return batch.ctis, batch.samples_attempted, batch.starts, rng.getrandbits(64)
 
 
-def _reference_walks(protocol, instance, ind, budget, depth, cap, rng):
-    """The State walk as it was before codes and verdict tables, written out
-    in full: draw random_state, evaluate the compiled ind at every visit."""
-    fs = firings(protocol, instance)
+def _reference_draws(protocol, instance, ind, budget, cap, rng):
+    """The sampled batch written out over whole states, without codes or
+    tables: draw ``random_state``, evaluate the compiled ind on it, and step
+    a state of ind by ``successors``. Returns the CTIs, the draws, and the
+    states drawn in ind, in draw order."""
     encode = state_codec(protocol, instance).encode
     ind_f = compile_expr(ind, instance, state_schema(protocol))
-    ctis, seen, attempts = [], set(), 0
+    ctis, seen, attempts, inside = [], set(), 0, []
     for _ in range(budget):
         if len(ctis) >= cap:
             break
@@ -305,62 +311,44 @@ def _reference_walks(protocol, instance, ind, budget, depth, cap, rng):
         s = random_state(protocol, instance, rng)
         if ind_f(s, {}) is not True:
             continue
-        path, taken = [s], []
-        for _step in range(depth):
-            choices = [i for i, (guard, env, _) in enumerate(fs) if guard(s, env) is True]
-            if not choices:
-                break
-            i = choices[rng.randrange(len(choices))]
-            _, apply, _, env = fs[i][2]
-            s = apply(s, env)
-            path.append(s)
-            taken.append(i)
-            if ind_f(s, {}) is True:
-                continue
-            k = len(taken)
-            for j in range(k):
-                if path[j] in seen:
-                    continue
-                seen.add(path[j])
-                walk = tuple(Transition(fs[t][2][0], fs[t][2][2], encode(pre), post)
-                             for t, pre, post in zip(taken[j:], path[j:k], path[j + 1:]))
-                ctis.append(ctigen.CTI(path[j], encode(path[j]), walk, k - j))
-                if len(ctis) >= cap:
-                    break
-            break
-    return ctis, attempts
+        inside.append(s)
+        t = next((t for t in successors(s, protocol, instance) if ind_f(t.post, {}) is not True),
+                 None)
+        if t is not None and s not in seen:
+            seen.add(s)
+            ctis.append(ctigen.CTI(s, encode(s), t))
+    return ctis, attempts, inside
 
 
-def _walkers(protocol, instance, ind, budget, depth, cap, seed, limit=1_000_000):
-    """(ctis, attempts, rng's next draw) of a fresh table's sparse walker,
-    after asserting that the reference walk has the same CTI codes in the
-    same order, attempts and next draw, and that each of the walker's
-    witnesses replays, within depth steps and no longer than the
-    reference's, which is the rest of the walk that found its CTI."""
+def _samplers(protocol, instance, ind, budget, cap, seed, limit=1_000_000):
+    """(ctis, draws, draws in ind, rng's next draw) of a fresh table's
+    sampled batch, after asserting that the reference draws the same CTIs,
+    in the same order, with the same counts and next draw, and that each
+    CTI replays."""
     rng = random.Random(seed)
-    reference, attempts = _reference_walks(protocol, instance, ind, budget, depth, cap, rng)
+    reference, attempts, inside = _reference_draws(protocol, instance, ind, budget, cap, rng)
     table = ctigen.WalkTable(protocol, instance, limit)
-    walked = _walk(protocol, instance, table, ind, budget, depth, cap, seed)
-    ctis, *rest = walked
-    assert (ctis.codes, *rest) == ([c.code for c in reference], attempts, rng.getrandbits(64))
-    for cti, ref in zip(ctis, reference):
-        assert len(cti.witness) <= min(depth, len(ref.witness)), cti.code
+    sampled = _sample(table, ind, budget, cap, seed)
+    ctis, *rest = sampled
+    assert (list(ctis), *rest) == (reference, attempts, len(inside), rng.getrandbits(64))
+    for cti in ctis:
         assert replay_witness(cti, protocol, instance, ind), cti.code
-    return walked
+    return sampled
 
 
 @pytest.mark.parametrize("cap", [5, 10000])
 def test_code_walker_matches_state_walker(small_benchmarks, cap):
+    # the sampled batch over codes and tables equals the reference over states
     found = 0
     for name, (protocol, _, instance) in small_benchmarks.items():
         for seed in (0, 1, 2):
-            ctis = _walkers(protocol, instance, protocol.safety, 600, 3, cap, seed)[0]
+            ctis = _samplers(protocol, instance, protocol.safety, 600, cap, seed)[0]
             found += len(ctis)
     assert found > 0
 
 
-# Two states satisfy ~bad, k=a and k=b; Go and Back move between them and
-# Crash violates from a. A walk a -> b -> a -> crash visits a twice.
+# Two states satisfy ~bad, k=a and k=b. Crash violates from a; b's only
+# step, Back, goes to a, inside ~bad, so a is the one CTI.
 REVISIT_PROTO = """
 var k : enum {a, b}
 var bad : bool
@@ -374,19 +362,15 @@ safety S: ~bad
 
 
 def test_walk_that_revisits_a_state_records_it_once():
-    # each state is a CTI once, and keeps its shortest way out: a by Crash,
-    # b by Back then Crash, even where the walk that found them revisited a
+    # a state drawn many times is one CTI, with its step out by Crash
     protocol = parse_protocol(REVISIT_PROTO)
     instance = parse_instance("", protocol)
-    revisits = 0
     for seed in range(20):
-        ctis = _walkers(protocol, instance, protocol.safety, 40, 3, 100, seed)[0]
-        assert {c.state.value("k"): [t.action for t in c.witness] for c in ctis} == \
-            {"a": ["Crash"], "b": ["Back", "Crash"]}
-        reference, _ = _reference_walks(protocol, instance, protocol.safety, 40, 3, 100,
+        ctis = _samplers(protocol, instance, protocol.safety, 40, 100, seed)[0]
+        assert [(c.state.value("k"), c.step.action) for c in ctis] == [("a", "Crash")]
+        _, _, inside = _reference_draws(protocol, instance, protocol.safety, 40, 100,
                                         random.Random(seed))
-        revisits += any(t.post == c.state for c in reference for t in c.witness)
-    assert revisits > 0
+        assert sum(s.value("k") == "a" for s in inside) > 1
 
 
 # Each bundled benchmark's conjuncts at seed 7 with the CLI defaults, safety
@@ -453,12 +437,12 @@ def test_shared_table_matches_fresh_table_and_state_walker(small_benchmarks, cap
             shared = ctigen.WalkTable(protocol, instance)
             for ind in inds:
                 assert _inside(shared, ind) == _filter(protocol, instance, ind), (name, seed)
-                exact = generate_ctis(protocol, instance, ind, 600, 3, cap, random.Random(seed),
+                exact = generate_ctis(protocol, instance, ind, 600, cap, random.Random(seed),
                                       table=shared)
-                assert exact == generate_ctis(protocol, instance, ind, 600, 3, cap,
+                assert exact == generate_ctis(protocol, instance, ind, 600, cap,
                                               random.Random(seed))
-                by_shared = _walk(protocol, instance, shared, ind, 600, 3, cap, seed)
-                by_fresh = _walkers(protocol, instance, ind, 600, 3, cap, seed)
+                by_shared = _sample(shared, ind, 600, cap, seed)
+                by_fresh = _samplers(protocol, instance, ind, 600, cap, seed)
                 assert by_shared == by_fresh, (name, seed, to_str(ind))
                 found += len(by_shared[0]) + len(exact)
     assert found > 0
@@ -466,21 +450,21 @@ def test_shared_table_matches_fresh_table_and_state_walker(small_benchmarks, cap
 
 def test_the_kind_of_batch_follows_the_codes_of_ind(small_benchmarks):
     # exact, drawing nothing, when ind has at most n_ctis codes, whatever
-    # the size of the space; n_ctis walks when it has one more
+    # the size of the space; n_ctis draws when it has one more
     found = 0
     for name, (protocol, _, instance) in small_benchmarks.items():
         table = ctigen.WalkTable(protocol, instance)
         for ind in _ind_sequence(name, protocol):
             n = len(_filter(protocol, instance, ind))
             rng = random.Random(5)
-            exact = generate_ctis(protocol, instance, ind, n, 3, 10**6, rng, table=table)
-            assert exact == _exact(protocol, instance, ind, 3) and exact.samples_attempted == n
+            exact = generate_ctis(protocol, instance, ind, n, 10**6, rng, table=table)
+            assert exact == _exact(protocol, instance, ind) and exact.samples_attempted == n
             assert rng.getstate() == random.Random(5).getstate()
-            walked = generate_ctis(protocol, instance, ind, n - 1, 3, 10**6, random.Random(5),
-                                   table=table)
-            assert walked == _walks(table, ind, n - 1, 3, 10**6, random.Random(5)), name
-            assert walked.samples_attempted == n - 1
-            found += len(exact) + len(walked)
+            sampled = generate_ctis(protocol, instance, ind, n - 1, 10**6, random.Random(5),
+                                    table=table)
+            assert sampled == _draws(table, ind, n - 1, 10**6, random.Random(5)), name
+            assert sampled.samples_attempted == n - 1
+            found += len(exact) + len(sampled)
     assert found > 0
 
 
@@ -503,8 +487,8 @@ def test_a_bounded_search_stops_inside_a_run(all_benchmarks, monkeypatch):
     assert table.inside([protocol.safety], 50_000) is None
     assert 50_001 < judged[0] < 500_000
     rng = random.Random(0)
-    batch = generate_ctis(protocol, instance, protocol.safety, 50_000, 3, 10, rng, table=table)
-    assert batch.samples_attempted < 50_000 and len(batch) == 10  # walked to the cap
+    batch = generate_ctis(protocol, instance, protocol.safety, 50_000, 10, rng, table=table)
+    assert batch.samples_attempted < 50_000 and len(batch) == 10  # drawn up to the cap
 
 
 def test_search_follows_an_ind_that_does_not_extend_the_last(lockserver):
@@ -525,17 +509,17 @@ def test_generate_ctis_builds_a_table_for_another_instance(small_benchmarks):
     lock_p, _, lock_i = small_benchmarks["lockserver"]
     elect_p, _, elect_i = small_benchmarks["election"]
     table = ctigen.WalkTable(lock_p, lock_i)
-    shared = generate_ctis(elect_p, elect_i, elect_p.safety, 600, 3, 100, random.Random(4),
+    shared = generate_ctis(elect_p, elect_i, elect_p.safety, 600, 100, random.Random(4),
                            table=table)
-    fresh = generate_ctis(elect_p, elect_i, elect_p.safety, 600, 3, 100, random.Random(4))
+    fresh = generate_ctis(elect_p, elect_i, elect_p.safety, 600, 100, random.Random(4))
     assert shared == fresh and len(fresh) > 0
 
 
-def _exact(protocol, instance, ind, depth, cap=10**6, table=None):
+def _exact(protocol, instance, ind, cap=10**6, table=None):
     """The uncapped exact batch, after asserting that it drew nothing."""
     rng = random.Random(0)
     size = state_space_size(protocol, instance)
-    batch = generate_ctis(protocol, instance, ind, size, depth, cap, rng, table=table)
+    batch = generate_ctis(protocol, instance, ind, size, cap, rng, table=table)
     assert rng.getstate() == random.Random(0).getstate()
     return batch
 
@@ -549,67 +533,50 @@ def test_closure_agrees_with_the_induction_checks(all_benchmarks, small_benchmar
         inds = _ind_sequence(name, protocol)
         for ind in (inds[0], inds[-1]):
             conjuncts = ctigen.conjuncts_of(ind)
-            # ind is closed under steps iff its depth-1 exact batch is empty
-            closed = len(_exact(protocol, instance, ind, 1)) == 0
+            # ind is closed under steps iff its exact batch is empty
+            closed = len(_exact(protocol, instance, ind)) == 0
             report = check_induction(protocol, instance, conjuncts)
             assert report.mode == "exhaustive"
             assert closed == report.consecution_ok, (name, to_str(ind))
             for inst in oracle_instances:
                 _, consecution, _ = oracles.o_check_induction(protocol, inst, conjuncts)
-                assert (len(_exact(protocol, inst, ind, 1)) == 0) == consecution, name
+                assert (len(_exact(protocol, inst, ind)) == 0) == consecution, name
         assert closed, name  # each seed-7 result is inductive on its instance
 
 
 # -- exact CTI sets -------------------------------------------------------------
 
 
-def _exact_pairs(batch):
-    return {oracles.freeze_state(c.state): c.depth_to_violation for c in batch.ctis}
-
-
-def _assert_first_firing_witnesses(protocol, instance, ind, batch, layers):
-    """Each CTI replays, and each step is the first firing, in firing order,
-    out of ind (last step) or into the oracle's previous layer."""
-    for cti in batch.ctis:
-        assert replay_witness(cti, protocol, instance, ind)
-        state = cti.state
-        for t in cti.witness:
-            k = layers[oracles.freeze_state(state)]
-            first = next((name, combo) for name, combo, post in oracles.o_successors(
-                protocol, instance, oracles.assign_from_state(state))
-                if layers.get(oracles.o_freeze(post), 0) == k - 1
-                and (k > 1 or not oracles.o_holds(ind, post, instance)))
-            assert (t.action, tuple(el for _, el in t.binding)) == first
-            state = t.post
-
-
 def test_exact_batches_equal_the_oracle(small_benchmarks):
     found = 0
     for name, (protocol, _, instance) in small_benchmarks.items():
         for ind in _ind_sequence(name, protocol):
-            for depth in (1, 2, 3):
-                layers = oracles.o_ctis(protocol, instance, ind, depth)
-                batch = _exact(protocol, instance, ind, depth)
-                assert _exact_pairs(batch) == layers, (name, depth, to_str(ind))
-                assert batch.samples_attempted == _o_size(protocol, instance, ind)
-                _assert_first_firing_witnesses(protocol, instance, ind, batch, layers)
-                found += len(batch)
+            batch = _exact(protocol, instance, ind)
+            states = [oracles.freeze_state(c.state) for c in batch.ctis]
+            assert set(states) == oracles.o_cti_depth1(protocol, instance, ind), \
+                (name, to_str(ind))
+            assert batch.ctis.codes == sorted(batch.ctis.codes)
+            assert batch.samples_attempted == _o_size(protocol, instance, ind)
+            _assert_first_firing_steps(protocol, instance, ind, batch.ctis)
+            found += len(batch)
     assert found > 0
 
 
-def test_sparse_walks_find_exact_ctis_at_no_smaller_depth(small_benchmarks):
+def test_sampled_ctis_are_exact_ctis(small_benchmarks):
+    # a sampled batch applies the exact batch's rule to the draws in Ind
     found = 0
     for name, (protocol, _, instance) in small_benchmarks.items():
         size = state_space_size(protocol, instance)
         table = ctigen.WalkTable(protocol, instance)
         for ind in _ind_sequence(name, protocol):
-            exact = _exact_pairs(_exact(protocol, instance, ind, 3))
+            exact = _exact(protocol, instance, ind).ctis
+            by_code = dict(zip(exact.codes, exact))
             for seed in (0, 1):
-                walked = _walks(table, ind, size - 1, 3, 10000, random.Random(seed))
-                assert walked.samples_attempted == size - 1 or len(walked) == 10000
-                for cti in walked.ctis:
-                    assert exact[oracles.freeze_state(cti.state)] <= cti.depth_to_violation
-                found += len(walked)
+                sampled = _draws(table, ind, size - 1, 10000, random.Random(seed))
+                assert sampled.samples_attempted == size - 1 or len(sampled) == 10000
+                for cti in sampled.ctis:
+                    assert by_code[cti.code] == cti, (name, cti.code)
+                found += len(sampled)
     assert found > 0
 
 
@@ -626,47 +593,33 @@ def _counter_protocol(bits):
     return parse_protocol("\n".join(lines))
 
 
-def test_exact_batch_holds_any_depth():
-    # past 255 steps: the top bit of 9 is 256 increments away from zero
+def test_only_the_last_step_to_a_violation_makes_a_cti():
+    # zero is 256 increments from the top bit of 9, but only the state one
+    # increment away, all low bits set, has a successor outside safety
     protocol = _counter_protocol(9)
     instance = parse_instance("", protocol)
-    layers = oracles.o_ctis(protocol, instance, protocol.safety, 300)
-    batch = _exact(protocol, instance, protocol.safety, 300)
-    assert _exact_pairs(batch) == layers
-    assert sorted(layers.values()) == list(range(1, 257))
-    _assert_first_firing_witnesses(protocol, instance, protocol.safety, batch, layers)
-    shallow = _exact(protocol, instance, protocol.safety, 255)
-    assert _exact_pairs(shallow) == {s: k for s, k in layers.items() if k <= 255}
+    batch = _exact(protocol, instance, protocol.safety)
+    cti, = batch.ctis
+    assert [cti.state.value(f"b{j}") for j in range(9)] == [True] * 8 + [False]
+    assert {oracles.freeze_state(cti.state)} == \
+        oracles.o_cti_depth1(protocol, instance, protocol.safety)
+    assert cti.step.action == "Inc8" and replay_witness(cti, protocol, instance, protocol.safety)
+    assert batch.samples_attempted == 256
 
 
-def _eager_exact(protocol, instance, ind, depth, cap):
+def _eager_exact(protocol, instance, ind, cap):
     """The exact CTIs built whole, without the tables: a plain filter lists
-    ind's codes, and pass k steps each open code by ``successors`` of its
-    decoded state to the first post-state outside ind (k = 1) or found
-    before."""
+    ind's codes, and each is stepped by ``successors`` of its decoded state
+    to the first post-state outside ind."""
     codec = state_codec(protocol, instance)
-    inside = _filter(protocol, instance, ind)
-    ok = set(inside)
-    found = {}  # code -> (depth, transition, next code)
-    for k in range(1, depth + 1):
-        added = {}
-        for c in inside:
-            if c in found:
-                continue
-            for t in successors(codec.decode(c), protocol, instance):
-                d = codec.encode(t.post)
-                if (d not in ok) if k == 1 else (d in found):
-                    added[c] = (k, t, d)
-                    break
-        found.update(added)
+    ok = set(_filter(protocol, instance, ind))
     ctis = []
-    for c in sorted(found)[:cap]:
-        witness, d = [], c
-        while d in found:
-            witness.append(found[d][1])
-            d = found[d][2]
-        ctis.append(ctigen.CTI(codec.decode(c), c, tuple(witness), found[c][0]))
-    return ctis
+    for c in sorted(ok):
+        t = next((t for t in successors(codec.decode(c), protocol, instance)
+                  if codec.encode(t.post) not in ok), None)
+        if t is not None:
+            ctis.append(ctigen.CTI(codec.decode(c), c, t))
+    return ctis[:cap]
 
 
 @pytest.mark.parametrize("cap", [7, 10**6])
@@ -676,8 +629,8 @@ def test_exact_items_equal_an_eager_construction(small_benchmarks, cap):
     found = 0
     for name, (protocol, _, instance) in small_benchmarks.items():
         for ind in _ind_sequence(name, protocol):
-            batch = _exact(protocol, instance, ind, 3, cap)
-            eager = _eager_exact(protocol, instance, ind, 3, cap)
+            batch = _exact(protocol, instance, ind, cap)
+            eager = _eager_exact(protocol, instance, ind, cap)
             assert isinstance(batch.ctis, ctigen.Ctis)
             assert len(batch.ctis) == len(eager) and batch.ctis.codes == [c.code for c in eager]
             assert list(batch.ctis) == eager and batch.ctis == eager, (name, to_str(ind))
@@ -726,26 +679,26 @@ def test_an_exact_inference_builds_no_cti(all_benchmarks, monkeypatch):
     assert len(batches) == 4 and not batches[-1].ctis and built == []
     assert decoded == [] and batches[0].ctis.codes
     first = batches[0].ctis
-    assert len(first) == 10000 and built == []  # the cap, counted without building
+    assert len(first) == 9216 and built == []  # counted without building
     for k in (0, len(first) // 2, -1):
         cti = first[k]
         assert cti.code == first.codes[k]
         assert replay_witness(cti, protocol, instance, protocol.safety)
     assert len(built) == 3
 
-    # on lockserver 4x4 at n_ctis 5000, safety's 10,000 codes are walked and
-    # the invariant's 1296 are exact; neither kind builds a CTI
+    # on lockserver 4x4 at n_ctis 5000, safety's 10,000 codes are sampled
+    # and the invariant's 1296 are exact; neither kind builds a CTI
     protocol, grammar, _ = all_benchmarks["lockserver"]
     instance = parse_instance(LOCKSERVER_4X4, protocol)
     monkeypatch.undo()
     result, batches, built, decoded = _spied_inference(
         monkeypatch, protocol, grammar, instance, InferenceConfig(seed=7, n_ctis=5000))
     assert result.succeeded and len(result.conjuncts) == 2
-    walked, exact = batches
-    assert walked.samples_attempted == 5000 and 0 < walked.starts < 5000 and walked.ctis
+    sampled, exact = batches
+    assert sampled.samples_attempted == 5000 and 0 < sampled.starts < 5000 and sampled.ctis
     assert exact.samples_attempted == exact.starts == 1296 and not exact.ctis
     assert built == [] and decoded == []
-    for cti in walked.ctis[:50]:
+    for cti in sampled.ctis[:50]:
         assert replay_witness(cti, protocol, instance, protocol.safety)
 
 
@@ -774,7 +727,7 @@ def test_each_conjunct_part_is_evaluated_once_per_projection(all_benchmarks, mon
             table = ctigen.WalkTable(protocol, instance, limit)
             for ind, codes in zip(inds, filtered):
                 if limit > 1:
-                    _exact(protocol, instance, ind, 3, table=table)
+                    _exact(protocol, instance, ind, table=table)
                 assert _inside(table, ind) == codes, (name, limit)
             if limit == 1:
                 continue
@@ -885,7 +838,7 @@ def test_firing_tables_follow_leaves_keys_and_shadowing():
             fired.update(table.fs[i][2][0] for i in table.enabled(k))
         assert fired == {"Point", "Copy", "Scan"}
         for seed in range(4):
-            found += len(_walkers(protocol, instance, protocol.safety, 600, 3, 10000, seed)[0])
+            found += len(_samplers(protocol, instance, protocol.safety, 600, 10000, seed)[0])
     assert found > 0
 
 
@@ -963,16 +916,16 @@ def _body(conjunct):
 
 
 def test_a_sampled_search_and_check_evaluate_each_body_once_per_entry(lockserver, monkeypatch):
-    # on lockserver 4x4 the invariant's 1296 codes are past the walk budget
-    # and the space is past the default limit, so the search walks and the
-    # check samples; each conjunct's body is evaluated at most once per entry
+    # on lockserver 4x4 the invariant's 1296 codes are past the draw budget
+    # and the space is past the default limit, so the batch and the check
+    # both sample; each conjunct's body is evaluated at most once per entry
     # of its table under each binding, in the search and in the check, each
     # of which has tables of its own
     protocol = lockserver[0]
     instance = parse_instance(LOCKSERVER_4X4, protocol)
     conjuncts = _conjuncts("lockserver", protocol)
     calls = _count_evaluations(monkeypatch)
-    batch = generate_ctis(protocol, instance, conjunction(conjuncts), 1000, 3, 10000,
+    batch = generate_ctis(protocol, instance, conjunction(conjuncts), 1000, 10000,
                           random.Random(7))
     assert len(batch) == 0 and batch.samples_attempted == 1000
     searched = set(calls)
@@ -990,15 +943,15 @@ def test_a_table_of_another_instance_is_never_used(lockserver):
     protocol, _, small = lockserver
     big = parse_instance(LOCKSERVER_4X4, protocol)
     table = ctigen.WalkTable(protocol, small)
-    for n in (3000, 30):  # the exact set, then the sparse walker, on 2x2
-        generate_ctis(protocol, small, protocol.safety, n, 3, 10000, random.Random(1),
+    for n in (3000, 30):  # the exact set, then a sampled batch, on 2x2
+        generate_ctis(protocol, small, protocol.safety, n, 10000, random.Random(1),
                       table=table)
     assert all(v.table is not None for v in table.verdicts[id(protocol.safety)].parts)
-    shared = generate_ctis(protocol, big, protocol.safety, 3000, 3, 10000, random.Random(3),
+    shared = generate_ctis(protocol, big, protocol.safety, 3000, 10000, random.Random(3),
                            table=table)
-    fresh = generate_ctis(protocol, big, protocol.safety, 3000, 3, 10000, random.Random(3))
-    reference, attempts = _reference_walks(protocol, big, protocol.safety, 3000, 3, 10000,
-                                           random.Random(3))
+    fresh = generate_ctis(protocol, big, protocol.safety, 3000, 10000, random.Random(3))
+    reference, attempts, _ = _reference_draws(protocol, big, protocol.safety, 3000, 10000,
+                                              random.Random(3))
     assert shared == fresh and fresh.samples_attempted == attempts == 3000
     assert fresh.ctis.codes == [c.code for c in reference] and len(fresh) > 0
 
@@ -1009,10 +962,10 @@ def test_a_conjunct_over_the_limit_is_evaluated_directly(small_benchmarks):
         table = ctigen.WalkTable(protocol, instance, limit=1)
         for ind in _ind_sequence(name, protocol):
             assert _inside(table, ind) == _filter(protocol, instance, ind), name
-            exact = _exact(protocol, instance, ind, 3, table=table)
-            assert exact == _exact(protocol, instance, ind, 3), name
+            exact = _exact(protocol, instance, ind, table=table)
+            assert exact == _exact(protocol, instance, ind), name
             for seed in (0, 1):
-                by_code = _walkers(protocol, instance, ind, 600, 3, 10000, seed, limit=1)
+                by_code = _samplers(protocol, instance, ind, 600, 10000, seed, limit=1)
                 found += len(by_code[0]) + len(exact)
         tables = [v.table for c in table.verdicts.values() for v in c.parts]
         assert tables and tables == [None] * len(tables), name
@@ -1041,21 +994,20 @@ def test_parts_over_the_limit_together_keep_the_whole_conjunct(lockserver):
 
 
 def test_a_sparse_search_builds_rejected_draws_without_interning(lockserver, monkeypatch):
-    # a sparse search decodes only the states of its CTIs and of their
-    # witnesses; a draw that fails safety is rejected by the verdict table
-    # and never decoded
+    # a sampled batch decodes only the states of its CTIs and of their
+    # steps; a draw that fails safety is rejected by the verdict table and
+    # never decoded
     protocol = lockserver[0]
     instance = parse_instance(LOCKSERVER_4X4, protocol)
     codec = state_codec(protocol, instance)
     decoded = []
     decode = codec.decode
     monkeypatch.setattr(codec, "decode", lambda code: decoded.append(code) or decode(code))
-    batch = generate_ctis(protocol, instance, protocol.safety, 3000, 3, 10000, random.Random(2))
+    batch = generate_ctis(protocol, instance, protocol.safety, 3000, 10000, random.Random(2))
     assert batch.samples_attempted == 3000 and len(batch) > 0
     assert state_codec(protocol, instance) is codec
     safe = compile_expr(protocol.safety, instance, codec.schema)
-    last_posts = {codec.encode(c.witness[-1].post) for c in batch.ctis}
+    posts = {codec.encode(c.step.post) for c in batch.ctis}
     unsafe = {k for k in decoded if safe(decode(k), {}) is not True}
-    assert unsafe and unsafe <= last_posts
-    on_witnesses = {codec.encode(t.post) for c in batch.ctis for t in c.witness}
-    assert set(decoded) <= {c.code for c in batch.ctis} | on_witnesses
+    assert unsafe and unsafe == posts
+    assert set(decoded) <= {c.code for c in batch.ctis} | posts

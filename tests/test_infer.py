@@ -67,7 +67,7 @@ def test_useless_grammar_fails_with_partial_ind(lockserver):
 
 
 def test_walks_that_never_start_inside_ind_do_not_end_in_success(lockserver, monkeypatch):
-    # 200 walks over 2^20 codes: the last batch draws no code of Ind, so it
+    # 200 draws over 2^20 codes: the last batch draws no code of Ind, so it
     # finds no CTI from no evidence
     protocol, grammar, _ = lockserver
     instance = parse_instance(LOCKSERVER_4X4, protocol)
@@ -228,7 +228,7 @@ def test_safety_alone_fails_consecution_with_replayable_witness(lockserver):
 
 
 def test_consecution_steps_no_code_past_its_witness(all_benchmarks, monkeypatch):
-    # consecution is the depth-1 exact CTI batch of one CTI: it steps Ind's
+    # consecution is the exact CTI rule capped at one CTI: it steps Ind's
     # codes in code order and stops at the first with a successor outside Ind
     protocol, _, instance = all_benchmarks["election"]
     stepped = []

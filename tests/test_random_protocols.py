@@ -9,9 +9,11 @@ no smaller), the leaf search's codes of the safety and of the safety and a
 second drawn predicate, the exhaustive induction check of both, the exact
 CTI sets and the reachable states must equal the oracles' plain
 re-implementations on every state. A search bounded at the count of those
-codes lists them, and one bounded below it gives None. Every exact and
-walked CTI's witness replays against ``successors``, and one with a step's
-post-state or binding swapped does not.
+codes lists them, and one bounded below it gives None. An exact batch,
+capped or not, is the oracle's CTIs in code order; every CTI of a sampled
+batch is one of them; the induction check's consecution witness is the
+exact batch's first CTI. Every exact and sampled CTI's step replays against
+``successors``, and one with its post-state or binding swapped does not.
 """
 from __future__ import annotations
 
@@ -20,8 +22,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indinv.ctigen import WalkTable, _sample_walks, generate_ctis, replay_witness
-from indinv.infer import check_induction
+from indinv.ctigen import WalkTable, _sampled, generate_ctis, replay_witness
+from indinv.infer import check_induction, conjunction
 from indinv.instance import state_codec
 from indinv.reachability import compute_reach
 from indinv.parser import parse_expression, parse_protocol
@@ -45,9 +47,11 @@ def test_random_protocols_agree_with_the_oracles(case, data):
     holds = table.verdict(safety).holds
     other = parse_expression(to_str(data.draw(predicates(protocol))), protocol)
     safe, both = [], []  # the codes of the safety, and of the safety and other
+    frozen = []  # each code's oracle state
     steps = []  # each code's (action, binding, post code)s, in o_successors order
     for code in range(codec.size):
         assign = oracles.assign_from_state(codec.decode(code))
+        frozen.append(oracles.o_freeze(assign))
         ok = oracles.o_holds(safety, assign, instance)
         assert holds(code) == ok, (text, code)
         safe += [code] if ok else []
@@ -94,13 +98,22 @@ def test_random_protocols_agree_with_the_oracles(case, data):
             post = oracles.assign_from_state(t.post)
             assert violated == next(k for k, c in enumerate(conjuncts)
                                     if not oracles.o_holds(c, post, instance)), (text, other)
+            first = generate_ctis(protocol, instance, conjunction(conjuncts), codec.size, 1,
+                                  random.Random(0)).ctis[0]
+            assert (first.state, first.step) == (state, t), (text, other)
 
-    batch = generate_ctis(protocol, instance, safety, codec.size, 2, 10**6, random.Random(0))
-    assert {oracles.freeze_state(c.state): c.depth_to_violation for c in batch.ctis} == \
-        oracles.o_ctis(protocol, instance, safety, 2), text
-
-    walked = _sample_walks(table, table.good([safety]), codec.size - 1, 2, 10**6, random.Random(0))
-    for ctis in (batch.ctis, walked.ctis):
+    # the oracle's CTIs of the safety, in code order
+    oracle_ctis = oracles.o_cti_depth1(protocol, instance, safety)
+    expected = [code for code in range(codec.size) if frozen[code] in oracle_ctis]
+    exact = generate_ctis(protocol, instance, safety, codec.size, 10**6, random.Random(0))
+    assert exact.ctis.codes == expected, text
+    cap = data.draw(st.integers(1, max(1, len(expected))))
+    capped = generate_ctis(protocol, instance, safety, codec.size, cap, random.Random(0))
+    assert capped.ctis.codes == expected[:cap], text
+    sampled = _sampled(table, table.good([safety]), data.draw(st.integers(0, 50)), 10**6,
+                       random.Random(0))
+    assert set(sampled.ctis.codes) <= set(expected), text
+    for ctis in (exact.ctis, sampled.ctis):
         for cti in ctis:
             assert replay_witness(cti, protocol, instance, safety), text
         for cti in ctis[:3]:
@@ -108,22 +121,20 @@ def test_random_protocols_agree_with_the_oracles(case, data):
 
 
 def _assert_tampered_steps_rejected(cti, protocol, instance, text):
-    """Each step with its post-state or its binding swapped fails the replay,
+    """The step with its post-state or its binding swapped fails the replay,
     unless the swapped binding makes another transition of the protocol."""
     codec = state_codec(protocol, instance)
-    pres = [cti.state] + [t.post for t in cti.witness[:-1]]
-    for j, (pre, t) in enumerate(zip(pres, cti.witness)):
-        other = codec.decode((codec.encode(t.post) + 1) % codec.size)
-        swapped = [replace(t, post=other)]
-        if t.binding:
-            dom = instance.domain("S")
-            swapped.append(replace(t, binding=tuple(
-                (name, dom[(dom.index(el) + 1) % len(dom)]) for name, el in t.binding)))
-        real = {(name, combo, oracles.o_freeze(post)) for name, combo, post in
-                oracles.o_successors(protocol, instance, oracles.assign_from_state(pre))}
-        for step in swapped:
-            key = (step.action, tuple(el for _, el in step.binding),
-                   oracles.freeze_state(step.post))
-            tampered = replace(cti, witness=cti.witness[:j] + (step,) + cti.witness[j + 1:])
-            if key not in real:
-                assert not replay_witness(tampered, protocol, instance, protocol.safety), text
+    t = cti.step
+    other = codec.decode((codec.encode(t.post) + 1) % codec.size)
+    swapped = [replace(t, post=other)]
+    if t.binding:
+        dom = instance.domain("S")
+        swapped.append(replace(t, binding=tuple(
+            (name, dom[(dom.index(el) + 1) % len(dom)]) for name, el in t.binding)))
+    real = {(name, combo, oracles.o_freeze(post)) for name, combo, post in
+            oracles.o_successors(protocol, instance, oracles.assign_from_state(cti.state))}
+    for step in swapped:
+        key = (step.action, tuple(el for _, el in step.binding), oracles.freeze_state(step.post))
+        if key not in real:
+            assert not replay_witness(replace(cti, step=step), protocol, instance,
+                                      protocol.safety), text

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indinv.ctigen import Ctis, WalkTable, _sample_walks, conjuncts_of, generate_ctis
+from indinv.ctigen import Ctis, WalkTable, _sampled, conjuncts_of, generate_ctis
 from indinv.errors import DuplicateSeedWarning
 from indinv.evaluator import compile_expr, holds
 from indinv.infer import InferenceConfig, infer_inductive_invariant
@@ -72,7 +72,7 @@ def test_clause_rows_equal_the_oracle_on_reach_and_ctis(name, small_benchmarks):
     protocol, grammar, instance = small_benchmarks[name]
     reach = compute_reach(protocol, instance)
     _assert_rows_match_oracle(grammar, reach.codes, reach.codec, instance)
-    batch = generate_ctis(protocol, instance, protocol.safety, 500, 3, 12, random.Random(0))
+    batch = generate_ctis(protocol, instance, protocol.safety, 500, 12, random.Random(0))
     if name in ("lockserver", "declock", "election"):
         assert batch.ctis
     if batch.ctis:
@@ -194,7 +194,7 @@ def test_every_pick_of_an_inference_equals_a_recount(name, small_benchmarks, mon
 def test_random_protocol_rows_and_picks_equal_recounts(case, data):
     # a grammar of three drawn predicates' bodies under forall n: S; the
     # rows over the reach codes equal a compiled closure on each reachable
-    # state, and picks over a subset of an exact batch and over a walked
+    # state, and picks over a subset of an exact batch and over a sampled
     # batch equal the recount
     protocol, instance = case
     bodies = [to_str(data.draw(predicates(protocol)).body) for _ in range(3)]
@@ -217,10 +217,10 @@ def test_random_protocol_rows_and_picks_equal_recounts(case, data):
     for cand in rng.sample(pool, rng.randint(1, len(pool))):
         repo.add(cand)
     exclude = frozenset(lemma.id for lemma in repo if rng.random() < 0.2)
-    exact = generate_ctis(protocol, instance, protocol.safety, size, 2, 10**6, random.Random(0))
+    exact = generate_ctis(protocol, instance, protocol.safety, size, 10**6, random.Random(0))
     ks = sorted(rng.sample(range(len(exact)), min(len(exact), 80)))
     table = WalkTable(protocol, instance)
     good = table.good(conjuncts_of(protocol.safety))
-    walked = _sample_walks(table, good, size - 1, 2, 80, random.Random(0))
-    for ctis in (exact.ctis.subset(ks), walked.ctis):
+    sampled = _sampled(table, good, size - 1, 80, random.Random(0))
+    for ctis in (exact.ctis.subset(ks), sampled.ctis):
         _assert_pick_equals_recount(repo, ctis, instance, exclude)

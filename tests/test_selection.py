@@ -15,14 +15,13 @@ from .oracles import eliminates
 
 
 def _mk_cti(state, code):
-    # eliminates only reads the state; the witness is a stub
-    t = Transition("stub", (), code, state)
-    return CTI(state, code, (t,), 1)
+    # eliminates only reads the state; the step is a stub
+    return CTI(state, code, Transition("stub", (), code, state))
 
 
 def _ctis(protocol, instance, codes):
     """A batch over the codes. Selection reads codes alone, so they need no
-    witness steps."""
+    steps."""
     return Ctis(WalkTable(protocol, instance), list(codes), {})
 
 
@@ -112,7 +111,7 @@ def test_eliminates_examples(lockserver):
         ((0, False),),
     )
     safe_batch = generate_ctis(
-        protocol, instance, protocol.safety, 5000, 1, 10000, random.Random(0)
+        protocol, instance, protocol.safety, 5000, 10000, random.Random(0)
     )
     assert len(safe_batch) > 0
     eliminated_by_a1 = 0
@@ -150,7 +149,7 @@ def test_cover_report_count_matches_per_cti_recount(lockserver):
     # the compiled elimination count against a per-CTI recount with holds
     protocol, grammar, instance = lockserver
     batch = generate_ctis(
-        protocol, instance, protocol.safety, 5000, 3, 10000, random.Random(1)
+        protocol, instance, protocol.safety, 5000, 10000, random.Random(1)
     )
     a1 = build_candidate(grammar, ((0, True), (1, True)))
     repo = LemmaRepository()
@@ -165,7 +164,7 @@ def test_cover_report_count_matches_per_cti_recount(lockserver):
 def test_greedy_maximality_on_random_fixtures(lockserver):
     protocol, grammar, instance = lockserver
     batch = generate_ctis(
-        protocol, instance, protocol.safety, 6000, 3, 10000, random.Random(2)
+        protocol, instance, protocol.safety, 6000, 10000, random.Random(2)
     )
     pool = [
         build_candidate(grammar, tuple(zip(idxs, negs)))
@@ -208,7 +207,7 @@ def test_eliminated_ctis_fail_the_strengthened_candidate(lockserver):
 
     protocol, grammar, instance = lockserver
     batch = generate_ctis(
-        protocol, instance, protocol.safety, 6000, 3, 10000, random.Random(3)
+        protocol, instance, protocol.safety, 6000, 10000, random.Random(3)
     )
     pool = [
         build_candidate(grammar, tuple(zip(idxs, negs)))
@@ -244,7 +243,7 @@ def test_pruned_choice_matches_an_unpruned_recount(enum_protocol, lockserver):
     # the same winner and the same eliminated list, ties included
     enum_instance, enum_grammar, enum_ctis = _enum_setup(enum_protocol)
     protocol, grammar, instance = lockserver
-    batch = generate_ctis(protocol, instance, protocol.safety, 6000, 3, 10000, random.Random(2))
+    batch = generate_ctis(protocol, instance, protocol.safety, 6000, 10000, random.Random(2))
 
     def pool(g, n_seeds, sizes):
         return [

@@ -3,8 +3,6 @@ from __future__ import annotations
 import pytest
 from hypothesis import example, given, settings
 
-from indinv.ctigen import CTI
-from indinv.evaluator import Transition
 from indinv.infer import InferenceConfig
 from indinv.instance import State, state_schema
 from indinv.invgen import build_candidate
@@ -218,12 +216,3 @@ def test_a_hidden_field_is_left_out_of_equality_and_repr():
     assert a.grammar != b.grammar and a == b and hash(a) == hash(b)
     assert "grammar" not in repr(a) and repr(a).startswith("CandidateInvariant(literals=")
 
-
-def test_a_cti_whose_depth_is_not_its_witness_length_is_refused(lockserver_protocol):
-    state = State(state_schema(lockserver_protocol), ())
-    step = Transition("a", (), 0, state)
-    assert CTI(state, 0, (step,), 1).depth_to_violation == 1
-    with pytest.raises(AssertionError):
-        CTI(state, 0, (step,), 2)
-    with pytest.raises(AssertionError):
-        CTI(state, 0, (), 0)
